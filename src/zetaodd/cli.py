@@ -16,12 +16,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from . import engine, identities
-from .coefficients import (
-    PI_METHODS,
-    coeffs_log,
-    coeffs_pi,
-    negative_q_rewrite,
-)
+from .coefficients import METHODS, PI_METHODS, negative_q_rewrite
 from .core import ConvergenceError, DomainError, make_context
 
 EX_OK = 0
@@ -37,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _digits(text: str) -> int:
+    """--digits: a positive int, else argparse's usage error (exit 64)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _bound_exponent(err) -> int:
@@ -102,30 +105,18 @@ def _cmd_coeffs(args) -> int:
     if args.constant == "zeta":
         if args.k is None:
             raise DomainError("coeffs --constant zeta needs --k")
-        table = engine.zeta_table(4 * args.k - 1
-                                  if args.method in ("corollary", "corollary2",
-                                                     "root3", "root7", "root15")
-                                  else 4 * args.k + 1,
-                                  args.method)
+        # the method fixes the parity; auto (or an unknown name) means zeta(4k+1)
+        entry = METHODS["zeta"].get(args.method)
+        s = 4 * args.k - (entry[1] if entry else -1)
+        table = engine.zeta_table(s, args.method)
     elif args.constant == "pi":
         if args.power is None:
             raise DomainError("coeffs --constant pi needs --power")
-        method = args.method
-        if method in ("example62", "prop_pi5", "prop_pi5_fast"):
-            if args.power % 4 != 1:
-                raise DomainError(f"{method} produces powers = 1 mod 4")
-            k = (args.power + 3) // 4 if method == "example62" else (args.power - 1) // 4
-        else:
-            if args.power % 4 != 3:
-                raise DomainError(f"{method} produces powers = 3 mod 4")
-            k = (args.power + 1) // 4
-        if k < 1:
-            raise DomainError(f"{method} cannot produce pi^{args.power}")
-        table = coeffs_pi(method, k)
+        table = engine.pi_table(args.power, args.method)
     else:  # log
         if args.p is None:
             raise DomainError("coeffs --constant log needs --p")
-        table = coeffs_log(args.p)
+        table = engine.coeffs_log(args.p)
     if args.rewrite_positive_q:
         table = negative_q_rewrite(table)
     print(table.to_json())
@@ -213,7 +204,7 @@ def build_parser() -> _Parser:
     cz = csub.add_parser("zeta", help="zeta(s) for odd s >= 3")
     cz.add_argument("--s", type=int, required=True)
     cz.add_argument("--method", default="auto")
-    cz.add_argument("--digits", type=int, default=50)
+    cz.add_argument("--digits", type=_digits, default=50)
     cz.add_argument("--format", choices=("text", "json"), default="text")
     cz.set_defaults(func=_cmd_compute_zeta)
 
@@ -221,13 +212,13 @@ def build_parser() -> _Parser:
     cp.add_argument("--power", type=int, required=True)
     cp.add_argument("--method", default="auto",
                     help=f"one of {', '.join(PI_METHODS)} or auto")
-    cp.add_argument("--digits", type=int, default=50)
+    cp.add_argument("--digits", type=_digits, default=50)
     cp.add_argument("--format", choices=("text", "json"), default="text")
     cp.set_defaults(func=_cmd_compute_pi)
 
     cl = csub.add_parser("log", help="log p for p in 2, 3, 5")
     cl.add_argument("--p", type=int, choices=(2, 3, 5), required=True)
-    cl.add_argument("--digits", type=int, default=50)
+    cl.add_argument("--digits", type=_digits, default=50)
     cl.add_argument("--format", choices=("text", "json"), default="text")
     cl.set_defaults(func=_cmd_compute_log)
 
@@ -258,7 +249,7 @@ def build_parser() -> _Parser:
     ve.add_argument("--s", type=int, default=-3)
     ve.add_argument("--case", type=int, default=2, choices=(1, 2))
     ve.add_argument("--order", type=int, default=50)
-    ve.add_argument("--digits", type=int, default=30)
+    ve.add_argument("--digits", type=_digits, default=30)
     ve.set_defaults(func=_cmd_verify)
 
     be = sub.add_parser("bench", help="convergence profile of a method")
@@ -266,7 +257,7 @@ def build_parser() -> _Parser:
     be.add_argument("--s", type=int, default=3)
     be.add_argument("--method", default="auto")
     be.add_argument("--max-terms", type=int, default=8)
-    be.add_argument("--digits", type=int, default=50)
+    be.add_argument("--digits", type=_digits, default=50)
     be.set_defaults(func=_cmd_bench)
 
     return p

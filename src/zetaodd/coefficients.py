@@ -5,11 +5,14 @@ Every formula this package evaluates has the shape
     constant = c_pi * pi^n  +  sum_i  c_i * basis_i
 
 where each basis_i is a Lambert series L_q(s), the sech series S_q(s), or
-the scaled q-derivative pi*q*dL_q(s)/dq at a symbolic nome q, and every
-coefficient lives in Q, Q(i), Q(sqrt m) for m in {3, 7, 15}, or
-Q(sqrt 7, sqrt 15).  The generators below produce those coefficients
-*exactly* - no floating point - so tables can be compared against the
-published values with `==`.
+the scaled q-derivative pi*q*dL_q(s)/dq at a symbolic nome q.  Every
+coefficient is a Fraction or a :class:`~zetaodd.core.Surd`, an exact
+element of Q(i, sqrt2, sqrt3, sqrt5, sqrt7): the multisection methods
+work in Q(i), the sqrt(m) families in Q(sqrt m), and combining a sqrt(7)
+table with a sqrt(15) one brings in sqrt(105).  The generators below
+produce those coefficients *exactly* - no floating point - so tables can
+be compared against the published values with `==`.  ``METHODS`` is the
+one registry from a method name to its generator.
 
 Two corrections relative to the printed source are deliberate and covered
 by regression tests: the sign of the L_{e^(-sqrt3 pi)} term in the
@@ -22,24 +25,21 @@ coefficients fail numerically.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .core import (
-    BiquadraticSurd,
+    I,
     DomainError,
-    GaussianRational,
     PrecisionContext,
-    QuadraticSurd,
-    bernoulli,
+    Surd,
+    bernoulli_weight,
     eval_exact,
-    gaussian_pow,
     surd_trig,
-    two_pow_half,
 )
 from .oracles import oracle_pi
 from .series import (
@@ -48,11 +48,6 @@ from .series import (
     lambert_eval,
     sech_series,
 )
-
-ZETA_4KM1_METHODS = ("corollary", "root3", "root7", "root15")
-ZETA_4KP1_METHODS = ("corollary3", "p2", "p3", "p5", "root3_p", "root7_p", "root15_p")
-PI_METHODS = ("example62", "example63", "prop_pi5", "prop_pi3",
-              "prop_pi5_fast", "prop_pi3_fast")
 
 _KIND_RANK = {"sech_series": 0, "lambert_derivative": 1, "lambert": 2}
 
@@ -172,41 +167,28 @@ def _make_table(constant, method, coeff_map, debug=None) -> CoefficientTable:
 
 _TERM_RE = re.compile(
     r"(?:\((?P<par>-?\d+(?:/\d+)?)\)|(?P<bare>-?\d+(?:/\d+)?))"
-    r"(?:\*sqrt\((?P<m>3|7|15|105)\))?"
+    r"(?:\*sqrt\((?P<m>\d+)\))?"
 )
 
 
 def format_coefficient(c) -> str:
-    """Exact string form: "-296/355", "(29/1980)*sqrt(7)",
-    "(a)+(b)*sqrt(m)", or the 4-component sqrt(105) extension."""
-    if isinstance(c, int):
-        c = Fraction(c)
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, QuadraticSurd):
-        if c.e != 0:
-            raise ValueError(f"cannot serialize dangling sqrt(2) factor in {c!r}")
-        parts = []
-        if c.a != 0:
-            parts.append(f"({c.a})")
-        if c.b != 0:
-            parts.append(f"({c.b})*sqrt({c.m})")
-        return "+".join(parts) if parts else "0"
-    if isinstance(c, BiquadraticSurd):
-        parts = []
-        for val, root in ((c.a, None), (c.b, 7), (c.c, 15), (c.d, 105)):
-            if val != 0:
-                parts.append(f"({val})" + (f"*sqrt({root})" if root else ""))
-        return "+".join(parts) if parts else "0"
-    raise TypeError(f"cannot serialize coefficient of type {type(c).__name__}")
+    """Exact string form of a real coefficient: "-296/355",
+    "(29/1980)*sqrt(7)", "(a)+(b)*sqrt(m)", or a longer sum such as
+    "(a)+(d)*sqrt(105)"; parts in ascending radicand."""
+    if isinstance(c, (int, Fraction)):
+        return str(Fraction(c))
+    if not isinstance(c, Surd):
+        raise TypeError(f"cannot serialize coefficient of type {type(c).__name__}")
+    if c.im != 0:
+        raise ValueError(f"cannot serialize the imaginary part of {c}")
+    return str(c)
 
 
-def parse_coefficient(text: str):
-    """Inverse of format_coefficient; returns Fraction | QuadraticSurd |
-    BiquadraticSurd (smallest ring that fits)."""
+def parse_coefficient(text: str) -> Surd:
+    """Inverse of format_coefficient."""
     s = text.strip()
     pos = 0
-    comps: dict[int, Fraction] = {}
+    parts: dict[int, Fraction] = {}
     first = True
     while pos < len(s):
         if not first:
@@ -218,81 +200,45 @@ def parse_coefficient(text: str):
             raise ValueError(f"bad coefficient string {text!r}")
         val = Fraction(m.group("par") or m.group("bare"))
         root = int(m.group("m")) if m.group("m") else 1
-        comps[root] = comps.get(root, Fraction(0)) + val
+        parts[root] = parts.get(root, Fraction(0)) + val
         pos = m.end()
         first = False
-    if not comps:
+    if not parts:
         raise ValueError(f"empty coefficient string {text!r}")
-    roots = {r for r, v in comps.items() if r != 1 and v != 0}
-    if not roots:
-        return comps.get(1, Fraction(0))
-    if roots <= {3}:
-        return QuadraticSurd(comps.get(1, 0), comps.get(3, 0), 3, 0)
-    if roots <= {7}:
-        return QuadraticSurd(comps.get(1, 0), comps.get(7, 0), 7, 0)
-    if roots <= {15}:
-        return QuadraticSurd(comps.get(1, 0), comps.get(15, 0), 15, 0)
-    if 3 in roots:
-        raise ValueError(f"sqrt(3) cannot mix with sqrt(7)/sqrt(15): {text!r}")
-    return BiquadraticSurd(
-        comps.get(1, 0), comps.get(7, 0), comps.get(15, 0), comps.get(105, 0)
-    )
+    return Surd(parts)
 
 
 # ---------------------------------------------------------------------------
 # exact helpers
 # ---------------------------------------------------------------------------
 
-
-def _bw(j: int, total: int) -> Fraction:
-    """B_2j B_(total-2j) / ((2j)! (total-2j)!)"""
-    return (
-        bernoulli(2 * j)
-        * bernoulli(total - 2 * j)
-        / (math.factorial(2 * j) * math.factorial(total - 2 * j))
-    )
+_SQRT2 = Surd.sqrt(2)
 
 
-_PI6_COS = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1, 2)),
-    (Fraction(1, 2), Fraction(0)),
-    (Fraction(0), Fraction(0)),
-    (Fraction(-1, 2), Fraction(0)),
-    (Fraction(0), Fraction(-1, 2)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(-1, 2)),
-    (Fraction(-1, 2), Fraction(0)),
-    (Fraction(0), Fraction(0)),
-    (Fraction(1, 2), Fraction(0)),
-    (Fraction(0), Fraction(1, 2)),
-)
-
-
-def trig_pi6(n: int, kind: str = "cos") -> QuadraticSurd:
-    """Exact cos/sin(n*pi/6) as an element of Q(sqrt 3)."""
-    if kind == "sin":
-        n = 3 - n
-    elif kind != "cos":
-        raise ValueError(f"kind must be cos or sin, got {kind!r}")
-    a, b = _PI6_COS[n % 12]
-    return QuadraticSurd(a, b, 3, 0)
+def _bernoulli_sum(c: list, total: int):
+    """sum_j (-1)^j c_j B_2j B_(total-2j) / ((2j)! (total-2j)!), exact."""
+    acc = Fraction(0)
+    for j, cj in enumerate(c):
+        term = cj * bernoulli_weight(j, total)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
 
 
 def _f2(e: int) -> Fraction:
     return Fraction(2) ** e
 
 
-def _gauss_sum(width: int, m: int) -> GaussianRational:
+def _gauss_sum(width: int, m: int) -> Surd:
     """sum_{n=-width..width} (1+i n)^m, exact (negative m via inversion)."""
-    acc = GaussianRational(0, 0)
-    for n in range(-width, width + 1):
-        acc = acc + gaussian_pow(GaussianRational(1, n), m)
-    return acc
+    return sum(((1 + n * I) ** m for n in range(-width, width + 1)), Surd())
 
 
-def _surd_str(x) -> str:
-    return format_coefficient(x) if not isinstance(x, GaussianRational) else str(x)
+def _gaussian_str(z: Surd) -> str:
+    return f"({z.re})+({z.im})*i"
+
+
+def _joined(values, fmt=str) -> str:
+    return "; ".join(fmt(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +252,7 @@ def _zc(k: int, parity: int) -> str:
 
 def _corollary_4km1(k: int) -> CoefficientTable:
     s = -4 * k + 1
-    w = Fraction(0)
-    for j in range(k + 1):
-        term = _bw(j, 4 * k) / (2 if j == k else 1)
-        w += -term if j % 2 == 0 else term  # (-1)^(j+1)
+    w = -_bernoulli_sum([1] * k + [Fraction(1, 2)], 4 * k)  # (-1)^(j+1)
     coeffs = {
         _pi_term(4 * k - 1): w * _f2(4 * k - 1),
         _lam(QSymbolic(1, 2), s): Fraction(-2),
@@ -319,21 +262,19 @@ def _corollary_4km1(k: int) -> CoefficientTable:
 
 
 def _root3_4km1(k: int) -> CoefficientTable:
+    # acot(sqrt 3) = pi/6, so surd_trig(3, n, ...) is cos/sin(n pi/6)
     s = -4 * k + 1
-    a_k = _f2(4 * k) + 4 * trig_pi6(4 * k + 1, "sin").as_fraction()
+    a_k = _f2(4 * k) + 4 * surd_trig(3, 4 * k + 1, "sin").as_fraction()
     if a_k == 0:
         raise DomainError(f"degenerate a_k = 0 at k = {k}")
-    w = QuadraticSurd(0, 0, 3, 0)
-    b_list = []
-    for j in range(k + 1):
-        b_jk = (
-            trig_pi6(2 * j - 1) * _f2(4 * k + 1 - 2 * j)
-            + trig_pi6(4 * k - 1 - 2 * j) * _f2(2 * j + 1)
-        ) / (a_k * (2 if j == k else 1))
-        b_list.append(b_jk)
-        term = b_jk * _bw(j, 4 * k)
-        w = w + (-term if j % 2 == 0 else term)  # (-1)^(j+1)
-    cos23 = trig_pi6(2 * (2 * k - 1)).as_fraction()  # cos((2k-1) pi/3)
+    b = [
+        (surd_trig(3, 2 * j - 1, "cos") * _f2(4 * k + 1 - 2 * j)
+         + surd_trig(3, 4 * k - 1 - 2 * j, "cos") * _f2(2 * j + 1))
+        / (a_k * (2 if j == k else 1))
+        for j in range(k + 1)
+    ]
+    w = -_bernoulli_sum(b, 4 * k)  # (-1)^(j+1)
+    cos23 = surd_trig(3, 2 * (2 * k - 1), "cos").as_fraction()  # cos((2k-1) pi/3)
     coeffs = {
         _pi_term(4 * k - 1): w * _f2(4 * k - 1),
         # sign corrected relative to the printed formula: + not -
@@ -342,7 +283,7 @@ def _root3_4km1(k: int) -> CoefficientTable:
                                        + 8 * cos23) / a_k,
         _lam(QSymbolic(1, 4, 3), s): (_f2(-4 * k + 4) + 8) / a_k,
     }
-    debug = {"a_k": str(a_k), "b_jk": "; ".join(_surd_str(b) for b in b_list)}
+    debug = {"a_k": str(a_k), "b_jk": _joined(b)}
     return _make_table(_zc(k, -1), "root3", coeffs, debug)
 
 
@@ -353,19 +294,16 @@ def _root7_4km1(k: int) -> CoefficientTable:
         raise DomainError(f"degenerate a_k = 0 at k = {k}")
     b_k = (
         _f2(2 * k + 1) + _f2(-2 * k + 2)
-        + two_pow_half(3, 7) * surd_trig(7, 4 * k + 1, "sin")
+        + _SQRT2 ** 3 * surd_trig(7, 4 * k + 1, "sin")
         + 2 * surd_trig(7, 4 * k, "cos")
     ).as_fraction()
-    w = QuadraticSurd(0, 0, 7, 0)
-    c_list = []
-    for j in range(k + 1):
-        c_jk = (
-            two_pow_half(4 * k - 2 * j + 1, 7) * surd_trig(7, 2 * j - 1, "cos")
-            + two_pow_half(2 * j + 1, 7) * surd_trig(7, 4 * k - 1 - 2 * j, "cos")
-        ) / (a_k * (2 if j == k else 1))
-        c_list.append(c_jk)
-        term = c_jk * _bw(j, 4 * k)
-        w = w + (-term if j % 2 == 0 else term)  # (-1)^(j+1)
+    c = [
+        (_SQRT2 ** (4 * k - 2 * j + 1) * surd_trig(7, 2 * j - 1, "cos")
+         + _SQRT2 ** (2 * j + 1) * surd_trig(7, 4 * k - 1 - 2 * j, "cos"))
+        / (a_k * (2 if j == k else 1))
+        for j in range(k + 1)
+    ]
+    w = -_bernoulli_sum(c, 4 * k)  # (-1)^(j+1)
     coeffs = {
         _pi_term(4 * k - 1): w * _f2(4 * k - 1),
         _lam(QSymbolic(1, 1, 7), s): b_k / a_k,
@@ -373,11 +311,7 @@ def _root7_4km1(k: int) -> CoefficientTable:
                                        - _f2(-2 * k + 2)) / a_k,
         _lam(QSymbolic(1, 4, 7), s): _f2(-4 * k + 2) * b_k / a_k,
     }
-    debug = {
-        "a_k": str(a_k),
-        "b_k": str(b_k),
-        "c_jk": "; ".join(_surd_str(c) for c in c_list),
-    }
+    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
     return _make_table(_zc(k, -1), "root7", coeffs, debug)
 
 
@@ -388,15 +322,9 @@ def _root15_4km1(k: int) -> CoefficientTable:
     a_k = (surd_trig(15, 4 * k - 1, "cos") - 2 * surd_trig(15, 4 * k, "sin")) / den
     b_k = ((2 + 2 * surd_trig(15, 4 * k, "cos")
             + surd_trig(15, 4 * k - 1, "sin")) / den).as_fraction()
-    w = QuadraticSurd(0, 0, 15, 0)
-    c_list = []
-    for j in range(k + 1):
-        c_jk = surd_trig(15, 2 * k - 2 * j, "cos") / (
-            cos_odd * (2 if j == k else 1)
-        )
-        c_list.append(c_jk)
-        term = c_jk * _bw(j, 4 * k)
-        w = w + (-term if j % 2 == 0 else term)  # (-1)^(j+1)
+    c = [surd_trig(15, 2 * k - 2 * j, "cos") / (cos_odd * (2 if j == k else 1))
+         for j in range(k + 1)]
+    w = -_bernoulli_sum(c, 4 * k)  # (-1)^(j+1)
     q15 = QSymbolic(1, 1, 15)
     coeffs = {
         _pi_term(4 * k - 1): w * _f2(4 * k - 1),
@@ -405,28 +333,8 @@ def _root15_4km1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2, 15), s): -(_f2(-8 * k + 4) + 3 * _f2(-4 * k + 2) + 4) * b_k,
         _lam(QSymbolic(1, 4, 15), s): (_f2(-8 * k + 4) + _f2(-4 * k + 3)) * b_k,
     }
-    debug = {
-        "a_k": format_coefficient(a_k),
-        "b_k": str(b_k),
-        "c_jk": "; ".join(_surd_str(c) for c in c_list),
-    }
+    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
     return _make_table(_zc(k, -1), "root15", coeffs, debug)
-
-
-def coeffs_4km1(method: str, k: int) -> CoefficientTable:
-    """Exact table expressing zeta(4k-1) in the chosen basis family."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    name = "corollary" if method == "corollary2" else method
-    if name == "corollary":
-        return _corollary_4km1(k)
-    if name == "root3":
-        return _root3_4km1(k)
-    if name == "root7":
-        return _root7_4km1(k)
-    if name == "root15":
-        return _root15_4km1(k)
-    raise DomainError(f"unknown zeta(4k-1) method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -434,46 +342,96 @@ def coeffs_4km1(method: str, k: int) -> CoefficientTable:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_bernoulli_sum(method: str, k: int) -> GaussianRational:
+def _p2_raw(k: int):
+    a_k = _f2(4 * k + 1) - (-1) ** k * _f2(2 * k) - 1
+    b = [
+        (_f2(2 * j - 1) * (1 + (1 + I) ** (4 * k + 1 - 2 * j))
+         - _f2(4 * k + 1 - 2 * j) * (1 + (1 + I) ** (2 * j - 1))) / a_k
+        for j in range(k + 1)
+    ]
+    return a_k, b
+
+
+def _p3_raw(k: int):
+    sgn = (-1) ** k
+    a_k = _f2(4 * k) * (Fraction(3) ** (4 * k + 1) + 1) / (
+        _f2(4 * k + 1) - sgn * _f2(2 * k) + 1
+    )
+    b_k = (
+        (Fraction(3) ** (4 * k + 1) - 1) / 2
+        - sgn * _f2(2 * k)
+        - a_k * (_f2(4 * k + 1) - sgn * _f2(2 * k) - 1) / _f2(4 * k + 1)
+    )
+    c = []
+    for j in range(k + 1):
+        m_hi = 4 * k + 1 - 2 * j
+        m_lo = 2 * j - 1
+        c_jk = (
+            Fraction(3) ** m_lo * _gauss_sum(1, m_hi)
+            - Fraction(3) ** m_hi * _gauss_sum(1, m_lo)
+            - a_k * (
+                (1 + (1 + I) ** m_hi) / _f2(m_hi)
+                - (1 + (1 + I) ** m_lo) / _f2(m_lo)
+            )
+        )
+        c.append(c_jk)
+    return a_k, b_k, c
+
+
+def _p5_raw(k: int):
+    sgn = (-1) ** k
+    cos_part = ((1 + 2 * I) ** (4 * k)).re.as_fraction()  # Re (1+2i)^{4k}
+    denom = Fraction(5) ** (4 * k + 1) - 2 * cos_part + 1
+    a_k = (_f2(4 * k + 1) - sgn * _f2(2 * k) + 1) / (_f2(4 * k) * denom)
+    s5_4k = _gauss_sum(2, 4 * k)
+    if s5_4k.im != 0:
+        raise AssertionError("5-section power sum must be real")
+    b_k = a_k / 2 * (Fraction(5) ** (4 * k + 1) - s5_4k.re.as_fraction()) - (
+        _f2(4 * k + 1) - sgn * _f2(2 * k) - 1
+    ) / _f2(4 * k + 1)
+    c = []
+    for j in range(k + 1):
+        m_hi = 4 * k + 1 - 2 * j
+        m_lo = 2 * j - 1
+        c_jk = (
+            a_k * (
+                Fraction(5) ** m_lo * _gauss_sum(2, m_hi)
+                - Fraction(5) ** m_hi * _gauss_sum(2, m_lo)
+            )
+            - (
+                (1 + (1 + I) ** m_hi) / _f2(m_hi)
+                - (1 + (1 + I) ** m_lo) / _f2(m_lo)
+            )
+        )
+        c.append(c_jk)
+    return a_k, b_k, c
+
+
+def gaussian_bernoulli_sum(method: str, k: int) -> Surd:
     """The exact Gaussian-rational Bernoulli-weighted sum over j for the
     multisection methods (p2/p3/p5); its imaginary part must cancel to the
     rational zero for the zeta formula to be real."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if method == "p2":
-        coeffs = _p2_raw(k)[1]
-    elif method == "p3":
-        coeffs = _p3_raw(k)[2]
-    elif method == "p5":
-        coeffs = _p5_raw(k)[2]
-    else:
+    raw = {"p2": _p2_raw, "p3": _p3_raw, "p5": _p5_raw}.get(method)
+    if raw is None:
         raise DomainError(f"no Gaussian Bernoulli sum for method {method!r}")
-    acc = GaussianRational(0, 0)
-    for j, c in enumerate(coeffs):
-        term = c * _bw(j, 4 * k + 2)
-        acc = acc + (-term if j % 2 == 0 else term)  # (-1)^(j+1)
-    return acc
+    return -_bernoulli_sum(raw(k)[-1], 4 * k + 2)  # (-1)^(j+1)
 
 
-def _p2_raw(k: int):
-    a_k = _f2(4 * k + 1) - (-1) ** k * _f2(2 * k) - 1
-    one_plus_i = GaussianRational(1, 1)
-    b = []
-    for j in range(k + 1):
-        b_jk = (
-            _f2(2 * j - 1) * (1 + gaussian_pow(one_plus_i, 4 * k + 1 - 2 * j))
-            - _f2(4 * k + 1 - 2 * j) * (1 + gaussian_pow(one_plus_i, 2 * j - 1))
-        ) / a_k
-        b.append(b_jk)
-    return a_k, b
+def _real_bernoulli_sum(method: str, k: int, c: list) -> Surd:
+    """gaussian_bernoulli_sum of the coefficients c a table already has,
+    checked to be real."""
+    w = -_bernoulli_sum(c, 4 * k + 2)  # (-1)^(j+1)
+    if w.im != 0:
+        raise AssertionError(f"{method} Bernoulli sum not real at k={k}: {w}")
+    return w.re
 
 
 def _corollary3_4kp1(k: int) -> CoefficientTable:
     s = -4 * k - 1
-    w = Fraction(0)
-    for j in range(k + 1):
-        term = Fraction(2 * k + 1 - 2 * j, 2 * k) * _bw(j, 4 * k + 2)
-        w += term if j % 2 == 0 else -term  # (-1)^j
+    w = _bernoulli_sum([Fraction(2 * k + 1 - 2 * j, 2 * k) for j in range(k + 1)],
+                       4 * k + 2)  # (-1)^j
     q = QSymbolic(1, 2)
     coeffs = {
         _pi_term(4 * k + 1): w * _f2(4 * k + 1),
@@ -487,43 +445,14 @@ def _corollary3_4kp1(k: int) -> CoefficientTable:
 def _p2_4kp1(k: int) -> CoefficientTable:
     s = -4 * k - 1
     a_k, b = _p2_raw(k)
-    w = gaussian_bernoulli_sum("p2", k)
-    if w.im != 0:
-        raise AssertionError(f"p2 Bernoulli sum not real at k={k}: {w}")
+    w = _real_bernoulli_sum("p2", k, b)
     coeffs = {
-        _pi_term(4 * k + 1): w.re * _f2(4 * k + 1),
+        _pi_term(4 * k + 1): w * _f2(4 * k + 1),
         _lam(QSymbolic(1, 2), s): Fraction(-(2 * a_k + 4), a_k),
         _lam(QSymbolic(1, 4), s): Fraction(4, a_k),
     }
-    debug = {"a_k": str(a_k), "b_jk": "; ".join(str(x) for x in b)}
+    debug = {"a_k": str(a_k), "b_jk": _joined(b, _gaussian_str)}
     return _make_table(_zc(k, 1), "p2", coeffs, debug)
-
-
-def _p3_raw(k: int):
-    sgn = (-1) ** k
-    a_k = _f2(4 * k) * (Fraction(3) ** (4 * k + 1) + 1) / (
-        _f2(4 * k + 1) - sgn * _f2(2 * k) + 1
-    )
-    b_k = (
-        (Fraction(3) ** (4 * k + 1) - 1) / 2
-        - sgn * _f2(2 * k)
-        - a_k * (_f2(4 * k + 1) - sgn * _f2(2 * k) - 1) / _f2(4 * k + 1)
-    )
-    one_plus_i = GaussianRational(1, 1)
-    c = []
-    for j in range(k + 1):
-        m_hi = 4 * k + 1 - 2 * j
-        m_lo = 2 * j - 1
-        c_jk = (
-            Fraction(3) ** m_lo * _gauss_sum(1, m_hi)
-            - Fraction(3) ** m_hi * _gauss_sum(1, m_lo)
-            - a_k * (
-                (1 + gaussian_pow(one_plus_i, m_hi)) / _f2(m_hi)
-                - (1 + gaussian_pow(one_plus_i, m_lo)) / _f2(m_lo)
-            )
-        )
-        c.append(c_jk)
-    return a_k, b_k, c
 
 
 def _p3_4kp1(k: int) -> CoefficientTable:
@@ -531,52 +460,16 @@ def _p3_4kp1(k: int) -> CoefficientTable:
     a_k, b_k, c = _p3_raw(k)
     if b_k == 0:
         raise DomainError(f"degenerate b_k = 0 at k = {k}")
-    w = gaussian_bernoulli_sum("p3", k)
-    if w.im != 0:
-        raise AssertionError(f"p3 Bernoulli sum not real at k={k}: {w}")
+    w = _real_bernoulli_sum("p3", k, c)
     sgn = (-1) ** k
     coeffs = {
-        _pi_term(4 * k + 1): w.re * _f2(4 * k + 1) / (2 * b_k),
+        _pi_term(4 * k + 1): w * _f2(4 * k + 1) / (2 * b_k),
         _lam(QSymbolic(-1, 3), s): sgn * _f2(2 * k + 1) / b_k,
         _lam(QSymbolic(1, 4), s): -a_k / (_f2(4 * k - 1) * b_k),
         _lam(QSymbolic(1, 6), s): 2 / b_k,
     }
-    debug = {
-        "a_k": str(a_k),
-        "b_k": str(b_k),
-        "c_jk": "; ".join(str(x) for x in c),
-    }
+    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c, _gaussian_str)}
     return _make_table(_zc(k, 1), "p3", coeffs, debug)
-
-
-def _p5_raw(k: int):
-    sgn = (-1) ** k
-    cos_part = gaussian_pow(GaussianRational(1, 2), 4 * k)  # (1+2i)^{4k}
-    denom = Fraction(5) ** (4 * k + 1) - 2 * cos_part.re + 1
-    a_k = (_f2(4 * k + 1) - sgn * _f2(2 * k) + 1) / (_f2(4 * k) * denom)
-    s5_4k = _gauss_sum(2, 4 * k)
-    if s5_4k.im != 0:
-        raise AssertionError("5-section power sum must be real")
-    b_k = a_k / 2 * (Fraction(5) ** (4 * k + 1) - s5_4k.re) - (
-        _f2(4 * k + 1) - sgn * _f2(2 * k) - 1
-    ) / _f2(4 * k + 1)
-    one_plus_i = GaussianRational(1, 1)
-    c = []
-    for j in range(k + 1):
-        m_hi = 4 * k + 1 - 2 * j
-        m_lo = 2 * j - 1
-        c_jk = (
-            a_k * (
-                Fraction(5) ** m_lo * _gauss_sum(2, m_hi)
-                - Fraction(5) ** m_hi * _gauss_sum(2, m_lo)
-            )
-            - (
-                (1 + gaussian_pow(one_plus_i, m_hi)) / _f2(m_hi)
-                - (1 + gaussian_pow(one_plus_i, m_lo)) / _f2(m_lo)
-            )
-        )
-        c.append(c_jk)
-    return a_k, b_k, c
 
 
 def _p5_4kp1(k: int) -> CoefficientTable:
@@ -584,21 +477,15 @@ def _p5_4kp1(k: int) -> CoefficientTable:
     a_k, b_k, c = _p5_raw(k)
     if b_k == 0:
         raise DomainError(f"degenerate b_k = 0 at k = {k}")
-    w = gaussian_bernoulli_sum("p5", k)
-    if w.im != 0:
-        raise AssertionError(f"p5 Bernoulli sum not real at k={k}: {w}")
+    w = _real_bernoulli_sum("p5", k, c)
     sgn = (-1) ** k
     coeffs = {
-        _pi_term(4 * k + 1): w.re * _f2(4 * k + 1) / (2 * b_k),
+        _pi_term(4 * k + 1): w * _f2(4 * k + 1) / (2 * b_k),
         _lam(QSymbolic(1, 4), s): -1 / (_f2(4 * k - 1) * b_k),
         _lam(QSymbolic(-1, 5), s): sgn * _f2(2 * k + 1) * a_k / b_k,
         _lam(QSymbolic(1, 10), s): 2 * a_k / b_k,
     }
-    debug = {
-        "a_k": str(a_k),
-        "b_k": str(b_k),
-        "c_jk": "; ".join(str(x) for x in c),
-    }
+    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c, _gaussian_str)}
     return _make_table(_zc(k, 1), "p5", coeffs, debug)
 
 
@@ -609,24 +496,20 @@ def _root3_4kp1(k: int) -> CoefficientTable:
             "its defining substitution degenerates when k is divisible by 3"
         )
     s = -4 * k - 1
-    cos23 = trig_pi6(4 * k).as_fraction()  # cos(2 pi k / 3)
+    cos23 = surd_trig(3, 4 * k, "cos").as_fraction()  # cos(2 pi k / 3)
     den = _f2(4 * k) - cos23
     a_k = (_f2(4 * k + 1) + 1) / den
-    w = QuadraticSurd(0, 0, 3, 0)
-    b_list = []
-    for j in range(k + 1):
-        b_jk = (
-            _f2(2 * j - 1) * trig_pi6(2 * (2 * k - 1 - j), "sin")
-            + _f2(4 * k + 1 - 2 * j) * trig_pi6(2 * (j + 1), "sin")
-        ) / den
-        b_list.append(b_jk)
-        term = b_jk * _bw(j, 4 * k + 2)
-        w = w + (term if j % 2 == 0 else -term)  # (-1)^j
+    b = [
+        (_f2(2 * j - 1) * surd_trig(3, 2 * (2 * k - 1 - j), "sin")
+         + _f2(4 * k + 1 - 2 * j) * surd_trig(3, 2 * (j + 1), "sin")) / den
+        for j in range(k + 1)
+    ]
+    w = _bernoulli_sum(b, 4 * k + 2)  # (-1)^j
     coeffs = {
         _pi_term(4 * k + 1): w * _f2(4 * k + 1),
         _lam(QSymbolic(-1, 1, 3), s): -a_k,
     }
-    debug = {"a_k": str(a_k), "b_jk": "; ".join(_surd_str(b) for b in b_list)}
+    debug = {"a_k": str(a_k), "b_jk": _joined(b)}
     return _make_table(_zc(k, 1), "root3_p", coeffs, debug)
 
 
@@ -642,27 +525,19 @@ def _root7_4kp1(k: int) -> CoefficientTable:
         - _f2(-2 * k + 2) * cos4k - _f2(-6 * k + 1) * cos4k
     ) / den
     big_den = _f2(2 * k) - cos4k
-    w = QuadraticSurd(0, 0, 7, 0)
-    c_list = []
-    for j in range(k + 1):
-        c_jk = (
-            two_pow_half(4 * k + 1 - 2 * j, 7) * surd_trig(7, 2 * j - 1, "cos")
-            - two_pow_half(2 * j - 1, 7) * surd_trig(7, 4 * k + 1 - 2 * j, "cos")
-        ) / big_den
-        c_list.append(c_jk)
-        term = c_jk * _bw(j, 4 * k + 2)
-        w = w + (term if j % 2 == 0 else -term)  # (-1)^j
+    c = [
+        (_SQRT2 ** (4 * k + 1 - 2 * j) * surd_trig(7, 2 * j - 1, "cos")
+         - _SQRT2 ** (2 * j - 1) * surd_trig(7, 4 * k + 1 - 2 * j, "cos")) / big_den
+        for j in range(k + 1)
+    ]
+    w = _bernoulli_sum(c, 4 * k + 2)  # (-1)^j
     coeffs = {
         _pi_term(4 * k + 1): w * _f2(4 * k + 1),
         _lam(QSymbolic(1, 1, 7), s): a_k,
         _lam(QSymbolic(1, 2, 7), s): b_k,
         _lam(QSymbolic(1, 4, 7), s): _f2(-4 * k) * a_k,
     }
-    debug = {
-        "a_k": str(a_k),
-        "b_k": str(b_k),
-        "c_jk": "; ".join(_surd_str(c) for c in c_list),
-    }
+    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
     return _make_table(_zc(k, 1), "root7_p", coeffs, debug)
 
 
@@ -672,13 +547,8 @@ def _root15_4kp1(k: int) -> CoefficientTable:
     if sin2k == 0:
         raise DomainError(f"degenerate sin(2k theta) = 0 at k = {k}")
     cot2k = surd_trig(15, 2 * k, "cos") / sin2k
-    w = QuadraticSurd(0, 0, 15, 0)
-    c_list = []
-    for j in range(k + 1):
-        c_jk = surd_trig(15, 2 * k + 1 - 2 * j, "sin") / sin2k
-        c_list.append(c_jk)
-        term = c_jk * _bw(j, 4 * k + 2)
-        w = w + (term if j % 2 == 0 else -term)  # (-1)^j
+    c = [surd_trig(15, 2 * k + 1 - 2 * j, "sin") / sin2k for j in range(k + 1)]
+    w = _bernoulli_sum(c, 4 * k + 2)  # (-1)^j
     q15 = QSymbolic(1, 1, 15)
     coeffs = {
         _pi_term(4 * k + 1): w * _f2(4 * k + 1),
@@ -687,33 +557,8 @@ def _root15_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2, 15), s): -(_f2(-8 * k) + 3 * _f2(-4 * k) + 4),
         _lam(QSymbolic(1, 4, 15), s): _f2(-8 * k) + _f2(-4 * k + 1),
     }
-    debug = {
-        "cot_2k_theta": format_coefficient(cot2k),
-        "c_jk": "; ".join(_surd_str(c) for c in c_list),
-    }
+    debug = {"cot_2k_theta": str(cot2k), "c_jk": _joined(c)}
     return _make_table(_zc(k, 1), "root15_p", coeffs, debug)
-
-
-def coeffs_4kp1(method: str, k: int) -> CoefficientTable:
-    """Exact table expressing zeta(4k+1) in the chosen basis family."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    name = method[:-2] if method.endswith("_p") else method
-    if name == "corollary3":
-        return _corollary3_4kp1(k)
-    if name == "p2":
-        return _p2_4kp1(k)
-    if name == "p3":
-        return _p3_4kp1(k)
-    if name == "p5":
-        return _p5_4kp1(k)
-    if name == "root3":
-        return _root3_4kp1(k)
-    if name == "root7":
-        return _root7_4kp1(k)
-    if name == "root15":
-        return _root15_4kp1(k)
-    raise DomainError(f"unknown zeta(4k+1) method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -736,29 +581,25 @@ def _example62_table(k: int) -> CoefficientTable:
     m6 = k - 1  # index of the sinh-case identity
     s = -4 * m6 - 1
     n = 4 * m6 + 1
-    t = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    t = (1 + I) / 2
     am, ai = _f2(-2 * m6), _f2(2 * m6)
-    tneg = gaussian_pow(t, -2 * m6)
-    tpos = gaussian_pow(t, 2 * m6)
-    zero = GaussianRational(0, 0)
-    e1 = zero
+    tneg = t ** (-2 * m6)
+    tpos = t ** (2 * m6)
     m1 = -tneg * (am + ai) - tpos * ai  # L at -e^-pi
     e2 = tneg * am + tpos * (am + ai)
     e4 = -tpos * am
     w_imag = tneg * ai  # L at -i e^-pi/2
-    # pi^n column of the identity
-    p = zero
+    # pi^n column of the identity: sinh(m log t) weighted by b_j
+    sinh_b = []
     for j in range(m6 + 1):
         m = 2 * m6 + 1 - 2 * j
         b_j = am + ai - _f2(-m) - _f2(m)
-        sinh_m = (gaussian_pow(t, m) - gaussian_pow(t, -m)) * Fraction(1, 2)
-        term = sinh_m * (b_j * _bw(j, 4 * m6 + 2))
-        p = p + (term if j % 2 == 0 else -term)
-    p = p * _f2(4 * m6 + 1)
+        sinh_b.append((t ** m - t ** -m) * Fraction(1, 2) * b_j)
+    p = _bernoulli_sum(sinh_b, 4 * m6 + 2) * _f2(4 * m6 + 1)
     # L_{-i e^-pi/2} = U + (i/2) S
-    s_coeff = w_imag * GaussianRational(0, Fraction(1, 2))
+    s_coeff = w_imag * I / 2
     h = _f2(s + 1)
-    e1 = e1 - w_imag * ((h + 2) / 2)
+    e1 = -w_imag * ((h + 2) / 2)
     e2 = e2 + w_imag * ((h * h + 3 * h + 4) / 2)
     e4 = e4 - w_imag * ((h * h + 2 * h) / 2)
     proj = (lambda z: z.re) if m6 % 2 == 0 else (lambda z: z.im)
@@ -783,12 +624,9 @@ def _example63_table(k: int) -> CoefficientTable:
     """pi^(4k-1) from the cosh-case zeta-free identity at t = 1, a = 1/2
     (no zeta term survives because cosh factors collapse at t = 1)."""
     s = -4 * k + 1
-    w = Fraction(0)
-    for j in range(k + 1):
-        c_j = (_f2(2 * k - 1) + _f2(1 - 2 * k) - _f2(2 * k - 2 * j)
-               - _f2(2 * j - 2 * k)) / (2 if j == k else 1)
-        term = c_j * _bw(j, 4 * k)
-        w += term if j % 2 == 0 else -term  # (-1)^j
+    c = [(_f2(2 * k - 1) + _f2(1 - 2 * k) - _f2(2 * k - 2 * j)
+          - _f2(2 * j - 2 * k)) / (2 if j == k else 1) for j in range(k + 1)]
+    w = _bernoulli_sum(c, 4 * k)  # (-1)^j
     den = _f2(4 * k - 1) * w
     if den == 0:
         raise AssertionError("degenerate Bernoulli weight")
@@ -801,23 +639,14 @@ def _example63_table(k: int) -> CoefficientTable:
                        {"bernoulli_sum": str(w)})
 
 
-def _lift_biquad(x):
-    if isinstance(x, BiquadraticSurd):
-        return x
-    if isinstance(x, QuadraticSurd):
-        return BiquadraticSurd.from_surd(x)
-    return BiquadraticSurd(Fraction(x))
-
-
-def _eliminate_zeta(t_a: CoefficientTable, t_b: CoefficientTable,
-                    constant: str, method: str, biquad: bool = False
-                    ) -> CoefficientTable:
-    """Two tables give the same zeta value; subtract them to cancel zeta
-    and solve for the pi power they share."""
-    lift = _lift_biquad if biquad else (lambda x: x)
-    pa = lift(t_a.pi_coefficient())
-    pb = lift(t_b.pi_coefficient())
-    den = pa - pb
+def _eliminate_zeta(method_a: str, method_b: str, method: str,
+                    k: int) -> CoefficientTable:
+    """The tables of two zeta methods at the same k give the same zeta
+    value; subtract them to cancel zeta and solve for the pi power they
+    share (pi^n has the k of zeta(n))."""
+    t_a = METHODS["zeta"][method_a][2](k)
+    t_b = METHODS["zeta"][method_b][2](k)
+    den = t_a.pi_coefficient() - t_b.pi_coefficient()
     if den == 0:
         raise AssertionError("pi coefficients coincide; cannot eliminate")
     acc: dict[BasisTerm, object] = {}
@@ -827,17 +656,92 @@ def _eliminate_zeta(t_a: CoefficientTable, t_b: CoefficientTable,
 
     for basis, c in t_a.entries:
         if basis.kind != "pi_power":
-            add(basis, -lift(c))
+            add(basis, -c)
     for basis, c in t_b.entries:
         if basis.kind != "pi_power":
-            add(basis, lift(c))
+            add(basis, c)
     coeffs = {basis: c / den for basis, c in acc.items()}
-    pi_n = int(constant.split("^")[1])
+    pi_n = int(t_a.constant[5:-1])
     debug = {"pi_column": format_coefficient(den),
              "sources": f"{t_a.method}; {t_b.method}"}
     entries_s = {b.s for b in coeffs}
     assert entries_s == {-pi_n}, "mismatched series order in elimination"
-    return _make_table(constant, method, coeffs, debug)
+    return _make_table(f"pi^{pi_n}", method, coeffs, debug)
+
+
+# ---------------------------------------------------------------------------
+# method registry
+# ---------------------------------------------------------------------------
+
+# constant -> method -> (n mod 4, offset, generator): the method's table for
+# zeta(n) or pi^n is generator(k) with k = (n + offset) // 4
+METHODS = {
+    "zeta": {
+        "corollary": (3, 1, _corollary_4km1),
+        "corollary2": (3, 1, _corollary_4km1),  # the same table, by its name in the paper
+        "root3": (3, 1, _root3_4km1),
+        "root7": (3, 1, _root7_4km1),
+        "root15": (3, 1, _root15_4km1),
+        "corollary3": (1, -1, _corollary3_4kp1),
+        "p2": (1, -1, _p2_4kp1),
+        "p3": (1, -1, _p3_4kp1),
+        "p5": (1, -1, _p5_4kp1),
+        "root3_p": (1, -1, _root3_4kp1),
+        "root7_p": (1, -1, _root7_4kp1),
+        "root15_p": (1, -1, _root15_4kp1),
+    },
+    "pi": {
+        "example62": (1, 3, _example62_table),
+        "example63": (3, 1, _example63_table),
+        "prop_pi5": (1, -1, partial(_eliminate_zeta, "p3", "p5", "prop_pi5")),
+        "prop_pi3": (3, 1, partial(_eliminate_zeta, "corollary", "root7", "prop_pi3")),
+        "prop_pi5_fast": (1, -1, partial(_eliminate_zeta, "p5", "root15_p",
+                                         "prop_pi5_fast")),
+        "prop_pi3_fast": (3, 1, partial(_eliminate_zeta, "root7", "root15",
+                                        "prop_pi3_fast")),
+    },
+}
+ZETA_4KM1_METHODS = tuple(m for m, e in METHODS["zeta"].items()
+                          if e[0] == 3 and m != "corollary2")
+ZETA_4KP1_METHODS = tuple(m for m, e in METHODS["zeta"].items() if e[0] == 1)
+PI_METHODS = tuple(METHODS["pi"])
+
+
+def resolve_method(constant: str, method: str, n: int) -> tuple:
+    """(registry name, k) of `method` for zeta(n) or pi^n; a bare
+    root3/root7/root15 also names its zeta(4k+1) variant."""
+    methods = METHODS[constant]
+    label = f"zeta({n})" if constant == "zeta" else f"pi^{n}"
+    name = method
+    if name + "_p" in methods and methods[name][0] != n % 4:
+        name += "_p"
+    if name not in methods:
+        raise DomainError(f"unknown {constant} method {method!r}; "
+                          f"choose from {tuple(methods)}")
+    residue, offset, _ = methods[name]
+    if n % 4 != residue:
+        raise DomainError(f"method {method!r} computes {constant} at "
+                          f"n = {residue} mod 4, not {label}")
+    k = (n + offset) // 4
+    if k < 1:
+        raise DomainError(f"method {method!r} cannot produce {label}")
+    return name, k
+
+
+def method_table(constant: str, method: str, n: int) -> CoefficientTable:
+    """Exact table of `method` for zeta(n) or pi^n."""
+    name, k = resolve_method(constant, method, n)
+    return METHODS[constant][name][2](k)
+
+
+def coeffs_4km1(method: str, k: int) -> CoefficientTable:
+    """Exact table expressing zeta(4k-1) in the chosen basis family."""
+    return method_table("zeta", method, 4 * k - 1)
+
+
+def coeffs_4kp1(method: str, k: int) -> CoefficientTable:
+    """Exact table expressing zeta(4k+1) in the chosen basis family."""
+    return method_table("zeta", method, 4 * k + 1)
 
 
 def coeffs_pi(which: str, k: int = 1) -> CoefficientTable:
@@ -846,29 +750,9 @@ def coeffs_pi(which: str, k: int = 1) -> CoefficientTable:
     example62: pi^(4k-3);  example63, prop_pi3, prop_pi3_fast: pi^(4k-1);
     prop_pi5, prop_pi5_fast: pi^(4k+1).
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if which == "example62":
-        return _example62_table(k)
-    if which == "example63":
-        return _example63_table(k)
-    if which == "prop_pi5":
-        return _eliminate_zeta(
-            coeffs_4kp1("p3", k), coeffs_4kp1("p5", k),
-            f"pi^{4 * k + 1}", "prop_pi5")
-    if which == "prop_pi3":
-        return _eliminate_zeta(
-            coeffs_4km1("corollary", k), coeffs_4km1("root7", k),
-            f"pi^{4 * k - 1}", "prop_pi3")
-    if which == "prop_pi5_fast":
-        return _eliminate_zeta(
-            coeffs_4kp1("p5", k), coeffs_4kp1("root15", k),
-            f"pi^{4 * k + 1}", "prop_pi5_fast")
-    if which == "prop_pi3_fast":
-        return _eliminate_zeta(
-            coeffs_4km1("root7", k), coeffs_4km1("root15", k),
-            f"pi^{4 * k - 1}", "prop_pi3_fast", biquad=True)
-    raise DomainError(f"unknown pi method {which!r}")
+    if which not in METHODS["pi"]:
+        raise DomainError(f"unknown pi method {which!r}")
+    return method_table("pi", which, 4 * k - METHODS["pi"][which][1])
 
 
 # ---------------------------------------------------------------------------

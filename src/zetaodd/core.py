@@ -5,9 +5,10 @@ generation) builds on three layers kept deliberately separate:
 
 * an immutable :class:`PrecisionContext` that fixes target/guard decimal
   digits and scopes all mpmath work via ``workdps``;
-* exact rings: Gaussian rationals Q(i), real quadratic surds
-  (a + b*sqrt(m)) * 2**(e/2) for m in {3, 7, 15}, and the biquadratic
-  field Q(sqrt(7), sqrt(15));
+* one exact number field, Q(i, sqrt2, sqrt3, sqrt5, sqrt7), as the sparse
+  :class:`Surd`: it holds the Gaussian rationals of the multisection
+  methods, the sqrt(3), sqrt(7) and sqrt(15) families and the sqrt(105)
+  of their combinations;
 * exact Bernoulli numbers and exact values of cos/sin at integer
   multiples of acot(sqrt(m)).
 
@@ -17,16 +18,12 @@ is the single bridge from the exact world into mpmath.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from mpmath import mp, mpf
-
-SUPPORTED_SURD_BASES = (3, 7, 15)
-
-RationalLike = Union[int, Fraction]
 
 
 class DomainError(ValueError):
@@ -90,480 +87,260 @@ def bernoulli(n: int) -> Fraction:
     return _BERNOULLI_CACHE[n]
 
 
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-# ---------------------------------------------------------------------------
-
-
-class GaussianRational:
-    """An element a + b*i of Q(i) with exact Fraction components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("GaussianRational is immutable")
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 + b^2 (a rational, zero iff self is zero)."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int) -> "GaussianRational":
-        return gaussian_pow(self, n)
-
-    # -- predicates, hashing, display --------------------------------------
-
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    def __eq__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return f"({self.re})+({self.im})*i"
-
-
-def _as_gaussian(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x, 0)
-    return NotImplemented
-
-
-def gaussian_pow(z: GaussianRational, n: int) -> GaussianRational:
-    """z**n for integer n (negative powers via exact inversion)."""
-    if not isinstance(z, GaussianRational):
-        z = _as_gaussian(z)
-        if z is NotImplemented:
-            raise TypeError("gaussian_pow expects a GaussianRational")
-    if n < 0:
-        return gaussian_pow(z.inverse(), -n)
-    result = GaussianRational(1, 0)
-    base = z
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
-
-
-GAUSSIAN_ONE_PLUS_I = GaussianRational(1, 1)
+def bernoulli_weight(j: int, total: int) -> Fraction:
+    """B_2j B_(total-2j) / ((2j)! (total-2j)!), the weight of the j-th term
+    of every Bernoulli block in the reflection formulas."""
+    return (
+        bernoulli(2 * j)
+        * bernoulli(total - 2 * j)
+        / (math.factorial(2 * j) * math.factorial(total - 2 * j))
+    )
 
 
 # ---------------------------------------------------------------------------
-# quadratic surds  (a + b*sqrt(m)) * 2**(e/2)
+# the exact number field Q(i, sqrt2, sqrt3, sqrt5, sqrt7)
 # ---------------------------------------------------------------------------
 
+_PRIMES = (2, 3, 5, 7)
 
-class QuadraticSurd:
-    """Exact element (a + b*sqrt(m)) * 2**(e/2) with a, b in Q, e in {0, 1}.
 
-    The sqrt(2) half-power slot exists only because acot(sqrt(7)) has
-    |sqrt(7)+i| = sqrt(8): odd multiples of that angle pick up a sqrt(2)
-    which always cancels again inside any published coefficient.  m is one
-    of 3, 7, 15.  Addition requires matching (m, e); multiplication folds
-    2**(1/2) * 2**(1/2) back into the rational part.
+def _in_field(r: int) -> bool:
+    """True for a squarefree radicand made of the primes 2, 3, 5, 7 and a
+    sign (r = 1 is the rational part)."""
+    a = abs(r)
+    for p in _PRIMES:
+        if a % p == 0:
+            a //= p
+            if a % p == 0:
+                return False
+    return a == 1
+
+
+def _flips(r: int, g: int) -> bool:
+    """Whether the automorphism negating i (g = -1) or sqrt(g) negates
+    sqrt(r)."""
+    return r < 0 if g < 0 else r % g == 0
+
+
+@functools.lru_cache(maxsize=None)  # 32 radicands, so at most 1024 entries
+def _basis_product(a: int, b: int) -> tuple:
+    """sqrt(a) * sqrt(b) = f * sqrt(r), returned as (r, f)."""
+    g = math.gcd(a, b)
+    return a * b // (g * g), (-g if a < 0 and b < 0 else g)
+
+
+class Surd:
+    """An exact element of Q(i, sqrt2, sqrt3, sqrt5, sqrt7).
+
+    Stored sparsely as {squarefree radicand r: nonzero rational c}, the
+    element being the sum of c * sqrt(r); a negative r stands for
+    i * sqrt(-r), so r = -1 is i.  c is a Fraction, or an int while it
+    is integral: integer powers such as (sqrt(7) + i)**n then stay in
+    fast int arithmetic.  Every coefficient of the package lives
+    here: Q(i) for the multisection methods, Q(sqrt m) for the sqrt(m)
+    families (a sqrt(2) enters through |sqrt(7) + i| = sqrt(8) and always
+    cancels again inside a published coefficient), and sqrt(105) where a
+    sqrt(7) table is combined with a sqrt(15) one.  Immutable; a rational
+    element compares and hashes like its Fraction.
     """
 
-    __slots__ = ("a", "b", "m", "e")
+    __slots__ = ("_c",)
 
-    def __init__(self, a: RationalLike, b: RationalLike = 0, m: int = 3, e: int = 0):
-        if m not in SUPPORTED_SURD_BASES:
-            raise ValueError(f"unsupported surd base m={m}")
-        if e not in (0, 1):
-            raise ValueError(f"half-power slot e must be 0 or 1, got {e}")
-        a = Fraction(a)
-        b = Fraction(b)
-        if b == 0 and e == 1:
-            # (a)*sqrt(2) is fine too; keep e as given only when it matters.
-            # A pure-rational value times sqrt(2) is irrational, keep e=1.
-            pass
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e", e)
+    def __init__(self, value=0):
+        parts = value if isinstance(value, dict) else {1: value}
+        c = {}
+        for r, v in parts.items():
+            if not _in_field(r):
+                raise ValueError(f"sqrt({r}) is not in Q(i, sqrt2, sqrt3, sqrt5, sqrt7)")
+            if v:
+                c[r] = v if isinstance(v, int) else Fraction(v)
+        object.__setattr__(self, "_c", c)
+
+    @classmethod
+    def _of(cls, c: dict) -> "Surd":
+        """Wrap a map already free of zeros and invalid radicands."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "_c", c)
+        return x
+
+    @staticmethod
+    def sqrt(n: int) -> "Surd":
+        """Exact sqrt(n) for an integer n whose squarefree part lies in the
+        field; negative n gives i * sqrt(-n)."""
+        if n == 0:
+            return Surd()
+        f, r = 1, n
+        for p in _PRIMES:
+            while r % (p * p) == 0:
+                r //= p * p
+                f *= p
+        return Surd({r: f})
 
     def __setattr__(self, name, value):
-        raise AttributeError("QuadraticSurd is immutable")
-
-    # -- helpers ------------------------------------------------------------
-
-    def _compatible(self, other: "QuadraticSurd") -> int:
-        """Common m for a binary op; rational operands adapt to either."""
-        if self.b == 0:
-            return other.m
-        if other.b == 0:
-            return self.m
-        if self.m != other.m:
-            raise ValueError(f"mixed surd bases sqrt({self.m}) and sqrt({other.m})")
-        return self.m
-
-    def is_rational(self) -> bool:
-        return self.b == 0 and (self.e == 0 or self.a == 0)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.a if self.e == 0 else Fraction(0)
+        raise AttributeError("Surd is immutable")
 
     # -- ring structure -----------------------------------------------------
 
     def __add__(self, other):
-        other = _as_surd(other, self.m)
+        other = _as_surd(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self._compatible(other)
-        if self.e != other.e:
-            if self.a == 0 and self.b == 0:
-                return other
-            if other.a == 0 and other.b == 0:
-                return self
-            raise ValueError("cannot add surds with mismatched sqrt(2) factors")
-        return QuadraticSurd(self.a + other.a, self.b + other.b, m, self.e)
+        c = dict(self._c)
+        for r, v in other._c.items():
+            s = c.get(r, 0) + v
+            if s:
+                c[r] = s
+            else:
+                del c[r]
+        return Surd._of(c)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (-_as_surd(other, self.m))
-
-    def __rsub__(self, other):
-        return _as_surd(other, self.m) + (-self)
-
     def __neg__(self):
-        return QuadraticSurd(-self.a, -self.b, self.m, self.e)
+        return Surd._of({r: -v for r, v in self._c.items()})
 
-    def __mul__(self, other):
-        other = _as_surd(other, self.m)
+    def __sub__(self, other):
+        other = _as_surd(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self._compatible(other)
-        a = self.a * other.a + self.b * other.b * m
-        b = self.a * other.b + self.b * other.a
-        e = self.e + other.e
-        if e == 2:
-            return QuadraticSurd(2 * a, 2 * b, m, 0)
-        return QuadraticSurd(a, b, m, e)
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Surd) and other._c.keys() <= {1}:
+            other = other._c.get(1, 0)  # a rational factor scales each part
+        if isinstance(other, (int, Fraction)):
+            return Surd._of({r: v * other for r, v in self._c.items()} if other else {})
+        if not isinstance(other, Surd):
+            return NotImplemented
+        c = {}
+        for a, x in self._c.items():
+            for b, y in other._c.items():
+                r, f = _basis_product(a, b)
+                v = x * y if f == 1 else f * x * y
+                c[r] = c[r] + v if r in c else v
+        return Surd._of({r: v for r, v in c.items() if v})
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuadraticSurd":
-        n = self.a * self.a - self.b * self.b * self.m
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero surd")
-        inv = QuadraticSurd(self.a / n, -self.b / n, self.m, 0)
-        if self.e == 0:
-            return inv
-        # 2**(-1/2) = 2**(1/2) / 2
-        return QuadraticSurd(inv.a / 2, inv.b / 2, self.m, 1)
+    def inverse(self) -> "Surd":
+        """1/self.  Multiplying by the conjugate that flips i, then each
+        prime in turn, leaves a product fixed by every flip so far; after
+        the last one it is the rational norm."""
+        num, norm = Surd(1), self
+        for g in (-1,) + _PRIMES:
+            if any(_flips(r, g) for r in norm._c):
+                conj = Surd._of({r: -v if _flips(r, g) else v
+                                 for r, v in norm._c.items()})
+                num, norm = num * conj, norm * conj
+        if not norm._c:
+            raise ZeroDivisionError("inverse of zero")
+        return num * (1 / Fraction(norm._c[1]))
 
     def __truediv__(self, other):
-        other = _as_surd(other, self.m)
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        other = _as_surd(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = _as_surd(other, self.m)
+        other = _as_surd(other)
         if other is NotImplemented:
             return NotImplemented
         return other * self.inverse()
 
+    def __pow__(self, n: int) -> "Surd":
+        """self**n for integer n (negative powers via the inverse)."""
+        if n < 0:
+            return self.inverse() ** -n
+        result, base = Surd(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    # -- parts, predicates, hashing, display --------------------------------
+
+    @property
+    def re(self) -> "Surd":
+        return Surd._of({r: v for r, v in self._c.items() if r > 0})
+
+    @property
+    def im(self) -> "Surd":
+        return Surd._of({-r: v for r, v in self._c.items() if r < 0})
+
+    def __getitem__(self, r: int) -> Fraction:
+        """The coefficient of sqrt(r)."""
+        return Fraction(self._c.get(r, 0))
+
+    def items(self) -> list:
+        """(radicand, coefficient) pairs: real radicands ascending, then
+        the i parts."""
+        return sorted(self._c.items(), key=lambda rc: (rc[0] < 0, abs(rc[0])))
+
+    def is_rational(self) -> bool:
+        return self._c.keys() <= {1}
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        return self[1]
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticSurd(other, 0, self.m, 0)
-        if not isinstance(other, QuadraticSurd):
+        other = _as_surd(other)
+        if other is NotImplemented:
             return NotImplemented
-        if self.b == 0 or other.b == 0 or self.m == other.m:
-            sm = other.m if self.b == 0 else self.m
-            sa, sb, se = self.a, self.b, self.e
-            oa, ob, oe = other.a, other.b, other.e
-            if (sa, sb) == (0, 0):
-                se = oe
-            if (oa, ob) == (0, 0):
-                oe = se
-            return (sa, sb, se) == (oa, ob, oe) or (
-                (sa, sb) == (0, 0) and (oa, ob) == (0, 0)
-            )
-        return NotImplemented
+        return self._c == other._c
 
     def __hash__(self):
-        if (self.a, self.b) == (0, 0):
-            return hash(Fraction(0))
-        if self.b == 0 and self.e == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m, self.e))
+        if self.is_rational():
+            return hash(self[1])
+        return hash(frozenset(self._c.items()))
 
     def __repr__(self):
-        return f"QuadraticSurd({self.a!r}, {self.b!r}, m={self.m}, e={self.e})"
+        return f"Surd({dict(self.items())!r})"
 
     def __str__(self):
-        s = f"({self.a})+({self.b})*sqrt({self.m})"
-        if self.e:
-            s = f"({s})*sqrt(2)"
-        return s
+        """A rational prints as its Fraction; otherwise each part prints in
+        parentheses, as "(c)", "(c)*sqrt(r)", "(c)*i" or "(c)*sqrt(r)*i"."""
+        if self.is_rational():
+            return str(self[1])
+        return "+".join(
+            f"({c})" + (f"*sqrt({abs(r)})" if abs(r) != 1 else "") + ("*i" if r < 0 else "")
+            for r, c in self.items())
 
 
-def _as_surd(x, m: int):
-    if isinstance(x, QuadraticSurd):
+def _as_surd(x):
+    if isinstance(x, Surd):
         return x
     if isinstance(x, (int, Fraction)):
-        return QuadraticSurd(x, 0, m, 0)
+        return Surd._of({1: x} if x else {})
     return NotImplemented
 
 
-def two_pow_half(h2: int, m: int = 3) -> QuadraticSurd:
-    """Exact 2**(h2/2) as a QuadraticSurd (h2 any integer, may be odd)."""
-    q, r = divmod(h2, 2)
-    return QuadraticSurd(Fraction(2) ** q, 0, m, r)
+I = Surd({-1: 1})
 
 
-def surd_sqrt_m(m: int) -> QuadraticSurd:
-    return QuadraticSurd(0, 1, m, 0)
+@functools.lru_cache(maxsize=4096)  # tables at nearby k share most multiples
+def surd_trig(m: int, multiple: int, kind: str) -> Surd:
+    """Exact cos or sin of multiple*theta where theta = acot(sqrt(m)): the
+    real or imaginary part of ((sqrt(m) + i) / sqrt(m+1))**multiple.
 
-
-# ---------------------------------------------------------------------------
-# biquadratic surds over Q(sqrt(7), sqrt(15))
-# ---------------------------------------------------------------------------
-
-
-class BiquadraticSurd:
-    """a + b*sqrt(7) + c*sqrt(15) + d*sqrt(105), exact over Q.
-
-    Needed only when a sqrt(7)-family table and a sqrt(15)-family table
-    are combined: dividing by (p*sqrt(7) - q*sqrt(15)) rationalizes through
-    the three conjugates, which is where sqrt(105) enters.
+    acot(sqrt(3)) = pi/6.  For m = 7, |sqrt(7) + i| = sqrt(8), so odd
+    multiples carry a sqrt(2).
     """
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiquadraticSurd is immutable")
-
-    @classmethod
-    def from_surd(cls, s: QuadraticSurd) -> "BiquadraticSurd":
-        if s.e != 0:
-            raise ValueError("sqrt(2) factors do not embed in Q(sqrt7, sqrt15)")
-        if s.b == 0:
-            return cls(s.a)
-        if s.m == 7:
-            return cls(s.a, s.b)
-        if s.m == 15:
-            return cls(s.a, 0, s.b)
-        raise ValueError(f"sqrt({s.m}) does not embed in Q(sqrt7, sqrt15)")
-
-    def components(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __add__(self, other):
-        other = _as_biquad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BiquadraticSurd(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_biquad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_biquad(other) + (-self)
-
-    def __neg__(self):
-        return BiquadraticSurd(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other):
-        other = _as_biquad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a1, b1, c1, d1 = self.components()
-        a2, b2, c2, d2 = other.components()
-        # sqrt7*sqrt15 = sqrt105, sqrt7*sqrt105 = 7*sqrt15,
-        # sqrt15*sqrt105 = 15*sqrt7, sqrt105^2 = 105
-        return BiquadraticSurd(
-            a1 * a2 + 7 * b1 * b2 + 15 * c1 * c2 + 105 * d1 * d2,
-            a1 * b2 + b1 * a2 + 15 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 7 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
-
-    __rmul__ = __mul__
-
-    def _conj(self, flip7: bool, flip15: bool) -> "BiquadraticSurd":
-        s7 = -1 if flip7 else 1
-        s15 = -1 if flip15 else 1
-        return BiquadraticSurd(self.a, s7 * self.b, s15 * self.c, s7 * s15 * self.d)
-
-    def inverse(self) -> "BiquadraticSurd":
-        c1 = self._conj(True, False)
-        c2 = self._conj(False, True)
-        c3 = self._conj(True, True)
-        prod = c1 * c2 * c3
-        n = (self * prod).a  # rational norm
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero biquadratic surd")
-        return BiquadraticSurd(prod.a / n, prod.b / n, prod.c / n, prod.d / n)
-
-    def __truediv__(self, other):
-        other = _as_biquad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _as_biquad(other) * self.inverse()
-
-    def __eq__(self, other):
-        other = _as_biquad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.components() == other.components()
-
-    def __hash__(self):
-        return hash(self.components())
-
-    def __repr__(self):
-        return f"BiquadraticSurd{self.components()!r}"
-
-    def __str__(self):
-        return (
-            f"({self.a})+({self.b})*sqrt(7)+({self.c})*sqrt(15)+({self.d})*sqrt(105)"
-        )
-
-
-def _as_biquad(x):
-    if isinstance(x, BiquadraticSurd):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return BiquadraticSurd(x)
-    if isinstance(x, QuadraticSurd):
-        return BiquadraticSurd.from_surd(x)
-    return NotImplemented
-
-
-# ---------------------------------------------------------------------------
-# exact trig at theta = acot(sqrt(m))
-# ---------------------------------------------------------------------------
-
-
-def surd_trig(m: int, multiple: int, kind: str) -> QuadraticSurd:
-    """Exact cos or sin of multiple*theta where theta = acot(sqrt(m)).
-
-    Powers of u = sqrt(m) + i stay in Z[sqrt(m), i]; dividing the real or
-    imaginary part of u**j by |u|**j = (m+1)**(j/2) gives the value.  For
-    m = 3, 15 the modulus is a power of 2; for m = 7 odd j leaves a single
-    sqrt(2), carried in the surd's half-power slot.
-    """
-    if m not in SUPPORTED_SURD_BASES:
-        raise ValueError(f"unsupported surd base m={m}")
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    j = multiple
-    neg_sin = False
-    if j < 0:
-        j = -j
-        neg_sin = kind == "sin"
-
-    # u**j = (ra + rb*sqrt(m)) + (ia + ib*sqrt(m)) * i, integer components
-    ra, rb, ia, ib = 1, 0, 0, 0
-    for _ in range(j):
-        ra, rb, ia, ib = rb * m - ia, ra - ib, ra + ib * m, ia + rb
-
-    x, y = (ra, rb) if kind == "cos" else (ia, ib)
-    root = math.isqrt(m + 1)
-    if root * root == m + 1:
-        den = Fraction(root) ** j
-        out = QuadraticSurd(Fraction(x) / den, Fraction(y) / den, m, 0)
-    elif j % 2 == 0:
-        den = Fraction(m + 1) ** (j // 2)
-        out = QuadraticSurd(Fraction(x) / den, Fraction(y) / den, m, 0)
-    else:
-        # (m+1)**(j/2) = 2**((3j-1)/2) * sqrt(2) when m = 7; multiply
-        # numerator and denominator by sqrt(2) to land in the e = 1 slot.
-        den = Fraction(2) ** ((3 * j + 1) // 2)
-        out = QuadraticSurd(Fraction(x) / den, Fraction(y) / den, m, 1)
-    return -out if neg_sin else out
+    # the power of sqrt(m) + i has integer parts, cheaper than Fractions
+    z = (Surd.sqrt(m) + I) ** multiple / Surd.sqrt(m + 1) ** multiple
+    return z.re if kind == "cos" else z.im
 
 
 # ---------------------------------------------------------------------------
@@ -572,26 +349,19 @@ def surd_trig(m: int, multiple: int, kind: str) -> QuadraticSurd:
 
 
 def eval_exact(x, ctx: PrecisionContext):
-    """Evaluate an exact scalar (int/Fraction/Gaussian/surd) as mpf or mpc
+    """Evaluate an int, Fraction or Surd as mpf (mpc when it has an i part)
     at the context's working precision."""
+    s = _as_surd(x)
+    if s is NotImplemented:
+        raise TypeError(f"cannot evaluate {type(x).__name__} exactly")
     with ctx.workdps():
-        if isinstance(x, (int, Fraction)):
-            return mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpf(x)
-        if isinstance(x, GaussianRational):
-            return mp.mpc(eval_exact(x.re, ctx), eval_exact(x.im, ctx))
-        if isinstance(x, QuadraticSurd):
-            v = eval_exact(x.a, ctx) + eval_exact(x.b, ctx) * mp.sqrt(x.m)
-            if x.e:
-                v *= mp.sqrt(2)
-            return v
-        if isinstance(x, BiquadraticSurd):
-            return (
-                eval_exact(x.a, ctx)
-                + eval_exact(x.b, ctx) * mp.sqrt(7)
-                + eval_exact(x.c, ctx) * mp.sqrt(15)
-                + eval_exact(x.d, ctx) * mp.sqrt(105)
-            )
-    raise TypeError(f"cannot evaluate {type(x).__name__} exactly")
+        total = mpf(0)
+        for r, c in s.items():
+            v = mpf(c.numerator) / c.denominator
+            if abs(r) != 1:
+                v *= mp.sqrt(abs(r))
+            total += v if r > 0 else mp.mpc(0, v)
+        return total
 
 
 def truncate_digits(value, digits: int) -> str:

@@ -15,15 +15,12 @@ from mpmath import mp, mpf
 
 from . import oracles
 from .coefficients import (
-    PI_METHODS,
-    ZETA_4KM1_METHODS,
-    ZETA_4KP1_METHODS,
     CoefficientTable,
     assemble_detailed,
-    coeffs_4km1,
-    coeffs_4kp1,
     coeffs_log,
     coeffs_pi,
+    method_table,
+    resolve_method,
 )
 from .core import (
     DomainError,
@@ -58,28 +55,23 @@ def _require_odd_s(s: int) -> None:
 
 
 def zeta_table(s: int, method: str = "auto") -> CoefficientTable:
-    """Coefficient table for zeta(s), dispatching on s mod 4."""
+    """Coefficient table for zeta(s); auto is root15 (of either parity)."""
     _require_odd_s(s)
-    if s % 4 == 3:
-        k = (s + 1) // 4
-        if method == "auto":
-            method = "root15"
-        if method in ZETA_4KP1_METHODS or method in ("p2", "p3", "p5",
-                                                     "corollary3"):
-            raise DomainError(
-                f"method {method!r} computes zeta(4k+1); "
-                f"zeta({s}) needs one of {ZETA_4KM1_METHODS}"
-            )
-        return coeffs_4km1(method, k)
-    k = (s - 1) // 4
-    if method == "auto":
-        method = "root15"
-    if method in ("corollary", "corollary2"):
-        raise DomainError(
-            f"method {method!r} computes zeta(4k-1); "
-            f"zeta({s}) needs one of {ZETA_4KP1_METHODS}"
-        )
-    return coeffs_4kp1(method, k)
+    return method_table("zeta", "root15" if method == "auto" else method, s)
+
+
+def pi_table(n: int, method: str) -> CoefficientTable:
+    """Coefficient table for pi^n from the named method."""
+    name, k = resolve_method("pi", method, n)
+    return coeffs_pi(name, k)
+
+
+def _result(table: CoefficientTable, ctx: PrecisionContext,
+            t0: float) -> ConstantResult:
+    value, err, terms = assemble_detailed(table, ctx)
+    decimal = truncate_digits(value, ctx.target_digits)
+    return ConstantResult(table.constant, table.method, decimal, err,
+                          terms, time.perf_counter() - t0)
 
 
 def zeta_odd(s: int, method: str = "auto", target_digits: int = 50,
@@ -87,41 +79,20 @@ def zeta_odd(s: int, method: str = "auto", target_digits: int = 50,
     """zeta(s) for odd s >= 3 to target_digits, with a certified bound."""
     t0 = time.perf_counter()
     ctx = ctx or make_context(target_digits)
-    table = zeta_table(s, method)
-    value, err, terms = assemble_detailed(table, ctx)
-    decimal = truncate_digits(value, ctx.target_digits)
-    return ConstantResult(table.constant, table.method, decimal, err,
-                          terms, time.perf_counter() - t0)
+    return _result(zeta_table(s, method), ctx, t0)
 
 
 def pi_power(n: int, method: str = "auto", target_digits: int = 50,
              ctx: PrecisionContext | None = None) -> ConstantResult:
-    """pi^n for odd n >= 1 straight from a Lambert-series table."""
+    """pi^n for odd n >= 1 straight from a Lambert-series table; auto is
+    example62 for n = 1 mod 4 and example63 for n = 3 mod 4."""
     t0 = time.perf_counter()
     if n < 1 or n % 2 == 0:
         raise DomainError(f"n must be an odd integer >= 1, got {n}")
     ctx = ctx or make_context(target_digits)
     if method == "auto":
         method = "example62" if n % 4 == 1 else "example63"
-    if method not in PI_METHODS:
-        raise DomainError(f"unknown pi method {method!r}; choose from {PI_METHODS}")
-    if method in ("example62", "prop_pi5", "prop_pi5_fast"):
-        if n % 4 != 1:
-            raise DomainError(f"method {method!r} produces pi^(4k+1)-type "
-                              f"powers, not pi^{n}")
-        k = (n + 3) // 4 if method == "example62" else (n - 1) // 4
-        if k < 1:
-            raise DomainError(f"method {method!r} starts at pi^5")
-    else:
-        if n % 4 != 3:
-            raise DomainError(f"method {method!r} produces pi^(4k-1) powers, "
-                              f"not pi^{n}")
-        k = (n + 1) // 4
-    table = coeffs_pi(method, k)
-    value, err, terms = assemble_detailed(table, ctx)
-    decimal = truncate_digits(value, ctx.target_digits)
-    return ConstantResult(table.constant, table.method, decimal, err,
-                          terms, time.perf_counter() - t0)
+    return _result(pi_table(n, method), ctx, t0)
 
 
 def log_prime(p: int, target_digits: int = 50,
@@ -129,11 +100,7 @@ def log_prime(p: int, target_digits: int = 50,
     """log p for p in (2, 3, 5) from the s = -1 tables."""
     t0 = time.perf_counter()
     ctx = ctx or make_context(target_digits)
-    table = coeffs_log(p)
-    value, err, terms = assemble_detailed(table, ctx)
-    decimal = truncate_digits(value, ctx.target_digits)
-    return ConstantResult(table.constant, table.method, decimal, err,
-                          terms, time.perf_counter() - t0)
+    return _result(coeffs_log(p), ctx, t0)
 
 
 def zeta3_first_order(ctx: PrecisionContext | None = None):
@@ -170,12 +137,7 @@ def _constant_table(constant_id: str, method: str) -> CoefficientTable:
     if cid.startswith("zeta(") and cid.endswith(")"):
         return zeta_table(int(cid[5:-1]), method)
     if cid.startswith("pi^"):
-        n = int(cid[3:])
-        if method in ("example62", "prop_pi5", "prop_pi5_fast"):
-            k = (n + 3) // 4 if method == "example62" else (n - 1) // 4
-        else:
-            k = (n + 1) // 4
-        return coeffs_pi(method, k)
+        return pi_table(int(cid[3:]), method)
     if cid.startswith("log(") and cid.endswith(")"):
         return coeffs_log(int(cid[4:-1]))
     raise DomainError(f"unknown constant id {constant_id!r}")

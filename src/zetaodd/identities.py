@@ -13,13 +13,12 @@ reproduces zero residual and the published specializations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .core import DomainError, PrecisionContext, bernoulli
+from .core import DomainError, PrecisionContext, bernoulli_weight
 from .oracles import oracle_zeta
 from .series import divisor_sigma, lambert_eval, sech_series
 
@@ -69,15 +68,6 @@ def _to_t(t):
     return tv
 
 
-def _bern_weight(j: int, total: int) -> Fraction:
-    """B_2j * B_(total-2j) / ((2j)! (total-2j)!) as an exact Fraction."""
-    return (
-        bernoulli(2 * j)
-        * bernoulli(total - 2 * j)
-        / (math.factorial(2 * j) * math.factorial(total - 2 * j))
-    )
-
-
 def check_t1_case1(t, ctx: PrecisionContext) -> Residual:
     """L_{e^(-2 pi t)}(-1) - L_{e^(-2 pi/t)}(-1) = log(t)/2 - (pi/6) sinh(log t).
 
@@ -108,7 +98,7 @@ def check_t1_case2(k: int, t, ctx: PrecisionContext) -> Residual:
         lhs += tv ** (2 * k - 1) * ev.lambert(mp.exp(-2 * mp.pi / tv), s)
         acc = mp.mpmathify(0)
         for j in range(0, k + 1):
-            w = _bern_weight(j, 4 * k) / (2 if j == k else 1)
+            w = bernoulli_weight(j, 4 * k) / (2 if j == k else 1)
             sign = -1 if (j % 2 == 0) else 1  # (-1)^(j+1)
             acc += sign * mpf(w.numerator) / w.denominator * mp.cosh((2 * k - 2 * j) * lt)
         rhs = (2 * mp.pi) ** (4 * k - 1) * acc
@@ -130,7 +120,7 @@ def check_t1_case3(k: int, t, ctx: PrecisionContext) -> Residual:
         lhs -= tv ** (2 * k) * ev.lambert(mp.exp(-2 * mp.pi / tv), s)
         acc = mp.mpmathify(0)
         for j in range(0, k + 1):
-            w = _bern_weight(j, 4 * k + 2)
+            w = bernoulli_weight(j, 4 * k + 2)
             sign = -1 if (j % 2 == 0) else 1  # (-1)^(j+1)
             acc += sign * mpf(w.numerator) / w.denominator * mp.sinh((2 * k + 1 - 2 * j) * lt)
         rhs = (2 * mp.pi) ** (4 * k + 1) * acc
@@ -253,7 +243,7 @@ def check_zeta_free(case: int, k: int, a, t, ctx: PrecisionContext) -> Residual:
                     - af**(2 * j - 2 * k)
                 coeff /= 2 if j == k else 1
                 hyp = mp.cosh((2 * k - 2 * j) * lt)
-            w = _bern_weight(j, total) * coeff
+            w = bernoulli_weight(j, total) * coeff
             sign = 1 if (j % 2 == 0) else -1  # (-1)^j
             acc += sign * mpf(w.numerator) / w.denominator * hyp
         rhs = (2 * mp.pi) ** (total - 1) * acc

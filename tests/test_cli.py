@@ -226,3 +226,47 @@ def test_console_script_installed():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "value = 1.6094379124341003746" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "zeta", "--s", "3", "--digits", "0"),
+    ("compute", "zeta", "--s", "5", "--digits", "-7"),
+    ("compute", "pi", "--power", "3", "--digits", "0"),
+    ("compute", "log", "--p", "2", "--digits", "-1"),
+    ("verify", "--identity", "t1c1", "--digits", "0"),
+    ("bench", "--digits", "0"),
+])
+def test_exit_usage_on_nonpositive_digits(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(list(argv))
+    assert stop.value.code == 64
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--digits" in err
+
+
+@pytest.mark.parametrize("argv, constant, method", [
+    (("--method", "root3", "--k", "2"), "zeta(7)", "root3"),
+    (("--method", "corollary2", "--k", "1"), "zeta(3)", "corollary"),
+    (("--method", "auto", "--k", "1"), "zeta(5)", "root15_p"),
+    (("--method", "root7_p", "--k", "2"), "zeta(9)", "root7_p"),
+])
+def test_coeffs_zeta_method_fixes_parity(argv, constant, method, capsys):
+    code, out, _ = run_inproc("coeffs", "--constant", "zeta", *argv,
+                              capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["constant"], payload["method"]) == (constant, method)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--constant", "pi", "--power", "3", "--method", "example62"),
+    ("--constant", "pi", "--power", "1", "--method", "prop_pi5"),
+    ("--constant", "pi", "--power", "3", "--method", "auto"),
+    ("--constant", "pi", "--power", "3"),  # the default method is a zeta one
+    ("--constant", "zeta", "--k", "0", "--method", "corollary"),
+    ("--constant", "zeta", "--k", "1", "--method", "p2_p"),
+])
+def test_coeffs_domain_errors(argv, capsys):
+    code, _, err = run_inproc("coeffs", *argv, capsys=capsys)
+    assert code == 65
+    assert "error:" in err

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from zetaodd.coefficients import (
+    METHODS,
     PI_METHODS,
     ZETA_4KM1_METHODS,
     ZETA_4KP1_METHODS,
@@ -31,8 +32,9 @@ from zetaodd.coefficients import (
     gaussian_bernoulli_sum,
     negative_q_rewrite,
     parse_coefficient,
+    resolve_method,
 )
-from zetaodd.core import DomainError, QuadraticSurd, make_context
+from zetaodd.core import I, DomainError, Surd, make_context
 from zetaodd.oracles import oracle_log, oracle_pi, oracle_zeta
 
 F = Fraction
@@ -40,12 +42,12 @@ F = Fraction
 
 def sq(num, den, m):
     """(num/den) * sqrt(m)"""
-    return QuadraticSurd(0, F(num, den), m)
+    return F(num, den) * Surd.sqrt(m)
 
 
 def osq(num, den, m):
     """num / (den * sqrt(m))"""
-    return QuadraticSurd(0, F(num, den * m), m)
+    return F(num, den * m) * Surd.sqrt(m)
 
 
 def _bases(table):
@@ -422,9 +424,7 @@ def test_prop_pi3_table():
     t = coeffs_pi("prop_pi3", 1)
     assert t.constant == "pi^3"
     by_basis = dict(zip(_bases(t), _coeffs(t)))
-    assert by_basis["lambert(exp(-2*pi), s=-3)"] == QuadraticSurd(
-        F(7260), F(19140, 7), 7
-    )
+    assert by_basis["lambert(exp(-2*pi), s=-3)"] == F(7260) + F(19140, 7) * Surd.sqrt(7)
 
 
 @pytest.mark.parametrize("which", sorted(PI_METHODS))
@@ -572,7 +572,7 @@ def test_format_parse_fraction_roundtrip(num, den):
 )
 @settings(max_examples=100)
 def test_format_parse_surd_roundtrip(a, b, m):
-    c = QuadraticSurd(a, b, m)
+    c = a + b * Surd.sqrt(m)
     assert parse_coefficient(format_coefficient(c)) == c
 
 
@@ -620,3 +620,35 @@ def test_k_must_be_positive():
             coeffs_4km1("corollary", bad)
         with pytest.raises(DomainError):
             coeffs_4kp1("p5", bad)
+
+
+def test_registry_dispatch():
+    # k = (n + offset) // 4 for the n the method's residue allows
+    for constant in ("zeta", "pi"):
+        for name, (residue, offset, _) in METHODS[constant].items():
+            n = 4 * 2 - offset
+            assert n % 4 == residue
+            assert resolve_method(constant, name, n)[1] == 2
+    assert resolve_method("zeta", "root15", 5) == ("root15_p", 1)
+    assert resolve_method("zeta", "root15", 3) == ("root15", 1)
+    assert resolve_method("zeta", "corollary2", 7) == ("corollary2", 2)
+    assert resolve_method("pi", "example62", 1) == ("example62", 1)
+    for constant, method, n in (("zeta", "root15_p", 3), ("zeta", "p2_p", 5),
+                                ("pi", "example62", 3), ("pi", "prop_pi5", 1),
+                                ("zeta", "example62", 5), ("pi", "root15", 3)):
+        with pytest.raises(DomainError):
+            resolve_method(constant, method, n)
+
+
+def test_format_rejects_imaginary_parts():
+    with pytest.raises(ValueError):
+        format_coefficient(1 + I)
+    with pytest.raises(TypeError):
+        format_coefficient(0.5)
+
+
+def test_parse_reads_every_real_radicand():
+    c = F(1, 2) + 3 * Surd.sqrt(2) - Surd.sqrt(210)
+    assert format_coefficient(c) == "(1/2)+(3)*sqrt(2)+(-1)*sqrt(210)"
+    assert parse_coefficient(format_coefficient(c)) == c
+    assert parse_coefficient("(2)+(3)*sqrt(7)+(-1)*sqrt(7)") == 2 + 2 * Surd.sqrt(7)

@@ -1,4 +1,5 @@
-"""Exact arithmetic layer: Bernoulli numbers, Gaussian rationals, surds."""
+"""Exact arithmetic layer: Bernoulli numbers and the field Q(i, sqrt2, sqrt3,
+sqrt5, sqrt7) in its Gaussian, quadratic and biquadratic corners."""
 
 from fractions import Fraction
 
@@ -8,21 +9,29 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from zetaodd.core import (
-    BiquadraticSurd,
+    I,
     DomainError,
-    GaussianRational,
     PrecisionContext,
-    QuadraticSurd,
+    Surd,
     bernoulli,
+    bernoulli_weight,
     eval_exact,
-    gaussian_pow,
     make_context,
     surd_trig,
     truncate_digits,
-    two_pow_half,
 )
 
 F = Fraction
+
+
+def gauss(a, b):
+    """a + b*i"""
+    return a + b * I
+
+
+def quad(a, b, m):
+    """a + b*sqrt(m)"""
+    return a + b * Surd.sqrt(m)
 
 
 # ---------------------------------------------------------------- bernoulli
@@ -67,28 +76,28 @@ def test_bernoulli_sum_identity():
 
 
 def test_gaussian_basic_ops():
-    z = GaussianRational(F(1), F(1))
-    w = GaussianRational(F(2), F(-3))
-    assert z + w == GaussianRational(F(3), F(-2))
-    assert z * w == GaussianRational(F(5), F(-1))
+    z = gauss(F(1), F(1))
+    w = gauss(F(2), F(-3))
+    assert z + w == gauss(F(3), F(-2))
+    assert z * w == gauss(F(5), F(-1))
     assert (z - z).re == 0
     # scalar mixing both ways
-    assert 2 * z == z * 2 == GaussianRational(F(2), F(2))
+    assert 2 * z == z * 2 == gauss(F(2), F(2))
 
 
 def test_gaussian_pow_known():
-    one_plus_i = GaussianRational(F(1), F(1))
+    one_plus_i = gauss(F(1), F(1))
     # (1+i)^2 = 2i, (1+i)^4 = -4, (1+i)^8 = 16
-    assert gaussian_pow(one_plus_i, 2) == GaussianRational(F(0), F(2))
-    assert gaussian_pow(one_plus_i, 4) == GaussianRational(F(-4), F(0))
-    assert gaussian_pow(one_plus_i, 8) == GaussianRational(F(16), F(0))
+    assert one_plus_i ** 2 == gauss(F(0), F(2))
+    assert one_plus_i ** 4 == gauss(F(-4), F(0))
+    assert one_plus_i ** 8 == gauss(F(16), F(0))
 
 
 def test_gaussian_pow_negative():
-    z = GaussianRational(F(1), F(2))
-    inv = gaussian_pow(z, -1)
-    assert z * inv == GaussianRational(F(1), F(0))
-    assert gaussian_pow(z, -3) == gaussian_pow(inv, 3)
+    z = gauss(F(1), F(2))
+    inv = z ** -1
+    assert z * inv == gauss(F(1), F(0))
+    assert z ** -3 == inv ** 3
 
 
 @given(
@@ -98,52 +107,52 @@ def test_gaussian_pow_negative():
     n=st.integers(0, 6),
 )
 def test_gaussian_pow_additivity(a, b, m, n):
-    z = GaussianRational(F(a), F(b))
+    z = gauss(F(a), F(b))
     if z.re == 0 and z.im == 0:
         return
-    assert gaussian_pow(z, m) * gaussian_pow(z, n) == gaussian_pow(z, m + n)
+    assert z ** m * z ** n == z ** (m + n)
 
 
 # ---------------------------------------------------------------- surds
 
 
 def test_surd_construction_and_equality():
-    s = QuadraticSurd(F(1, 2), F(3), 7)
-    assert s.a == F(1, 2) and s.b == F(3) and s.m == 7
+    s = quad(F(1, 2), F(3), 7)
+    assert s[1] == F(1, 2) and s[7] == F(3) and s[3] == 0
     # rational surds compare equal across different m
-    assert QuadraticSurd(F(2), 0, 3) == QuadraticSurd(F(2), 0, 15) == F(2)
+    assert quad(F(2), 0, 3) == quad(F(2), 0, 15) == F(2)
 
 
 def test_surd_arithmetic():
-    s = QuadraticSurd(F(1), F(1), 3)          # 1 + sqrt3
-    t = QuadraticSurd(F(2), F(-1), 3)         # 2 - sqrt3
-    assert s + t == QuadraticSurd(F(3), F(0), 3)
-    assert s * t == QuadraticSurd(F(-1), F(1), 3)   # 2 - 3 + sqrt3 = -1 + sqrt3
-    assert (s * s).a == F(4) and (s * s).b == F(2)  # (1+sqrt3)^2 = 4 + 2 sqrt3
+    s = quad(F(1), F(1), 3)          # 1 + sqrt3
+    t = quad(F(2), F(-1), 3)         # 2 - sqrt3
+    assert s + t == quad(F(3), F(0), 3)
+    assert s * t == quad(F(-1), F(1), 3)   # 2 - 3 + sqrt3 = -1 + sqrt3
+    assert (s * s)[1] == F(4) and (s * s)[3] == F(2)  # (1+sqrt3)^2 = 4 + 2 sqrt3
 
 
 def test_surd_inverse():
-    s = QuadraticSurd(F(2), F(1), 7)
-    assert s * s.inverse() == QuadraticSurd(F(1), F(0), 7)
+    s = quad(F(2), F(1), 7)
+    assert s * s.inverse() == quad(F(1), F(0), 7)
     with pytest.raises(ZeroDivisionError):
-        QuadraticSurd(F(0), F(0), 3).inverse()
+        quad(F(0), F(0), 3).inverse()
 
 
 def test_surd_half_powers():
-    # e=1 carries a factor sqrt2: (1 + sqrt3)*sqrt2 squared = 2*(4+2sqrt3)
-    s = QuadraticSurd(F(1), F(1), 3, e=1)
+    # a factor sqrt2: (1 + sqrt3)*sqrt2 squared = 2*(4+2sqrt3)
+    s = quad(F(1), F(1), 3) * Surd.sqrt(2)
     sq = s * s
-    assert sq == QuadraticSurd(F(8), F(4), 3)
-    assert sq.e == 0
+    assert sq == quad(F(8), F(4), 3)
 
 
 def test_two_pow_half():
-    assert two_pow_half(4, 3) == QuadraticSurd(F(4), 0, 3)        # 2^2
-    assert two_pow_half(5, 3) == QuadraticSurd(F(4), 0, 3, e=1)   # 4 sqrt2
-    assert two_pow_half(-1, 7) == QuadraticSurd(F(1, 2), 0, 7, e=1)  # 1/sqrt2
+    sqrt2 = Surd.sqrt(2)
+    assert sqrt2 ** 4 == quad(F(4), 0, 3)                # 2^2
+    assert sqrt2 ** 5 == F(4) * sqrt2                    # 4 sqrt2
+    assert sqrt2 ** -1 == F(1, 2) * sqrt2                # 1/sqrt2
     with mp.workdps(45):
         for h2 in range(-6, 7):
-            v = eval_exact(two_pow_half(h2, 3), make_context(30))
+            v = eval_exact(sqrt2 ** h2, make_context(30))
             assert abs(v - mp.mpf(2) ** (mp.mpf(h2) / 2)) < mp.mpf("1e-25")
 
 
@@ -155,8 +164,8 @@ def test_two_pow_half():
 )
 @settings(max_examples=60)
 def test_surd_mul_matches_float(a, b, c, d):
-    s = QuadraticSurd(a, b, 15)
-    t = QuadraticSurd(c, d, 15)
+    s = quad(a, b, 15)
+    t = quad(c, d, 15)
     ctx = make_context(30)
     with mp.workdps(45):
         lhs = eval_exact(s * t, ctx)
@@ -166,34 +175,35 @@ def test_surd_mul_matches_float(a, b, c, d):
 
 def test_biquadratic_basic():
     # (1 + sqrt7)(1 + sqrt15) expanded lives in Q(sqrt7, sqrt15)
-    u = BiquadraticSurd.from_surd(QuadraticSurd(F(1), F(1), 7))
-    v = BiquadraticSurd.from_surd(QuadraticSurd(F(1), F(1), 15))
+    u = quad(F(1), F(1), 7)
+    v = quad(F(1), F(1), 15)
     w = u * v
     ctx = make_context(40)
     with mp.workdps(60):
         want = (1 + mp.sqrt(7)) * (1 + mp.sqrt(15))
         assert abs(eval_exact(w, ctx) - want) < mp.mpf("1e-30")
-    assert w * w.inverse() == BiquadraticSurd.from_surd(QuadraticSurd(F(1), 0, 7))
+    assert w * w.inverse() == quad(F(1), 0, 7)
 
 
 def test_biquadratic_inverse_random():
     vals = [F(1, 3), F(-2), F(5, 7), F(1)]
-    z = BiquadraticSurd(vals[0], vals[1], vals[2], vals[3])
+    z = Surd({1: vals[0], 7: vals[1], 15: vals[2], 105: vals[3]})
     one = z * z.inverse()
     assert eval_exact(one, make_context(30)) == 1
 
 
 # ------------------------------------------------------------- exact trig
 
-# multiples of the base angle atan(1/sqrt m); for m=7 the values carry a
-# sqrt2 factor (e=1) because sqrt(m+1) is then irrational
+# multiples of the base angle atan(1/sqrt m); for m=7 odd multiples carry a
+# sqrt2 factor because sqrt(m+1) is then irrational
 def test_surd_trig_known_values():
-    assert surd_trig(15, 1, "cos") == QuadraticSurd(0, F(1, 4), 15)
-    assert surd_trig(15, 1, "sin") == QuadraticSurd(F(1, 4), 0, 15)
-    assert surd_trig(15, 2, "cos") == QuadraticSurd(F(7, 8), 0, 15)
-    assert surd_trig(7, 1, "cos") == QuadraticSurd(0, F(1, 4), 7, e=1)
-    assert surd_trig(7, 1, "sin") == QuadraticSurd(F(1, 4), 0, 7, e=1)
-    assert surd_trig(7, 2, "cos") == QuadraticSurd(F(3, 4), 0, 7)
+    sqrt2 = Surd.sqrt(2)
+    assert surd_trig(15, 1, "cos") == quad(0, F(1, 4), 15)
+    assert surd_trig(15, 1, "sin") == quad(F(1, 4), 0, 15)
+    assert surd_trig(15, 2, "cos") == quad(F(7, 8), 0, 15)
+    assert surd_trig(7, 1, "cos") == quad(0, F(1, 4), 7) * sqrt2
+    assert surd_trig(7, 1, "sin") == quad(F(1, 4), 0, 7) * sqrt2
+    assert surd_trig(7, 2, "cos") == quad(F(3, 4), 0, 7)
 
 
 def _trig_angle(m: int) -> float:
@@ -222,7 +232,7 @@ def test_surd_trig_matches_float(m, mult):
 def test_surd_trig_pythagorean(m, mult):
     c = surd_trig(m, mult, "cos")
     s = surd_trig(m, mult, "sin")
-    assert c * c + s * s == QuadraticSurd(F(1), 0, m)
+    assert c * c + s * s == quad(F(1), 0, m)
 
 
 @pytest.mark.parametrize("m", [7, 15])
@@ -233,6 +243,58 @@ def test_surd_trig_angle_addition(m):
             cb, sb = surd_trig(m, b, "cos"), surd_trig(m, b, "sin")
             assert surd_trig(m, a + b, "cos") == ca * cb - sa * sb
             assert surd_trig(m, a + b, "sin") == sa * cb + ca * sb
+
+
+RADICANDS = (1, 2, 3, 5, 6, 7, 15, 105, 210, -1, -2, -3, -7, -15)
+
+
+@given(parts=st.dictionaries(st.sampled_from(RADICANDS),
+                             st.fractions(max_denominator=9), max_size=4))
+@settings(max_examples=80)
+def test_inverse_anywhere_in_the_field(parts):
+    z = Surd(parts)
+    if z == 0:
+        with pytest.raises(ZeroDivisionError):
+            z.inverse()
+        return
+    assert z * z.inverse() == 1
+    ctx = make_context(30)
+    with mp.workdps(45):
+        assert abs(eval_exact(1 / z, ctx) * eval_exact(z, ctx) - 1) < mp.mpf("1e-25")
+
+
+def test_basis_products_and_parts():
+    assert I * I == -1
+    assert Surd.sqrt(-3) * Surd.sqrt(-3) == -3
+    assert Surd.sqrt(6) * Surd.sqrt(10) == 2 * Surd.sqrt(15)
+    assert Surd.sqrt(8) == 2 * Surd.sqrt(2) and Surd.sqrt(-4) == 2 * I
+    z = 3 - 2 * I + Surd.sqrt(-7)
+    assert z.re == 3 and z.im == -2 + Surd.sqrt(7)
+    assert str(z) == "(3)+(-2)*i+(1)*sqrt(7)*i"
+    assert str(Surd(F(5, 3))) == "5/3" and hash(Surd(F(5, 3))) == hash(F(5, 3))
+
+
+def test_field_rejects_foreign_radicands():
+    for bad in (11, 4, 0, -9):
+        with pytest.raises(ValueError):
+            Surd({bad: 1})
+    with pytest.raises(AttributeError):
+        I.x = 1
+
+
+def test_trig_pi6_is_surd_trig_at_sqrt3():
+    # acot(sqrt 3) = pi/6: the old 12-entry cos(n pi/6) table, for n in -30..29
+    cos_pi6 = (1, Surd.sqrt(3) / 2, F(1, 2), 0, F(-1, 2), -Surd.sqrt(3) / 2,
+               -1, -Surd.sqrt(3) / 2, F(-1, 2), 0, F(1, 2), Surd.sqrt(3) / 2)
+    for n in range(-30, 30):
+        assert surd_trig(3, n, "cos") == cos_pi6[n % 12]
+        assert surd_trig(3, n, "sin") == cos_pi6[(3 - n) % 12]
+
+
+def test_bernoulli_weight():
+    # j = 1 of the zeta(3) block: B_2 B_2 / (2! 2!)
+    assert bernoulli_weight(1, 4) == F(1, 144)
+    assert bernoulli_weight(0, 6) == bernoulli(6) / 720
 
 
 # ------------------------------------------------------- contexts, truncation
