@@ -105,14 +105,15 @@ def _cmd_coeffs(args) -> int:
     if args.constant == "zeta":
         if args.k is None:
             raise DomainError("coeffs --constant zeta needs --k")
+        method = args.method or "root15"
         # the method fixes the parity; auto (or an unknown name) means zeta(4k+1)
-        entry = METHODS["zeta"].get(args.method)
+        entry = METHODS["zeta"].get(method)
         s = 4 * args.k - (entry[1] if entry else -1)
-        table = engine.zeta_table(s, args.method)
+        table = engine.zeta_table(s, method)
     elif args.constant == "pi":
         if args.power is None:
             raise DomainError("coeffs --constant pi needs --power")
-        table = engine.pi_table(args.power, args.method)
+        table = engine.pi_table(args.power, args.method or "auto")
     else:  # log
         if args.p is None:
             raise DomainError("coeffs --constant log needs --p")
@@ -231,7 +232,8 @@ def build_parser() -> _Parser:
     co.add_argument("--k", type=int)
     co.add_argument("--power", type=int)
     co.add_argument("--p", type=int, choices=(2, 3, 5))
-    co.add_argument("--method", default="root15")
+    co.add_argument("--method",
+                    help="default: root15 for zeta, auto for pi")
     co.add_argument("--rewrite-positive-q", action="store_true",
                     help="rewrite Lambert terms at negative nomes via the "
                          "2-section identity")

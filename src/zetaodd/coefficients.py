@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .core import (
     I,
@@ -41,7 +41,6 @@ from .core import (
     eval_exact,
     surd_trig,
 )
-from .oracles import oracle_pi
 from .series import (
     QSymbolic,
     lambert_derivative_eval,
@@ -822,6 +821,29 @@ def negative_q_rewrite(table: CoefficientTable) -> CoefficientTable:
     return _make_table(table.constant, table.method, acc, debug)
 
 
+def series_scale(basis: BasisTerm, ctx: PrecisionContext):
+    """Factor in front of a basis term's series: pi*q for the q-derivative,
+    which the formulas use as pi q dL/dq (|pi q| < 1 for our nomes), else 1."""
+    if basis.kind == "lambert_derivative":
+        return mp.pi * basis.q.value(ctx)
+    return 1
+
+
+def basis_value(basis: BasisTerm, target, ctx: PrecisionContext) -> tuple:
+    """(value, tail bound, terms used) of one basis term at working precision,
+    its series summed until the tail bound is below target."""
+    if basis.kind == "pi_power":
+        return mp.pi ** basis.power, mpf(0), 0
+    if basis.kind == "lambert":
+        r = lambert_eval(basis.q, basis.s, target, ctx)
+    elif basis.kind == "sech_series":
+        r = sech_series(basis.q, basis.s, target, ctx)
+    else:
+        r = lambert_derivative_eval(basis.q, basis.s, target, ctx)
+    scale = series_scale(basis, ctx)
+    return scale * r.value, r.tail_bound * abs(scale), r.terms_used
+
+
 def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
     """Evaluate a table numerically.
 
@@ -833,41 +855,21 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
     """
     with ctx.workdps():
         budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
-        pi_val = None
         total = mpf(0)
         err = mpf(0)
+        size = mpf(0)  # sum of |c_i v_i|, the scale of the rounding error
         terms: dict[str, int] = {}
         for basis, coeff in table.entries:
             cval = eval_exact(coeff, ctx)
             cmag = abs(cval)
-            if basis.kind == "pi_power":
-                if pi_val is None:
-                    pi_val = oracle_pi(ctx)
-                val = pi_val ** basis.power
-                tb = mpf(0)
-                used = 0
-            elif basis.kind == "lambert":
-                r = lambert_eval(basis.q, basis.s, budget / (1 + cmag), ctx)
-                val, tb, used = r.value, r.tail_bound, r.terms_used
-            elif basis.kind == "sech_series":
-                r = sech_series(basis.q, basis.s, budget / (1 + cmag), ctx)
-                val, tb, used = r.value, r.tail_bound, r.terms_used
-            elif basis.kind == "lambert_derivative":
-                r = lambert_derivative_eval(basis.q, basis.s,
-                                            budget / (1 + cmag), ctx)
-                if pi_val is None:
-                    pi_val = oracle_pi(ctx)
-                scale = pi_val * basis.q.value(ctx)  # |pi q| < 1 for our nomes
-                val = scale * r.value
-                tb = r.tail_bound * abs(scale)
-                used = r.terms_used
-            else:  # pragma: no cover - BasisTerm validates kinds
-                raise AssertionError(basis.kind)
+            val, tb, used = basis_value(basis, budget / (1 + cmag), ctx)
+            terms[str(basis)] = used
             total += cval * val
             err += cmag * tb
-            terms[str(basis)] = used
-        # fold arithmetic rounding slop into the certificate
-        err += abs(total) * mpf(10) ** (-(ctx.working_digits - 2))
+            size += cmag * abs(val)
+        # fold arithmetic rounding slop into the certificate; cancellation
+        # between terms leaves it proportional to the terms, not the total
+        err += size * mpf(10) ** (-(ctx.working_digits - 2))
         return total, err, terms
 
 

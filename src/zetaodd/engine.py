@@ -17,18 +17,21 @@ from . import oracles
 from .coefficients import (
     CoefficientTable,
     assemble_detailed,
+    basis_value,
     coeffs_log,
     coeffs_pi,
     method_table,
     resolve_method,
+    series_scale,
 )
 from .core import (
     DomainError,
     PrecisionContext,
+    eval_exact,
     make_context,
     truncate_digits,
 )
-from .series import lambert_partial_sum
+from .series import partial_sums
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,10 @@ def zeta_table(s: int, method: str = "auto") -> CoefficientTable:
 
 
 def pi_table(n: int, method: str) -> CoefficientTable:
-    """Coefficient table for pi^n from the named method."""
+    """Coefficient table for pi^n from the named method; auto is example62
+    for n = 1 mod 4 and example63 for n = 3 mod 4."""
+    if method == "auto":
+        method = "example62" if n % 4 == 1 else "example63"
     name, k = resolve_method("pi", method, n)
     return coeffs_pi(name, k)
 
@@ -84,14 +90,11 @@ def zeta_odd(s: int, method: str = "auto", target_digits: int = 50,
 
 def pi_power(n: int, method: str = "auto", target_digits: int = 50,
              ctx: PrecisionContext | None = None) -> ConstantResult:
-    """pi^n for odd n >= 1 straight from a Lambert-series table; auto is
-    example62 for n = 1 mod 4 and example63 for n = 3 mod 4."""
+    """pi^n for odd n >= 1 straight from a Lambert-series table (see pi_table)."""
     t0 = time.perf_counter()
     if n < 1 or n % 2 == 0:
         raise DomainError(f"n must be an odd integer >= 1, got {n}")
     ctx = ctx or make_context(target_digits)
-    if method == "auto":
-        method = "example62" if n % 4 == 1 else "example63"
     return _result(pi_table(n, method), ctx, t0)
 
 
@@ -153,33 +156,6 @@ def _oracle_value(constant_id: str, ctx: PrecisionContext):
     return oracles.oracle_log(int(cid[4:-1]), ctx)
 
 
-def _sech_partial(q, s: int, n_terms: int, ctx: PrecisionContext):
-    """First n_terms of sum_{n>=0} (-1)^(n+1) (2n+1)^s sech((n+1/2) log q)."""
-    with ctx.workdps():
-        qv = q.value(ctx)
-        acc = mpf(0)
-        qpow = mp.sqrt(qv)  # q^(n+1/2)
-        qodd = qv  # q^(2n+1)
-        q2 = qv * qv
-        for n in range(n_terms):
-            term = mp.power(2 * n + 1, s) * 2 * qpow / (1 + qodd)
-            acc += term if n % 2 == 1 else -term
-            qpow *= qv
-            qodd *= q2
-        return acc
-
-
-def _deriv_partial(q, s: int, n_terms: int, ctx: PrecisionContext):
-    with ctx.workdps():
-        qv = q.value(ctx)
-        acc = mpf(0)
-        qk = mpf(1)  # q^(k-1)
-        for k in range(1, n_terms + 1):
-            acc += mp.power(k, s + 1) * qk / (1 - qk * qv) ** 2
-            qk *= qv
-        return oracles.oracle_pi(ctx) * qv * acc
-
-
 def convergence_profile(constant_id: str, method: str, max_terms: int,
                         ctx: PrecisionContext | None = None) -> ConvergenceProfile:
     """Truncate the slowest-decaying series of a formula at N = 1..max_terms
@@ -202,45 +178,25 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     slow_key = min(b.q.decay_key() for b, _ in series)
     oracle_val = _oracle_value(table.constant, ctx)
 
-    from .core import eval_exact
-    from .series import lambert_derivative_eval, lambert_eval, sech_series
-
     with ctx.workdps():
-        # evaluate the fast-decaying terms once, at full budget
+        # evaluate the fast-decaying terms once, at full budget; the slowest
+        # ones as prefix sums over N = 1..max_terms, scaled as in the formula
         budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
         fixed = mpf(0)
-        pi_val = None
         slow = []
         for basis, coeff in table.entries:
             cval = eval_exact(coeff, ctx)
-            if basis.kind == "pi_power":
-                if pi_val is None:
-                    pi_val = oracles.oracle_pi(ctx)
-                fixed += cval * pi_val ** basis.power
-            elif basis.q.decay_key() == slow_key:
-                slow.append((basis, cval))
-            elif basis.kind == "lambert":
-                fixed += cval * lambert_eval(basis.q, basis.s,
-                                             budget / (1 + abs(cval)), ctx).value
-            elif basis.kind == "sech_series":
-                fixed += cval * sech_series(basis.q, basis.s,
-                                            budget / (1 + abs(cval)), ctx).value
+            if basis.kind != "pi_power" and basis.q.decay_key() == slow_key:
+                scale = series_scale(basis, ctx)
+                sums = partial_sums(basis.kind, basis.q, basis.s, max_terms, ctx)
+                slow.append((basis, [cval * (scale * p) for p in sums]))
             else:
-                r = lambert_derivative_eval(basis.q, basis.s,
-                                            budget / (1 + abs(cval)), ctx)
-                if pi_val is None:
-                    pi_val = oracles.oracle_pi(ctx)
-                fixed += cval * pi_val * basis.q.value(ctx) * r.value
+                fixed += cval * basis_value(basis, budget / (1 + abs(cval)), ctx)[0]
         points = []
         for n in range(1, max_terms + 1):
             approx = fixed
-            for basis, cval in slow:
-                if basis.kind == "lambert":
-                    approx += cval * lambert_partial_sum(basis.q, basis.s, n, ctx)
-                elif basis.kind == "sech_series":
-                    approx += cval * _sech_partial(basis.q, basis.s, n, ctx)
-                else:  # lambert_derivative at the slowest nome
-                    approx += cval * _deriv_partial(basis.q, basis.s, n, ctx)
+            for _, sums in slow:
+                approx += sums[n - 1]
             delta = abs(approx - oracle_val)
             if delta == 0:
                 digits = ctx.working_digits

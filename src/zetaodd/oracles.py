@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
 from .core import DomainError, PrecisionContext, bernoulli
 
-_cache: dict = {}
+# one entry per (argument, precision); bounded so a long run at many
+# precisions does not keep every value it ever computed
+_CACHE_SIZE = 64
 
 
 def _frac(x: Fraction) -> mpf:
     return mpf(x.numerator) / x.denominator
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def oracle_zeta(s, ctx: PrecisionContext) -> mpf:
     """zeta(s) for real s > 1 via Euler-Maclaurin:
 
@@ -32,9 +36,6 @@ def oracle_zeta(s, ctx: PrecisionContext) -> mpf:
     with remainder bounded by the first omitted correction term (real s).
     N is sized so the corrections decay well past the guard digits.
     """
-    key = ("zeta", str(s), ctx.working_digits)
-    if key in _cache:
-        return _cache[key]
     prec = ctx.working_digits + 15
     with mp.workdps(prec):
         sv = mp.mpmathify(s)
@@ -65,9 +66,7 @@ def oracle_zeta(s, ctx: PrecisionContext) -> mpf:
                 raise RuntimeError("Euler-Maclaurin did not converge")  # pragma: no cover
             rising *= (sv + 2 * k - 3) * (sv + 2 * k - 2)
             npow /= n2
-        result = +acc
-    _cache[key] = result
-    return result
+        return +acc
 
 
 def _arctan_recip(k: int, eps: mpf) -> mpf:
@@ -87,16 +86,12 @@ def _arctan_recip(k: int, eps: mpf) -> mpf:
     return acc
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def oracle_pi(ctx: PrecisionContext) -> mpf:
     """pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin)."""
-    key = ("pi", ctx.working_digits)
-    if key in _cache:
-        return _cache[key]
     with mp.workdps(ctx.working_digits + 15):
         eps = mpf(10) ** (-(ctx.working_digits + 12))
-        result = +(16 * _arctan_recip(5, eps) - 4 * _arctan_recip(239, eps))
-    _cache[key] = result
-    return result
+        return +(16 * _arctan_recip(5, eps) - 4 * _arctan_recip(239, eps))
 
 
 def _atanh_recip(k: int, eps: mpf) -> mpf:
@@ -117,6 +112,7 @@ def _atanh_recip(k: int, eps: mpf) -> mpf:
     return acc
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def oracle_log(p: int, ctx: PrecisionContext) -> mpf:
     """log p for p in {2, 3, 5} from atanh series:
 
@@ -125,9 +121,6 @@ def oracle_log(p: int, ctx: PrecisionContext) -> mpf:
     """
     if p not in (2, 3, 5):
         raise DomainError(f"oracle_log supports p in {{2, 3, 5}}, got {p}")
-    key = ("log", p, ctx.working_digits)
-    if key in _cache:
-        return _cache[key]
     with mp.workdps(ctx.working_digits + 15):
         eps = mpf(10) ** (-(ctx.working_digits + 12))
         log2 = 2 * _atanh_recip(3, eps)
@@ -137,5 +130,4 @@ def oracle_log(p: int, ctx: PrecisionContext) -> mpf:
             result = +(log2 + 2 * _atanh_recip(5, eps))
         else:
             result = +(2 * log2 + 2 * _atanh_recip(9, eps))
-    _cache[key] = result
     return result

@@ -1,9 +1,19 @@
-"""Lambert series and friends: certified truncation, symbolic nomes.
+"""Lambert series and friends: one certified series kernel, symbolic nomes.
 
-The central object is L_q(s) = sum_{n>=1} n^s q^n / (1 - q^n), evaluated
-for |q| < 1 with an explicit tail bound so every value this package emits
-carries a certificate.  The sech series S_q(s) and the q-derivative of
-L_q(s) get the same treatment.
+Every basis series of the published formulas is a sum over n >= 1 of an
+algebraic term in q:
+
+    lambert             L_q(s)   = sum n^s q^n / (1 - q^n)
+    lambert_derivative  dL_q/dq  = sum n^(s+1) q^(n-1) / (1 - q^n)^2
+    sech_series         S_q(s)   = sum (-1)^n (2n-1)^s 2 q^(n-1/2) / (1 + q^(2n-1))
+
+where the sech term is sech((n-1/2)|log q|) written in powers of q, so no
+hyperbolic function is evaluated.  Each kind is defined once, as its term
+and its tail bound (``_KINDS``).  One loop finds the smallest N whose bound
+beats the target, and one loop sums the N terms as prefix sums in order;
+``lambert_eval``, ``lambert_derivative_eval``, ``sech_series`` and
+``partial_sums`` are thin entry points over them.  Terms accept complex q
+(the identity checks) and complex s.
 
 q arguments are either raw numbers (identity checks at complex points) or
 :class:`QSymbolic` nomes of the shape sign * exp(-r*pi) with r drawn from
@@ -15,6 +25,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,11 +155,6 @@ def _to_mp(q, ctx: PrecisionContext):
     return _num(q)
 
 
-def _check_nome(qv):
-    if abs(qv) >= 1:
-        raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(abs(qv), 8)}")
-
-
 def _pow_ns(n: int, s):
     """n**s, principal branch for complex s (log n real since n >= 1)."""
     if isinstance(s, int):
@@ -156,150 +162,138 @@ def _pow_ns(n: int, s):
     return mp.exp(s * mp.log(mpf(n)))
 
 
-def _positive_target(target_abs_error):
-    target = _num(target_abs_error)
-    if target <= 0:
-        raise ValueError("target_abs_error must be positive")
-    return target
+@dataclass(frozen=True)
+class _Kind:
+    """One basis series: the sum over n >= 1 of term(n, s, y, y*q), where y
+    runs through first(q) * q^(n-1).  After N terms the tail is at most
+    first(|q|) |q|^N weight(N) / den(|q|) whenever Re(s) <= max_re_s."""
+
+    name: str  # the public evaluator, for error messages
+    max_re_s: int
+    real_nome: bool  # q must lie in (0, 1), not just inside the unit disc
+    first: Callable
+    term: Callable
+    weight: Callable
+    den: Callable
+
+
+# Lambert: |n^s| <= 1 and |1-q^n| >= 1-|q|, and the geometric tail supplies
+# the other 1/(1-|q|).  Derivative: the same argument with Re(s+1) <= 0; the
+# factor (1+N) covers the n^(s+1) weights for s near -1.  Sech: y = q^(n-1/2)
+# = e^(-(n-1/2)|log q|), so the term is (2n-1)^s sech((n-1/2)|log q|); terms
+# alternate and decrease for s <= 0, so the tail is at most the first
+# omitted term, and sech(x) <= 2e^(-x) gives the bound.
+_KINDS = {
+    "lambert": _Kind(
+        "lambert_eval", 0, False, lambda q: q,
+        lambda n, s, y, yq: _pow_ns(n, s) * y / (1 - y),
+        lambda n: 1, lambda qa: (1 - qa) ** 2),
+    "lambert_derivative": _Kind(
+        "lambert_derivative_eval", -1, False, lambda q: mp.mpmathify(1),
+        lambda n, s, y, yq: _pow_ns(n, s + 1) * y / (1 - yq) ** 2,
+        lambda n: 1 + n, lambda qa: (1 - qa) ** 3),
+    "sech_series": _Kind(
+        "sech_series", 0, True, mp.sqrt,
+        lambda n, s, y, yq: (-1) ** n * _pow_ns(2 * n - 1, s) * 2 * y / (1 + y * y),
+        lambda n: 2, lambda qa: 1 - qa * qa),
+}
+
+
+def _nome(kind: _Kind, q, ctx: PrecisionContext):
+    qv = _to_mp(q, ctx)
+    if kind.real_nome:
+        if isinstance(qv, mp.mpc) or not 0 < qv < 1:
+            raise DomainError(f"{kind.name} requires real q in (0, 1)")
+    elif abs(qv) >= 1:
+        raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(abs(qv), 8)}")
+    return qv
+
+
+def _terms_needed(kind: _Kind, qa, target) -> tuple:
+    """Smallest N whose tail bound is below target, and that bound."""
+    den = kind.den(qa)
+    cap = term_cap()
+    qpow = kind.first(qa) * qa  # first(|q|) |q|^N
+    n = 1
+    while (bound := qpow * kind.weight(n) / den) >= target:
+        n += 1
+        if n > cap:
+            raise ConvergenceError(
+                f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
+                f"within {cap} terms (set {TERM_CAP_ENV} to raise the cap)")
+        qpow *= qa
+    return n, bound
+
+
+def _sums(kind: _Kind, qv, s, n_terms: int):
+    """The partial sums of the first 1..n_terms terms, in order."""
+    acc = mpf(0)
+    y = kind.first(qv)
+    for n in range(1, n_terms + 1):
+        yq = y * qv
+        acc += kind.term(n, s, y, yq)
+        yield acc
+        y = yq
+
+
+def partial_sums(kind: str, q, s, n_terms: int, ctx: PrecisionContext) -> list:
+    """Partial sums over N = 1..n_terms of the series of a basis kind
+    ("lambert", "lambert_derivative" or "sech_series"), at working precision."""
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    k = _KINDS[kind]
+    with ctx.workdps():
+        return list(_sums(k, _nome(k, q, ctx), s, n_terms))
+
+
+def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
+    k = _KINDS[kind]
+    with ctx.workdps():
+        qv = _nome(k, q, ctx)
+        if mp.re(_num(s)) > k.max_re_s:
+            raise DomainError(f"{k.name} requires Re(s) <= {k.max_re_s}")
+        target = _num(target_abs_error)
+        if target <= 0:
+            raise ValueError("target_abs_error must be positive")
+        n, bound = _terms_needed(k, abs(qv), target)
+        for value in _sums(k, qv, s, n):
+            pass  # only the full sum is wanted
+        return SeriesResult(value, n, bound, ctx.working_digits)
 
 
 def lambert_partial_sum(q, s, n_terms: int, ctx: PrecisionContext):
     """Partial sum sum_{n=1..N} n^s q^n/(1-q^n) at working precision."""
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    with ctx.workdps():
-        qv = _to_mp(q, ctx)
-        _check_nome(qv)
-        if qv == 0:
-            return mpf(0)
-        acc = mp.mpc(0) if isinstance(qv, mp.mpc) else mpf(0)
-        qn = mp.mpmathify(1)
-        for n in range(1, n_terms + 1):
-            qn = qn * qv
-            acc += _pow_ns(n, s) * qn / (1 - qn)
-        return acc
+    return partial_sums("lambert", q, s, n_terms, ctx)[-1]
 
 
 def tail_bound(q_abs, s, n_terms: int, ctx: PrecisionContext | None = None) -> mpf:
-    """|q|^(N+1)/(1-|q|)^2 bounds |sum_{n>N} n^s q^n/(1-q^n)| when Re(s) <= 0,
-    since then |n^s| <= 1 and |1-q^n| >= 1-|q|; the geometric sum supplies
-    the remaining 1/(1-|q|)."""
+    """|q|^(N+1)/(1-|q|)^2, the Lambert tail bound past N terms for Re(s) <= 0."""
     if mp.re(_num(s)) > 0:
         raise DomainError("tail_bound is unsupported for Re(s) > 0; pass explicit N")
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    k = _KINDS["lambert"]
     with mp.workdps(ctx.working_digits if ctx else mp.dps):
         qa = abs(_to_mp(q_abs, ctx) if ctx else _num(q_abs))
         if qa >= 1:
             raise DomainError(f"need |q| < 1, got {mp.nstr(qa, 8)}")
-        if qa == 0:
-            return mpf(0)
-        return qa ** (n_terms + 1) / (1 - qa) ** 2
-
-
-def _cap_error(what: str, target) -> ConvergenceError:
-    return ConvergenceError(
-        f"{what}: tail bound did not reach {mp.nstr(_num(target), 6)} within "
-        f"{term_cap()} terms (set {TERM_CAP_ENV} to raise the cap)"
-    )
+        return k.first(qa) * qa ** n_terms * k.weight(n_terms) / k.den(qa)
 
 
 def lambert_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
     """L_q(s) summed to the smallest N whose certified tail beats the target."""
-    with ctx.workdps():
-        qv = _to_mp(q, ctx)
-        _check_nome(qv)
-        if mp.re(_num(s)) > 0:
-            raise DomainError("lambert_eval requires Re(s) <= 0")
-        target = _positive_target(target_abs_error)
-        if qv == 0:
-            return SeriesResult(mpf(0), 1, mpf(0), ctx.working_digits)
-        qa = abs(qv)
-        one_minus_sq = (1 - qa) ** 2
-        cap = term_cap()
-        n = 1
-        qpow = qa * qa  # |q|^(n+1)
-        while True:
-            b = qpow / one_minus_sq
-            if b < target:
-                break
-            n += 1
-            if n > cap:
-                raise _cap_error("lambert_eval", target)
-            qpow *= qa
-        value = lambert_partial_sum(qv, s, n, ctx)
-        return SeriesResult(value, n, b, ctx.working_digits)
+    return _evaluate("lambert", q, s, target_abs_error, ctx)
 
 
 def lambert_derivative_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
-    """dL_q(s)/dq = sum_{n>=1} n^(s+1) q^(n-1)/(1-q^n)^2, certified.
-
-    For Re(s) <= -1 each |n^(s+1)| <= 1 and |1-q^n| >= 1-|q|, so the tail
-    past N is at most |q|^N/(1-|q|)^3; the recorded bound keeps a harmless
-    extra factor (1+N) for the n^(s+1) weights with s near -1.
-    """
-    with ctx.workdps():
-        qv = _to_mp(q, ctx)
-        _check_nome(qv)
-        if mp.re(_num(s)) > -1:
-            raise DomainError("lambert_derivative_eval requires Re(s) <= -1")
-        target = _positive_target(target_abs_error)
-        if qv == 0:
-            return SeriesResult(mpf(1), 1, mpf(0), ctx.working_digits)
-        qa = abs(qv)
-        cube = (1 - qa) ** 3
-        cap = term_cap()
-        n = 1
-        qpow = qa  # |q|^n
-        while True:
-            b = qpow * (1 + n) / cube
-            if b < target:
-                break
-            n += 1
-            if n > cap:
-                raise _cap_error("lambert_derivative_eval", target)
-            qpow *= qa
-        acc = mp.mpc(0) if isinstance(qv, mp.mpc) else mpf(0)
-        qprev = mp.mpmathify(1)  # q^(k-1)
-        for k in range(1, n + 1):
-            qk = qprev * qv
-            acc += _pow_ns(k, s + 1) * qprev / (1 - qk) ** 2
-            qprev = qk
-        return SeriesResult(acc, n, b, ctx.working_digits)
+    """dL_q(s)/dq = sum_{n>=1} n^(s+1) q^(n-1)/(1-q^n)^2, certified; Re(s) <= -1."""
+    return _evaluate("lambert_derivative", q, s, target_abs_error, ctx)
 
 
 def sech_series(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
-    """S_q(s) = sum_{n>=0} (-1)^(n+1) (2n+1)^s sech((n+1/2)|log q|), 0 < q < 1.
-
-    Terms alternate and decrease in magnitude for s <= 0, so after summing
-    n = 0..N-1 the remainder is at most the first omitted term; with
-    sech(x) <= 2e^(-x) that is at most the recorded 2 q^(N+1/2)/(1-q^2).
-    """
-    with ctx.workdps():
-        qv = _to_mp(q, ctx)
-        if isinstance(qv, mp.mpc) or not 0 < qv < 1:
-            raise DomainError("sech_series requires real q in (0, 1)")
-        if mp.re(_num(s)) > 0:
-            raise DomainError("sech_series requires Re(s) <= 0")
-        target = _positive_target(target_abs_error)
-        one_minus_q2 = 1 - qv * qv
-        cap = term_cap()
-        n_terms = 1
-        qpow = qv * mp.sqrt(qv)  # q^(n+1/2) for n = terms summed
-        while True:
-            b = 2 * qpow / one_minus_q2
-            if b < target:
-                break
-            n_terms += 1
-            if n_terms > cap:
-                raise _cap_error("sech_series", target)
-            qpow *= qv
-        log_q_abs = -mp.log(qv)
-        acc = mpf(0)
-        for n in range(n_terms):
-            term = _pow_ns(2 * n + 1, s) * mp.sech((n + mpf(1) / 2) * log_q_abs)
-            acc += term if (n % 2 == 1) else -term
-        return SeriesResult(acc, n_terms, b, ctx.working_digits)
+    """S_q(s) = sum_{n>=0} (-1)^(n+1) (2n+1)^s sech((n+1/2)|log q|), 0 < q < 1,
+    certified; Re(s) <= 0."""
+    return _evaluate("sech_series", q, s, target_abs_error, ctx)
 
 
 def divisor_sigma(s: int, n: int) -> Fraction:

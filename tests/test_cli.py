@@ -111,6 +111,18 @@ def test_coeffs_pi(capsys):
     assert json.loads(out)["constant"] == "pi^5"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--power", "3", "--method", "auto"),
+    ("--power", "3"),  # the pi default is auto, as for compute pi
+])
+def test_coeffs_pi_default_method(argv, capsys):
+    code, out, _ = run_inproc("coeffs", "--constant", "pi", *argv,
+                              capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["constant"], payload["method"]) == ("pi^3", "example63")
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -172,6 +184,14 @@ def test_bench_output(capsys):
     assert slope_line.startswith("slope = ")
     slope = float(slope_line.split()[2])
     assert abs(slope - 5.2841) < 0.3
+
+
+def test_bench_pi_default_method(capsys):
+    # bench defaults to --method auto, which pi resolves as compute pi does
+    code, out, _ = run_inproc("bench", "--constant", "pi^3", "--max-terms",
+                              "6", "--digits", "60", capsys=capsys)
+    assert code == 0
+    assert "method = example63" in out.splitlines()
 
 
 # -------------------------------------------------------------- exit codes
@@ -261,8 +281,8 @@ def test_coeffs_zeta_method_fixes_parity(argv, constant, method, capsys):
 @pytest.mark.parametrize("argv", [
     ("--constant", "pi", "--power", "3", "--method", "example62"),
     ("--constant", "pi", "--power", "1", "--method", "prop_pi5"),
-    ("--constant", "pi", "--power", "3", "--method", "auto"),
-    ("--constant", "pi", "--power", "3"),  # the default method is a zeta one
+    ("--constant", "pi", "--power", "3", "--method", "root15"),  # a zeta method
+    ("--constant", "pi", "--power", "2"),  # auto has no table for even powers
     ("--constant", "zeta", "--k", "0", "--method", "corollary"),
     ("--constant", "zeta", "--k", "1", "--method", "p2_p"),
 ])

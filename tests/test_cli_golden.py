@@ -1,0 +1,63 @@
+"""Byte-for-byte pins of CLI stdout for computed constants.
+
+golden/cli_stdout.json maps each argv below to the stdout the CLI printed
+for it: values, `error_bound` exponents, `terms_used` lines, convergence
+profile points and slopes.  Any change to the series evaluation that moves
+one of them shows up here.  Regenerate the file only for an intended
+change in output, with ``python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from zetaodd import cli
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
+
+ZETA_METHODS = {
+    3: ("auto", "corollary", "corollary2", "root3", "root7", "root15"),
+    1: ("auto", "corollary3", "p2", "p3", "p5", "root3_p", "root7_p",
+        "root15_p"),
+}
+ARGVS = (
+    [f"compute zeta --s {s} --method {m} --digits {d}"
+     for s in (3, 5, 7, 201) for m in ZETA_METHODS[s % 4] for d in (50, 500)]
+    + [f"compute pi --power {n} --digits 300" for n in (1, 3, 5)]
+    + ["compute pi --power 3 --method prop_pi3_fast --digits 300"]
+    + [f"compute log --p {p} --digits 300" for p in (2, 3, 5)]
+    + [f"bench --method {m} --max-terms 12 --digits 120"
+       for m in ("root15", "root7")]
+    + [f"bench --s 5 --method {m} --max-terms 12 --digits 120"
+       for m in ("p5", "corollary3")]
+)
+
+
+def cli_stdout(argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv.split()) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_argv(golden):
+    assert sorted(golden) == sorted(ARGVS)
+
+
+@pytest.mark.parametrize("argv", ARGVS)
+def test_cli_stdout_is_pinned(argv, golden):
+    assert cli_stdout(argv) == golden[argv]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({a: cli_stdout(a) for a in ARGVS},
+                                 indent=1) + "\n")

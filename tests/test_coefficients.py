@@ -652,3 +652,35 @@ def test_parse_reads_every_real_radicand():
     assert format_coefficient(c) == "(1/2)+(3)*sqrt(2)+(-1)*sqrt(210)"
     assert parse_coefficient(format_coefficient(c)) == c
     assert parse_coefficient("(2)+(3)*sqrt(7)+(-1)*sqrt(7)") == 2 + 2 * Surd.sqrt(7)
+
+
+@pytest.mark.parametrize("table", [coeffs_4km1("root15", 1),
+                                   coeffs_4kp1("corollary3", 1)],
+                         ids=["zeta3_root15", "zeta5_corollary3"])
+def test_assemble_does_not_use_the_pi_oracle(table, monkeypatch):
+    # the oracles check the evaluation path, so it must not lean on them;
+    # corollary3 also carries a lambert_derivative term and its pi*q scale
+    def refuse(ctx):
+        raise AssertionError("oracle_pi called on the evaluation path")
+
+    monkeypatch.setattr("zetaodd.oracles.oracle_pi", refuse)
+    monkeypatch.setattr("zetaodd.coefficients.oracle_pi", refuse, raising=False)
+    ctx = make_context(60)
+    val, err, _ = assemble_detailed(table, ctx)
+    assert any(b.kind == "pi_power" for b, _ in table.entries)
+    with ctx.workdps():
+        assert abs(val - mp.zeta(int(table.constant[5:-1]))) <= err
+
+
+def test_rounding_slop_scales_with_the_terms_not_the_total():
+    # 10^40 pi + (1 - 10^40) pi = pi: each product carries a rounding error
+    # of about 10^40 ulp, which the certificate must cover
+    big = F(10) ** 40
+    table = CoefficientTable("pi^1", "cancel", (
+        (BasisTerm("pi_power", power=1), big),
+        (BasisTerm("pi_power", power=1), 1 - big),
+    ))
+    ctx = make_context(30)
+    val, err, _ = assemble_detailed(table, ctx)
+    with mp.workdps(200):
+        assert abs(val - mp.pi) <= err

@@ -73,3 +73,10 @@ def test_oracles_memoized():
     second = time.perf_counter() - t0
     # memoized second call must be essentially free
     assert second < max(first, 0.01)
+
+
+def test_oracle_cache_is_bounded():
+    size = oracle_pi.cache_info().maxsize
+    for digits in range(1, size + 10):
+        oracle_pi(make_context(digits))
+    assert oracle_pi.cache_info().currsize <= size
