@@ -830,8 +830,9 @@ def series_scale(basis: BasisTerm, ctx: PrecisionContext):
 
 
 def basis_value(basis: BasisTerm, target, ctx: PrecisionContext) -> tuple:
-    """(value, tail bound, terms used) of one basis term at working precision,
-    its series summed until the tail bound is below target."""
+    """(value, error bound, terms used) of one basis term at working precision,
+    its series summed until the tail bound is below target; the error bound
+    is the tail plus the rounding error the series kernel certifies."""
     if basis.kind == "pi_power":
         return mp.pi ** basis.power, mpf(0), 0
     if basis.kind == "lambert":
@@ -841,7 +842,7 @@ def basis_value(basis: BasisTerm, target, ctx: PrecisionContext) -> tuple:
     else:
         r = lambert_derivative_eval(basis.q, basis.s, target, ctx)
     scale = series_scale(basis, ctx)
-    return scale * r.value, r.tail_bound * abs(scale), r.terms_used
+    return scale * r.value, (r.tail_bound + r.rounding_error) * abs(scale), r.terms_used
 
 
 def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):

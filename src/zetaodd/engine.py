@@ -7,11 +7,13 @@ bound plus the number of series terms each basis element consumed.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_pos, round_up
 
 from . import oracles
 from .coefficients import (
@@ -34,12 +36,12 @@ from .core import (
 from .series import partial_sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantResult:
     constant_id: str
     method_id: str
     decimal_value: str  # truncated, not rounded
-    error_bound: object  # mpf
+    error_bound: object  # mpf, 53 bits, rounded up
     terms_used: dict
     wall_time: float
 
@@ -72,12 +74,22 @@ def pi_table(n: int, method: str) -> CoefficientTable:
     return coeffs_pi(name, k)
 
 
+@functools.lru_cache(maxsize=256)
+def _shared(text: str) -> str:
+    """The first string seen equal to text, so that stored results share
+    their key strings (bounded, unlike the interpreter's intern table)."""
+    return text
+
+
 def _result(table: CoefficientTable, ctx: PrecisionContext,
             t0: float) -> ConstantResult:
     value, err, terms = assemble_detailed(table, ctx)
     decimal = truncate_digits(value, ctx.target_digits)
-    return ConstantResult(table.constant, table.method, decimal, err,
-                          terms, time.perf_counter() - t0)
+    # a result keeps no working-precision mantissa and no fresh key strings
+    err = mp.make_mpf(mpf_pos(err._mpf_, 53, round_up))
+    terms = {_shared(basis): n for basis, n in terms.items()}
+    return ConstantResult(_shared(table.constant), table.method, decimal,
+                          err, terms, time.perf_counter() - t0)
 
 
 def zeta_odd(s: int, method: str = "auto", target_digits: int = 50,

@@ -8,12 +8,28 @@ algebraic term in q:
     sech_series         S_q(s)   = sum (-1)^n (2n-1)^s 2 q^(n-1/2) / (1 + q^(2n-1))
 
 where the sech term is sech((n-1/2)|log q|) written in powers of q, so no
-hyperbolic function is evaluated.  Each kind is defined once, as its term
-and its tail bound (``_KINDS``).  One loop finds the smallest N whose bound
-beats the target, and one loop sums the N terms as prefix sums in order;
+hyperbolic function is evaluated.  Each kind is defined once (``_KINDS``):
+its term, its tail bound and its q-expansion.  The number of terms N is the
+smallest whose tail bound beats the target, found in closed form
+(``_terms_needed``).  The N-term sum is then taken on one of two paths,
+chosen by the input type:
+
+* real q and integer s (every table term): the fixed-point kernel
+  ``_fixed_sum``.  The N-term sum is a power series in q with exact
+  rational coefficients from one divisor sieve, summed by rectangular
+  splitting in Python ints.  It returns the sum exactly to its precision
+  together with a certified rounding error: the terms past the order it
+  keeps, bounded through |coefficient| <= d(m) <= 2 sqrt(m), and one unit
+  per fixed-point shift or division, weighted by what multiplies it later.
+  ``coefficients.basis_value`` adds that error to the tail.
+* complex q or s (the identity checks), a target so loose that the power
+  series would need more than 4N + 64 powers of q, and ``partial_sums``
+  (the convergence profile, which wants every prefix): the term-by-term
+  loop ``_sums`` at working precision.  Its rounding is left to the caller's
+  slop, which scales with the size of the terms.
+
 ``lambert_eval``, ``lambert_derivative_eval``, ``sech_series`` and
-``partial_sums`` are thin entry points over them.  Terms accept complex q
-(the identity checks) and complex s.
+``partial_sums`` are thin entry points over them.
 
 q arguments are either raw numbers (identity checks at complex points) or
 :class:`QSymbolic` nomes of the shape sign * exp(-r*pi) with r drawn from
@@ -23,13 +39,16 @@ keeps serialized coefficient tables exact.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .core import ConvergenceError, DomainError, PrecisionContext
 
@@ -141,6 +160,9 @@ class SeriesResult:
     terms_used: int
     tail_bound: mpf
     precision_used: int
+    # certified |value - the terms_used-term sum| on the fixed-point path;
+    # 0 on the loop path, whose rounding the caller's slop covers
+    rounding_error: object = 0
 
 
 def _num(x):
@@ -162,11 +184,46 @@ def _pow_ns(n: int, s):
     return mp.exp(s * mp.log(mpf(n)))
 
 
+def _lambert_expansion(a: int, n_terms: int, order: int) -> tuple:
+    """q^(m-1) coefficients of the n_terms-term Lambert sum over q, m = 1..order+1:
+    c_m = sum of d^-a over the divisors d <= n_terms of m, as e_m / m^a."""
+    top = order + 1
+    powers = [k ** a for k in range(top + 1)]
+    e = [0] * (top + 1)
+    for d in range(1, min(n_terms, top) + 1):  # the sieve: d | m, m/d = k
+        e[d::d] = map(add, e[d::d], powers[1:top // d + 1])
+    return e[1:], powers[1:]
+
+
+def _derivative_expansion(a: int, n_terms: int, order: int) -> tuple:
+    """q^(m-1) coefficients m c_m of the derivative sum, m = 1..order+1."""
+    nums, dens = _lambert_expansion(a, n_terms, order)
+    return [m * e for m, e in enumerate(nums, 1)], dens
+
+
+def _sech_expansion(a: int, n_terms: int, order: int) -> tuple:
+    """q^m coefficients 2 a_m of the sech sum over q^(1/2), m = 0..order:
+    a_m sums (-1)^(n+j) (2n-1)^-a over (2n-1)(2j+1) = 2m+1 with n <= n_terms,
+    as a numerator over (2m+1)^a."""
+    powers = [(2 * j + 1) ** a for j in range(order + 1)]
+    signed = [-p if j & 1 else p for j, p in enumerate(powers)]
+    e = [0] * (order + 1)
+    for n in range(1, min(n_terms, order + 1) + 1):  # m = n-1 + (2n-1) j
+        u = 2 * n - 1
+        e[n - 1::u] = map(sub if n & 1 else add, e[n - 1::u],
+                          signed[:len(range(n - 1, order + 1, u))])
+    return [2 * v for v in e], powers
+
+
 @dataclass(frozen=True)
 class _Kind:
     """One basis series: the sum over n >= 1 of term(n, s, y, y*q), where y
     runs through first(q) * q^(n-1).  After N terms the tail is at most
-    first(|q|) |q|^N weight(N) / den(|q|) whenever Re(s) <= max_re_s."""
+    first(|q|) |q|^N weight(N) / den(|q|) whenever Re(s) <= max_re_s.
+
+    For integer s the N-term sum is also first(q) * sum_m b_m q^m with exact
+    b_m = nums[m] / dens[m] from expansion(-s, N, order), and |b_m| <=
+    coef_bound(m) for s <= max_re_s."""
 
     name: str  # the public evaluator, for error messages
     max_re_s: int
@@ -175,6 +232,8 @@ class _Kind:
     term: Callable
     weight: Callable
     den: Callable
+    expansion: Callable
+    coef_bound: Callable
 
 
 # Lambert: |n^s| <= 1 and |1-q^n| >= 1-|q|, and the geometric tail supplies
@@ -182,20 +241,24 @@ class _Kind:
 # factor (1+N) covers the n^(s+1) weights for s near -1.  Sech: y = q^(n-1/2)
 # = e^(-(n-1/2)|log q|), so the term is (2n-1)^s sech((n-1/2)|log q|); terms
 # alternate and decrease for s <= 0, so the tail is at most the first
-# omitted term, and sech(x) <= 2e^(-x) gives the bound.
+# omitted term, and sech(x) <= 2e^(-x) gives the bound.  Coefficients: a
+# sum of at most d(m) terms of size <= 1, and d(m) <= 2 sqrt(m).
 _KINDS = {
     "lambert": _Kind(
         "lambert_eval", 0, False, lambda q: q,
         lambda n, s, y, yq: _pow_ns(n, s) * y / (1 - y),
-        lambda n: 1, lambda qa: (1 - qa) ** 2),
+        lambda n: 1, lambda qa: (1 - qa) ** 2,
+        _lambert_expansion, lambda m: 2 * math.sqrt(m + 1)),
     "lambert_derivative": _Kind(
         "lambert_derivative_eval", -1, False, lambda q: mp.mpmathify(1),
         lambda n, s, y, yq: _pow_ns(n, s + 1) * y / (1 - yq) ** 2,
-        lambda n: 1 + n, lambda qa: (1 - qa) ** 3),
+        lambda n: 1 + n, lambda qa: (1 - qa) ** 3,
+        _derivative_expansion, lambda m: 2 * (m + 1) ** 1.5),
     "sech_series": _Kind(
         "sech_series", 0, True, mp.sqrt,
         lambda n, s, y, yq: (-1) ** n * _pow_ns(2 * n - 1, s) * 2 * y / (1 + y * y),
-        lambda n: 2, lambda qa: 1 - qa * qa),
+        lambda n: 2, lambda qa: 1 - qa * qa,
+        _sech_expansion, lambda m: 4 * math.sqrt(2 * m + 1)),
 }
 
 
@@ -209,20 +272,64 @@ def _nome(kind: _Kind, q, ctx: PrecisionContext):
     return qv
 
 
-def _terms_needed(kind: _Kind, qa, target) -> tuple:
-    """Smallest N whose tail bound is below target, and that bound."""
-    den = kind.den(qa)
-    cap = term_cap()
-    qpow = kind.first(qa) * qa  # first(|q|) |q|^N
-    n = 1
-    while (bound := qpow * kind.weight(n) / den) >= target:
-        n += 1
-        if n > cap:
-            raise ConvergenceError(
-                f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
-                f"within {cap} terms (set {TERM_CAP_ENV} to raise the cap)")
+def _bound(kind: _Kind, qa, n: int):
+    """The tail bound after n terms, at working precision."""
+    return kind.first(qa) / kind.den(qa) * qa ** n * kind.weight(n)
+
+
+def _bound_termwise(kind: _Kind, qa, n: int):
+    """The tail bound rounded as a term-by-term search rounds it, |q|
+    multiplied in one factor at a time; it settles the near-ties that
+    _bound cannot."""
+    qpow = kind.first(qa) * qa
+    for _ in range(n - 1):
         qpow *= qa
-    return n, bound
+    return qpow * kind.weight(n) / kind.den(qa)
+
+
+def _ln(x) -> float:
+    """log x of a positive mpf, as a float whatever its exponent."""
+    return math.log(x.man) + x.exp * math.log(2)
+
+
+def _terms_needed(kind: _Kind, qa, target) -> tuple:
+    """Smallest N whose tail bound is below target, and that bound.
+
+    N is estimated from float logs and confirmed at working precision by
+    bound(N) < target <= bound(N-1).  The bound can only rise before it
+    falls (weight(n) = 1+n), so with bound(1) >= target the confirmed N is
+    the first crossing.  A comparison within the rounding of the two ways
+    of computing the bound is redone term by term, so N is exactly the one
+    a term-by-term search finds, ties included."""
+    cap = term_cap()
+    lead = kind.first(qa) / kind.den(qa)  # _bound(n) = lead |q|^n weight(n)
+    bounds = {}
+
+    def below(n: int) -> bool:
+        b = bounds[n] = lead * qa ** n * kind.weight(n)
+        if abs(b - target) <= b * mp.ldexp(n + 8, 2 - mp.prec):
+            b = _bound_termwise(kind, qa, n)
+        return b < target
+
+    n = 1
+    if not below(1):
+        rate = max(-_ln(qa), 1e-300)
+        c = _ln(lead) - _ln(target)
+        est = 1.0
+        for _ in range(8):  # the weight is 1, 2 or 1+n: a fixed point
+            est = (c + math.log(kind.weight(min(max(est, 1.0), cap)))) / rate
+        n = cap if est >= cap else max(2, math.floor(est) + 1)
+        if below(n):
+            while n > 2 and below(n - 1):
+                n -= 1
+        else:
+            while not below(n):
+                n += 1
+                if n > cap:
+                    raise ConvergenceError(
+                        f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
+                        f"within {cap} terms (set {TERM_CAP_ENV} to raise the cap)")
+    return n, bounds[n]
 
 
 def _sums(kind: _Kind, qv, s, n_terms: int):
@@ -234,6 +341,88 @@ def _sums(kind: _Kind, qv, s, n_terms: int):
         acc += kind.term(n, s, y, yq)
         yield acc
         y = yq
+
+
+def _fixed(v, prec: int) -> tuple:
+    """v * 2^prec as an int, and the ulps lost (0 or 1: the shift floors)."""
+    sign, man, exp, _ = v._mpf_
+    if sign:
+        man = -man
+    if exp + prec >= 0:
+        return man << (exp + prec), 0
+    return man >> -(exp + prec), 1
+
+
+def _order(kind: _Kind, ax: float, prec: int) -> int:
+    """An order M whose dropped terms, sum over m > M of coef_bound(m) ax^m,
+    stay below 2^-(prec+1): the first of them over 1 - (the ratio of the
+    next two), which bounds every later ratio."""
+    rate = -math.log2(ax)
+    m = max(1, int(prec / rate))
+    while True:
+        ratio = ax * kind.coef_bound(m + 2) / kind.coef_bound(m + 1)
+        if ratio >= 1:
+            m *= 2
+            continue
+        need = (prec + 1 + math.log2(kind.coef_bound(m + 1))
+                - math.log2(1 - ratio)) / rate - 1
+        if m >= need:
+            return m
+        m = math.ceil(need)
+
+
+def _fixed_sum(kind: _Kind, qv, s: int, n_terms: int) -> tuple:
+    """The n_terms-term sum for real q and integer s, and its certified
+    absolute error, by rectangular splitting in fixed point.
+
+    The sum is first(q) sum_{m<=M} b_m q^m with b_m = e_m / f_m exact
+    (see _Kind).  With r ~ sqrt(M) powers X_j = q^j and Y = q^r it is
+    evaluated as sum_i Y^i B_i, B_i = sum_{j<r} (e_{ir+j} X_j) // f_{ir+j}, by
+    Horner in Y: r + M/r full-width multiplies, the rest is small-integer
+    work (Paterson & Stockmeyer; Smith; the idiom of mpmath's
+    exponential_series).  Every quantity is an int scaled by 2^prec, prec
+    being the working precision plus 40 + log2 N guard bits.  Error, in
+    units of 2^-prec, with x = |q| <= ax, beta >= |b_m| for m <= M, xi >=
+    the error of each X_j and of Y (one floor each, from an input off by
+    ex <= 1), and Y^i within i yhat^(i-1) xi of y^i:
+      M + 1 floored divisions, each B_i off by <= sum_j (beta xi + 1);
+      one floor per Horner step and per multiply by first(q);
+      Y^i's error against |B_i| <= beta / (1 - ax): <= xi beta / ((1-ax)(1-yhat)^2);
+      first(q), rounded to prec bits, off by ef + 1 against |sum| <= beta / (1 - ax);
+      the terms past M, below half a unit (_order).
+    The value is returned exact, with all prec bits; None when the order
+    the precision needs exceeds 4N + 64."""
+    prec = mp.prec + 40 + n_terms.bit_length()
+    ax = math.nextafter(float(abs(qv)), 2.0)
+    order = _order(kind, ax, prec) if ax < 1 else math.inf
+    if order > 4 * n_terms + 64:
+        return None  # a target far looser than the precision: the loop is cheaper
+    nums, dens = kind.expansion(-s, n_terms, order)
+    x, ex = _fixed(qv, prec)
+    r = max(1, math.isqrt(order + 1))
+    xpow = [1 << prec]
+    for _ in range(r):
+        xpow.append(xpow[-1] * x >> prec)
+    y = xpow.pop()
+    acc = 0
+    for i in reversed(range(0, order + 1, r)):
+        block = 0
+        for xj, e, f in zip(xpow, nums[i:i + r], dens[i:i + r]):
+            block += e * xj // f
+        acc = (acc * y >> prec) + block
+    with mp.workprec(prec):
+        fq, ef = _fixed(kind.first(qv), prec)
+    total = acc * fq >> prec
+
+    beta = kind.coef_bound(order)
+    xi = (1 + 2 * ex) / (1 - ax)
+    yhat = ax ** r + xi * 2.0 ** -prec  # >= |y| and |Y|
+    blocks = len(range(0, order + 1, r))
+    ulps = ((order + 1) * (beta * xi + 1) + blocks + 3
+            + xi * beta / ((1 - ax) * (1 - yhat) ** 2) + (ef + 1) * beta / (1 - ax))
+    err = math.ceil(ulps * (1 + 2.0 ** -20)) + 1  # slack for the float sums
+    return (mp.make_mpf(from_man_exp(total, -prec)),
+            mp.make_mpf(from_man_exp(err, -prec)))
 
 
 def partial_sums(kind: str, q, s, n_terms: int, ctx: PrecisionContext) -> list:
@@ -256,9 +445,14 @@ def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> Serie
         if target <= 0:
             raise ValueError("target_abs_error must be positive")
         n, bound = _terms_needed(k, abs(qv), target)
-        for value in _sums(k, qv, s, n):
-            pass  # only the full sum is wanted
-        return SeriesResult(value, n, bound, ctx.working_digits)
+        fixed = (isinstance(s, int) and not isinstance(qv, mp.mpc)
+                 and _fixed_sum(k, qv, s, n))
+        if fixed:
+            value, rounding = fixed
+        else:  # complex q or s (the identity checks), or a loose target
+            *_, value = _sums(k, qv, s, n)
+            rounding = 0
+        return SeriesResult(value, n, bound, ctx.working_digits, rounding)
 
 
 def lambert_partial_sum(q, s, n_terms: int, ctx: PrecisionContext):
@@ -277,7 +471,7 @@ def tail_bound(q_abs, s, n_terms: int, ctx: PrecisionContext | None = None) -> m
         qa = abs(_to_mp(q_abs, ctx) if ctx else _num(q_abs))
         if qa >= 1:
             raise DomainError(f"need |q| < 1, got {mp.nstr(qa, 8)}")
-        return k.first(qa) * qa ** n_terms * k.weight(n_terms) / k.den(qa)
+        return _bound(k, qa, n_terms)
 
 
 def lambert_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:

@@ -211,3 +211,20 @@ def test_term_cap_propagates(monkeypatch):
     monkeypatch.setenv(TERM_CAP_ENV, "3")
     with pytest.raises(ConvergenceError):
         zeta_odd(3, method="corollary", target_digits=60)
+
+
+@pytest.mark.parametrize("s,method,digits", [(3, "root15", 1000), (5, "p5", 60)])
+def test_error_bound_rounded_up_to_53_bits(s, method, digits):
+    ctx = make_context(digits)
+    res = zeta_odd(s, method, digits, ctx)
+    _, err, _ = assemble_detailed(zeta_table(s, method), ctx)
+    assert res.error_bound >= err
+    assert res.error_bound._mpf_[3] <= 53  # bit count of the mantissa
+    assert err._mpf_[3] > 53 or res.error_bound == err
+
+
+def test_results_share_their_key_strings():
+    a, b = zeta_odd(3, "root15", 30), zeta_odd(3, "root15", 40)
+    assert a.constant_id is b.constant_id
+    assert all(x is y for x, y in zip(a.terms_used, b.terms_used))
+    assert not hasattr(a, "__dict__")  # slots

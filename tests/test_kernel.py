@@ -1,0 +1,200 @@
+"""The fixed-point series kernel and the closed-form term count.
+
+The kernel must return the same terms_used-term sum as the term-by-term
+loop, within the error it certifies; the closed-form N must be the N of
+the term-by-term search, ties included; and every table term must take the
+kernel, while complex nomes keep the loop.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from zetaodd import engine, identities, series
+from zetaodd.coefficients import (
+    METHODS,
+    ZETA_4KM1_METHODS,
+    ZETA_4KP1_METHODS,
+    coeffs_log,
+    negative_q_rewrite,
+)
+from zetaodd.core import ConvergenceError, PrecisionContext, make_context
+from zetaodd.series import (
+    TERM_CAP_ENV,
+    QSymbolic,
+    lambert_derivative_eval,
+    lambert_eval,
+    partial_sums,
+    sech_series,
+)
+
+EVALUATORS = {"lambert": lambert_eval,
+              "lambert_derivative": lambert_derivative_eval,
+              "sech_series": sech_series}
+
+
+def _table_nomes() -> list:
+    """Every nome of the k = 1 tables of every method and of the log
+    tables, with and without the negative-q rewrite."""
+    tables = [gen(1) for methods in METHODS.values()
+              for _, _, gen in methods.values()]
+    tables += [coeffs_log(p) for p in (2, 3, 5)]
+    nomes = {b.q for t in tables for u in (t, negative_q_rewrite(t))
+             for b, _ in u.entries if b.q is not None}
+    return sorted(nomes, key=lambda q: (q.decay_key(), q.sign))
+
+
+NOMES = _table_nomes()
+CASES = [(kind, q) for kind in EVALUATORS for q in NOMES
+         if kind != "sech_series" or q.sign > 0]
+
+
+def test_table_nomes_cover_both_signs():
+    assert any(q.sign < 0 for q in NOMES) and len(NOMES) >= 15
+
+
+# ---------------------------------------------------------- the kernel
+
+
+@given(case=st.sampled_from(CASES), s=st.integers(0, 100).map(lambda j: -2 * j - 1),
+       digits=st.integers(10, 3000))
+@settings(max_examples=30, deadline=None)
+def test_kernel_within_its_certified_error(case, s, digits):
+    kind, q = case
+    ctx = make_context(digits)
+    with ctx.workdps():
+        target = mpf(10) ** (-(digits + ctx.guard_digits // 2))
+        qv = q.value(ctx)
+    r = EVALUATORS[kind](q, s, target, ctx)
+    assert 0 < r.rounding_error < target
+    # the same nome value, summed term by term at twice the precision
+    wide = PrecisionContext(ctx.working_digits, ctx.working_digits)
+    ref = partial_sums(kind, qv, s, r.terms_used, wide)[-1]
+    with wide.workdps():
+        assert abs(r.value - ref) <= r.rounding_error
+
+
+def test_kernel_real_nomes_off_the_tables():
+    # plain real nomes near the unit circle, s = 0 included
+    ctx = make_context(40)
+    wide = PrecisionContext(ctx.working_digits, ctx.working_digits)
+    for kind, q, s in (("lambert", mpf("-0.9"), 0), ("lambert", mpf("0.5"), -2),
+                       ("lambert_derivative", mpf("0.75"), -1),
+                       ("sech_series", mpf("0.6"), 0)):
+        r = EVALUATORS[kind](q, s, mpf(10) ** -45, ctx)
+        ref = partial_sums(kind, q, s, r.terms_used, wide)[-1]
+        with wide.workdps():
+            assert abs(r.value - ref) <= r.rounding_error
+
+
+# ------------------------------------------------- the closed-form N
+
+
+def _loop_terms_needed(kind, qa, target):
+    """The term-by-term search the closed form replaced, kept verbatim as
+    the reference: smallest N whose tail bound is below target."""
+    den = kind.den(qa)
+    cap = series.term_cap()
+    qpow = kind.first(qa) * qa  # first(|q|) |q|^N
+    n = 1
+    while (bound := qpow * kind.weight(n) / den) >= target:
+        n += 1
+        if n > cap:
+            raise ConvergenceError(
+                f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
+                f"within {cap} terms (set {TERM_CAP_ENV} to raise the cap)")
+        qpow *= qa
+    return n, bound
+
+
+def _targets(kind, qa):
+    """Targets at both bounds of several n, one ulp either side, and
+    powers of ten."""
+    out = [mpf(10) ** -e for e in (3, 17, 40, 75)]
+    for n in (1, 2, 3, 7, 20):
+        for b in (series._bound(kind, qa, n), series._bound_termwise(kind, qa, n)):
+            ulp = mp.ldexp(1, mp.mag(b) - mp.prec)
+            out += [b - ulp, b, b + ulp]
+    return out
+
+
+@pytest.mark.parametrize("digits", [30, 300])
+@pytest.mark.parametrize("kind", list(EVALUATORS))
+def test_closed_form_n_matches_the_search(kind, digits):
+    k = series._KINDS[kind]
+    ctx = make_context(digits)
+    qs = [q for q in NOMES if q.sign > 0] if kind == "sech_series" else NOMES
+    with ctx.workdps():
+        qas = [abs(q.value(ctx)) for q in qs] + [mpf("0.5"), mpf("0.8")]
+        for qa in qas:
+            for target in _targets(k, qa):
+                n, bound = series._terms_needed(k, qa, target)
+                ref_n, ref_bound = _loop_terms_needed(k, qa, target)
+                assert n == ref_n, (kind, qa, target)
+                # one rounding against n: equal up to the rounding
+                assert abs(bound - ref_bound) <= ref_bound * mp.ldexp(n + 8, 2 - mp.prec)
+
+
+def test_closed_form_n_before_the_derivative_bound_peaks():
+    # (1+n) q^n rises before it falls when q is near 1
+    k = series._KINDS["lambert_derivative"]
+    with mp.workdps(30):
+        qa = mpf("0.99")  # the bound peaks near n = 99
+        for target in (mpf(10) ** 7, mpf(10) ** 6, mpf(1000), mpf("1e-10")):
+            assert series._terms_needed(k, qa, target)[0] == \
+                _loop_terms_needed(k, qa, target)[0]
+
+
+@pytest.mark.parametrize("kind", list(EVALUATORS))
+def test_term_cap_three_raises_naming_evaluator_and_env(kind, monkeypatch):
+    monkeypatch.setenv(TERM_CAP_ENV, "3")
+    with pytest.raises(ConvergenceError) as info:
+        EVALUATORS[kind](QSymbolic(1, 1), -3, mpf("1e-40"), make_context(50))
+    message = str(info.value)
+    assert series._KINDS[kind].name in message and TERM_CAP_ENV in message
+    # the cap is the largest N allowed, as in the search
+    with mp.workdps(70):
+        qa = QSymbolic(1, 1).value(make_context(50))
+        target = series._bound(series._KINDS[kind], qa, 3) * 2
+    assert EVALUATORS[kind](QSymbolic(1, 1), -3, target, make_context(50)).terms_used == 3
+
+
+# ------------------------------------------------------ which path runs
+
+
+def _no_loop(*args, **kwargs):
+    raise AssertionError("the term-by-term loop ran")
+
+
+@pytest.mark.parametrize("digits", [50, 1000])
+def test_every_table_term_takes_the_kernel(digits, monkeypatch):
+    monkeypatch.setattr(series, "_sums", _no_loop)
+    for method in ZETA_4KM1_METHODS:
+        engine.zeta_odd(3, method, digits)
+    for method in ZETA_4KP1_METHODS:
+        engine.zeta_odd(5, method, digits)
+    for method, (_, offset, _) in METHODS["pi"].items():
+        engine.pi_power(4 - offset, method, digits)
+    for p in (2, 3, 5):
+        engine.log_prime(p, digits)
+
+
+def test_loose_target_near_the_unit_circle_keeps_the_loop(monkeypatch):
+    # one term meets the target; the power series would need ~2 * 10^4 powers of q
+    ctx = make_context(50)
+    r = lambert_eval(mpf("0.99"), -1, mpf(10) ** 6, ctx)
+    assert r.terms_used == 1 and r.rounding_error == 0
+    assert r.value == partial_sums("lambert", mpf("0.99"), -1, r.terms_used, ctx)[-1]
+    monkeypatch.setattr(series, "_sums", _no_loop)
+    with pytest.raises(AssertionError, match="loop ran"):
+        lambert_eval(mpf("0.99"), -1, mpf(10) ** 6, ctx)
+
+
+def test_complex_nomes_keep_the_loop(monkeypatch):
+    monkeypatch.setattr(series, "_sums", _no_loop)
+    ctx = make_context(30)
+    with pytest.raises(AssertionError, match="loop ran"):
+        lambert_eval(mp.mpc("0.1", "0.2"), -3, mpf("1e-30"), ctx)
+    with pytest.raises(AssertionError, match="loop ran"):
+        identities.check_lemma_sech(mpf("0.3"), -3, ctx)
