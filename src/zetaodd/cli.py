@@ -49,13 +49,19 @@ def _bound_exponent(err) -> int:
     return int(mp.floor(mp.log10(err))) + 1
 
 
-def _emit_result(res, digits: int, fmt: str) -> None:
+def _cmd_compute(args) -> int:
+    if args.what == "zeta":
+        res = engine.zeta_odd(args.s, args.method, args.digits)
+    elif args.what == "pi":
+        res = engine.pi_power(args.power, args.method, args.digits)
+    else:  # log
+        res = engine.log_prime(args.p, args.digits)
     e = _bound_exponent(res.error_bound)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "constant": res.constant_id,
             "method": res.method_id,
-            "digits": digits,
+            "digits": args.digits,
             "value": res.decimal_value,
             "error_bound": f"<1e{e}",
             "terms_used": res.terms_used,
@@ -69,23 +75,6 @@ def _emit_result(res, digits: int, fmt: str) -> None:
         for basis, n in res.terms_used.items():
             print(f"terms_used[{basis}] = {n}")
     print(f"wall_time = {res.wall_time:.3f}s", file=sys.stderr)
-
-
-def _cmd_compute_zeta(args) -> int:
-    res = engine.zeta_odd(args.s, args.method, args.digits)
-    _emit_result(res, args.digits, args.format)
-    return EX_OK
-
-
-def _cmd_compute_pi(args) -> int:
-    res = engine.pi_power(args.power, args.method, args.digits)
-    _emit_result(res, args.digits, args.format)
-    return EX_OK
-
-
-def _cmd_compute_log(args) -> int:
-    res = engine.log_prime(args.p, args.digits)
-    _emit_result(res, args.digits, args.format)
     return EX_OK
 
 
@@ -202,26 +191,24 @@ def build_parser() -> _Parser:
     csub = compute.add_subparsers(dest="what", required=True,
                                   parser_class=_Parser)
 
-    cz = csub.add_parser("zeta", help="zeta(s) for odd s >= 3")
+    # --digits and --format, shared by the three constant subcommands
+    out = _Parser(add_help=False)
+    out.add_argument("--digits", type=_digits, default=50)
+    out.add_argument("--format", choices=("text", "json"), default="text")
+
+    cz = csub.add_parser("zeta", parents=[out], help="zeta(s) for odd s >= 3")
     cz.add_argument("--s", type=int, required=True)
     cz.add_argument("--method", default="auto")
-    cz.add_argument("--digits", type=_digits, default=50)
-    cz.add_argument("--format", choices=("text", "json"), default="text")
-    cz.set_defaults(func=_cmd_compute_zeta)
 
-    cp = csub.add_parser("pi", help="pi^n for odd n")
+    cp = csub.add_parser("pi", parents=[out], help="pi^n for odd n")
     cp.add_argument("--power", type=int, required=True)
     cp.add_argument("--method", default="auto",
                     help=f"one of {', '.join(PI_METHODS)} or auto")
-    cp.add_argument("--digits", type=_digits, default=50)
-    cp.add_argument("--format", choices=("text", "json"), default="text")
-    cp.set_defaults(func=_cmd_compute_pi)
 
-    cl = csub.add_parser("log", help="log p for p in 2, 3, 5")
+    cl = csub.add_parser("log", parents=[out], help="log p for p in 2, 3, 5")
     cl.add_argument("--p", type=int, choices=(2, 3, 5), required=True)
-    cl.add_argument("--digits", type=_digits, default=50)
-    cl.add_argument("--format", choices=("text", "json"), default="text")
-    cl.set_defaults(func=_cmd_compute_log)
+    for sp in (cz, cp, cl):
+        sp.set_defaults(func=_cmd_compute)
 
     cf = csub.add_parser("zeta3-first-order",
                          help="closed-form ~1e-10 approximation to zeta(3)")

@@ -153,9 +153,13 @@ class CoefficientTable:
         return cls(d["constant"], d["method"], entries, dict(d.get("debug", {})))
 
 
-def _make_table(constant, method, coeff_map, debug=None) -> CoefficientTable:
-    """Drop zero coefficients, order canonically, freeze."""
-    items = [(b, c) for b, c in coeff_map.items() if c != 0]
+def _make_table(constant, method, terms, debug=None) -> CoefficientTable:
+    """Sum the coefficients of repeated bases in the (basis, coefficient)
+    pairs `terms`, drop zero coefficients, order canonically, freeze."""
+    acc: dict[BasisTerm, object] = {}
+    for basis, c in terms:
+        acc[basis] = acc[basis] + c if basis in acc else c
+    items = [(b, c) for b, c in acc.items() if c != 0]
     items.sort(key=lambda bc: bc[0].sort_key())
     return CoefficientTable(constant, method, tuple(items), debug or {})
 
@@ -256,7 +260,7 @@ def _corollary_4km1(k: int) -> CoefficientTable:
         _pi_term(4 * k - 1): w * _f2(4 * k - 1),
         _lam(QSymbolic(1, 2), s): Fraction(-2),
     }
-    return _make_table(_zc(k, -1), "corollary", coeffs,
+    return _make_table(_zc(k, -1), "corollary", coeffs.items(),
                        {"bernoulli_sum": str(w)})
 
 
@@ -283,7 +287,7 @@ def _root3_4km1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 4, 3), s): (_f2(-4 * k + 4) + 8) / a_k,
     }
     debug = {"a_k": str(a_k), "b_jk": _joined(b)}
-    return _make_table(_zc(k, -1), "root3", coeffs, debug)
+    return _make_table(_zc(k, -1), "root3", coeffs.items(), debug)
 
 
 def _root7_4km1(k: int) -> CoefficientTable:
@@ -311,7 +315,7 @@ def _root7_4km1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 4, 7), s): _f2(-4 * k + 2) * b_k / a_k,
     }
     debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
-    return _make_table(_zc(k, -1), "root7", coeffs, debug)
+    return _make_table(_zc(k, -1), "root7", coeffs.items(), debug)
 
 
 def _root15_4km1(k: int) -> CoefficientTable:
@@ -333,7 +337,7 @@ def _root15_4km1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 4, 15), s): (_f2(-8 * k + 4) + _f2(-4 * k + 3)) * b_k,
     }
     debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
-    return _make_table(_zc(k, -1), "root15", coeffs, debug)
+    return _make_table(_zc(k, -1), "root15", coeffs.items(), debug)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +441,7 @@ def _corollary3_4kp1(k: int) -> CoefficientTable:
         _dlam(q, s): Fraction(-2, k),
         _lam(q, s): Fraction(-2),
     }
-    return _make_table(_zc(k, 1), "corollary3", coeffs,
+    return _make_table(_zc(k, 1), "corollary3", coeffs.items(),
                        {"bernoulli_sum": str(w)})
 
 
@@ -451,7 +455,7 @@ def _p2_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 4), s): Fraction(4, a_k),
     }
     debug = {"a_k": str(a_k), "b_jk": _joined(b, _gaussian_str)}
-    return _make_table(_zc(k, 1), "p2", coeffs, debug)
+    return _make_table(_zc(k, 1), "p2", coeffs.items(), debug)
 
 
 def _p3_4kp1(k: int) -> CoefficientTable:
@@ -468,7 +472,7 @@ def _p3_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 6), s): 2 / b_k,
     }
     debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c, _gaussian_str)}
-    return _make_table(_zc(k, 1), "p3", coeffs, debug)
+    return _make_table(_zc(k, 1), "p3", coeffs.items(), debug)
 
 
 def _p5_4kp1(k: int) -> CoefficientTable:
@@ -485,7 +489,7 @@ def _p5_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 10), s): 2 * a_k / b_k,
     }
     debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c, _gaussian_str)}
-    return _make_table(_zc(k, 1), "p5", coeffs, debug)
+    return _make_table(_zc(k, 1), "p5", coeffs.items(), debug)
 
 
 def _root3_4kp1(k: int) -> CoefficientTable:
@@ -509,7 +513,7 @@ def _root3_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(-1, 1, 3), s): -a_k,
     }
     debug = {"a_k": str(a_k), "b_jk": _joined(b)}
-    return _make_table(_zc(k, 1), "root3_p", coeffs, debug)
+    return _make_table(_zc(k, 1), "root3_p", coeffs.items(), debug)
 
 
 def _root7_4kp1(k: int) -> CoefficientTable:
@@ -537,7 +541,7 @@ def _root7_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 4, 7), s): _f2(-4 * k) * a_k,
     }
     debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
-    return _make_table(_zc(k, 1), "root7_p", coeffs, debug)
+    return _make_table(_zc(k, 1), "root7_p", coeffs.items(), debug)
 
 
 def _root15_4kp1(k: int) -> CoefficientTable:
@@ -557,7 +561,7 @@ def _root15_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 4, 15), s): _f2(-8 * k) + _f2(-4 * k + 1),
     }
     debug = {"cot_2k_theta": str(cot2k), "c_jk": _joined(c)}
-    return _make_table(_zc(k, 1), "root15_p", coeffs, debug)
+    return _make_table(_zc(k, 1), "root15_p", coeffs.items(), debug)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +620,7 @@ def _example62_table(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2), s): ce2 / pp,
         _lam(QSymbolic(1, 4), s): ce4 / pp,
     }
-    return _make_table(f"pi^{n}", "example62", coeffs, {"pi_column": str(pp)})
+    return _make_table(f"pi^{n}", "example62", coeffs.items(), {"pi_column": str(pp)})
 
 
 def _example63_table(k: int) -> CoefficientTable:
@@ -634,7 +638,7 @@ def _example63_table(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2), s): -2 * (_f2(1 - 2 * k) + _f2(2 * k - 1)) / den,
         _lam(QSymbolic(1, 4), s): _f2(2 - 2 * k) / den,
     }
-    return _make_table(f"pi^{4 * k - 1}", "example63", coeffs,
+    return _make_table(f"pi^{4 * k - 1}", "example63", coeffs.items(),
                        {"bernoulli_sum": str(w)})
 
 
@@ -643,29 +647,18 @@ def _eliminate_zeta(method_a: str, method_b: str, method: str,
     """The tables of two zeta methods at the same k give the same zeta
     value; subtract them to cancel zeta and solve for the pi power they
     share (pi^n has the k of zeta(n))."""
-    t_a = METHODS["zeta"][method_a][2](k)
-    t_b = METHODS["zeta"][method_b][2](k)
+    _, offset, gen_a = METHODS["zeta"][method_a]
+    t_a, t_b = gen_a(k), METHODS["zeta"][method_b][2](k)
     den = t_a.pi_coefficient() - t_b.pi_coefficient()
     if den == 0:
         raise AssertionError("pi coefficients coincide; cannot eliminate")
-    acc: dict[BasisTerm, object] = {}
-
-    def add(basis, c):
-        acc[basis] = acc[basis] + c if basis in acc else c
-
-    for basis, c in t_a.entries:
-        if basis.kind != "pi_power":
-            add(basis, -c)
-    for basis, c in t_b.entries:
-        if basis.kind != "pi_power":
-            add(basis, c)
-    coeffs = {basis: c / den for basis, c in acc.items()}
-    pi_n = int(t_a.constant[5:-1])
+    terms = [(b, -c / den) for b, c in t_a.entries if b.kind != "pi_power"]
+    terms += [(b, c / den) for b, c in t_b.entries if b.kind != "pi_power"]
+    pi_n = 4 * k - offset  # the n of zeta(n) at this k (see METHODS)
+    assert {b.s for b, _ in terms} == {-pi_n}, "mismatched series order in elimination"
     debug = {"pi_column": format_coefficient(den),
              "sources": f"{t_a.method}; {t_b.method}"}
-    entries_s = {b.s for b in coeffs}
-    assert entries_s == {-pi_n}, "mismatched series order in elimination"
-    return _make_table(f"pi^{pi_n}", method, coeffs, debug)
+    return _make_table(f"pi^{pi_n}", method, terms, debug)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +744,9 @@ def coeffs_pi(which: str, k: int = 1) -> CoefficientTable:
     """
     if which not in METHODS["pi"]:
         raise DomainError(f"unknown pi method {which!r}")
-    return method_table("pi", which, 4 * k - METHODS["pi"][which][1])
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    return METHODS["pi"][which][2](k)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +783,7 @@ def coeffs_log(p: int) -> CoefficientTable:
         }
     else:
         raise DomainError(f"log tables exist only for p in (2, 3, 5), got {p}")
-    return _make_table(f"log({p})", f"log{p}", coeffs)
+    return _make_table(f"log({p})", f"log{p}", coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -802,23 +797,19 @@ def negative_q_rewrite(table: CoefficientTable) -> CoefficientTable:
     identity map when the table has no negative nomes."""
     if not any(b.kind == "lambert" and b.q.sign < 0 for b, _ in table.entries):
         return table
-    acc: dict[BasisTerm, object] = {}
-
-    def add(basis, c):
-        acc[basis] = acc[basis] + c if basis in acc else c
-
+    terms = []
     for basis, c in table.entries:
         if basis.kind == "lambert" and basis.q.sign < 0:
             q0 = basis.q.magnitude()
             h = _f2(basis.s + 1)
-            add(_lam(q0, basis.s), c * Fraction(-1))
-            add(_lam(q0.squared(), basis.s), c * (h + 2))
-            add(_lam(QSymbolic(1, 4 * q0.mult, q0.root), basis.s), c * (-h))
+            terms += [(_lam(q0, basis.s), c * Fraction(-1)),
+                      (_lam(q0.squared(), basis.s), c * (h + 2)),
+                      (_lam(QSymbolic(1, 4 * q0.mult, q0.root), basis.s), c * (-h))]
         else:
-            add(basis, c)
+            terms.append((basis, c))
     debug = dict(table.debug)
     debug["rewritten"] = "negative nomes removed via 2-section"
-    return _make_table(table.constant, table.method, acc, debug)
+    return _make_table(table.constant, table.method, terms, debug)
 
 
 def series_scale(basis: BasisTerm, ctx: PrecisionContext):

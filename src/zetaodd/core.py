@@ -369,29 +369,38 @@ def truncate_digits(value, digits: int) -> str:
 
     The caller is responsible for having computed `value` with enough guard
     digits that truncation of the approximation equals truncation of the
-    true value.
+    true value.  The truncation itself is exact: the mpf is man * 2^exp,
+    and its leading digits are an integer floor.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     v = mpf(value) if not isinstance(value, mpf) else value
     if v == 0:
         return "0." + "0" * (digits - 1) if digits > 1 else "0"
-    sign = "-" if v < 0 else ""
-    with mp.workdps(max(mp.dps, digits + 25)):
-        a = abs(v)
-        e = int(mp.floor(mp.log10(a)))
-        # log10 can land a hair off at exact powers of ten; fix up.
-        ten = mpf(10)
-        while a < ten**e:
-            e -= 1
-        while a >= ten ** (e + 1):
+    if not mp.isfinite(v):
+        raise ValueError(f"cannot truncate {v}")
+    negative, man, exp, bc = v._mpf_
+    sign = "-" if negative else ""
+    # 2^(bc+exp-1) <= |v| < 2^(bc+exp) puts the decimal exponent e within
+    # one of this estimate; step it until mant has exactly `digits` digits
+    e = math.floor((bc + exp - 1) * math.log10(2))
+    while True:
+        num, den = man, 1
+        if digits - 1 - e >= 0:
+            num *= 10 ** (digits - 1 - e)
+        else:
+            den = 10 ** (e - digits + 1)
+        if exp >= 0:
+            num <<= exp
+        else:
+            den <<= -exp
+        mant = num // den  # floor(|v| * 10^(digits-1-e))
+        if mant >= 10**digits:
             e += 1
-        mant = int(mp.floor(a * ten ** (digits - 1 - e)))
-    if mant >= 10**digits:  # floor ran into the next decade
-        mant //= 10
-        e += 1
-    if mant < 10 ** (digits - 1):  # value sat on a power of ten, floor dipped
-        mant = 10 ** (digits - 1)
+        elif mant < 10 ** (digits - 1):
+            e -= 1
+        else:
+            break
     s = str(mant)
     if 0 <= e < digits:
         ipart, fpart = s[: e + 1], s[e + 1 :]

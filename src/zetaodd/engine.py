@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_pos, round_up
@@ -19,7 +19,6 @@ from . import oracles
 from .coefficients import (
     CoefficientTable,
     assemble_detailed,
-    basis_value,
     coeffs_log,
     coeffs_pi,
     method_table,
@@ -147,25 +146,20 @@ def oracle_zeta(s: int, target_digits: int = 50,
 # ---------------------------------------------------------------------------
 
 
-def _constant_table(constant_id: str, method: str) -> CoefficientTable:
+def _constant_table(constant_id: str, method: str) -> tuple:
+    """The table of "zeta(s)", "pi^n" or "log(p)" by `method`, and the
+    constant's oracle (a function of the context, independent of the table)."""
     cid = constant_id.strip()
     if cid.startswith("zeta(") and cid.endswith(")"):
-        return zeta_table(int(cid[5:-1]), method)
+        s = int(cid[5:-1])
+        return zeta_table(s, method), lambda ctx: oracles.oracle_zeta(s, ctx)
     if cid.startswith("pi^"):
-        return pi_table(int(cid[3:]), method)
+        n = int(cid[3:])
+        return pi_table(n, method), lambda ctx: oracles.oracle_pi(ctx) ** n
     if cid.startswith("log(") and cid.endswith(")"):
-        return coeffs_log(int(cid[4:-1]))
+        p = int(cid[4:-1])
+        return coeffs_log(p), lambda ctx: oracles.oracle_log(p, ctx)
     raise DomainError(f"unknown constant id {constant_id!r}")
-
-
-def _oracle_value(constant_id: str, ctx: PrecisionContext):
-    cid = constant_id.strip()
-    if cid.startswith("zeta("):
-        return oracles.oracle_zeta(int(cid[5:-1]), ctx)
-    if cid.startswith("pi^"):
-        with ctx.workdps():
-            return oracles.oracle_pi(ctx) ** int(cid[3:])
-    return oracles.oracle_log(int(cid[4:-1]), ctx)
 
 
 def convergence_profile(constant_id: str, method: str, max_terms: int,
@@ -183,31 +177,29 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     ctx = ctx or make_context(50)
     if max_terms < 3:
         raise DomainError("max_terms must be at least 3 to fit a slope")
-    table = _constant_table(constant_id, method)
+    table, oracle = _constant_table(constant_id, method)
     series = [(b, c) for b, c in table.entries if b.kind != "pi_power"]
     if not series:
         raise DomainError(f"{constant_id} table has no series to profile")
     slow_key = min(b.q.decay_key() for b, _ in series)
-    oracle_val = _oracle_value(table.constant, ctx)
-
+    slow_entries = [(b, c) for b, c in series if b.q.decay_key() == slow_key]
+    # the other terms are assembled once, as for a result; the slowest ones
+    # are prefix sums over N = 1..max_terms, scaled as in the formula
+    fast = replace(table, entries=tuple(e for e in table.entries
+                                        if e not in slow_entries))
+    fixed = assemble_detailed(fast, ctx)[0]
     with ctx.workdps():
-        # evaluate the fast-decaying terms once, at full budget; the slowest
-        # ones as prefix sums over N = 1..max_terms, scaled as in the formula
-        budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
-        fixed = mpf(0)
+        oracle_val = oracle(ctx)
         slow = []
-        for basis, coeff in table.entries:
+        for basis, coeff in slow_entries:
             cval = eval_exact(coeff, ctx)
-            if basis.kind != "pi_power" and basis.q.decay_key() == slow_key:
-                scale = series_scale(basis, ctx)
-                sums = partial_sums(basis.kind, basis.q, basis.s, max_terms, ctx)
-                slow.append((basis, [cval * (scale * p) for p in sums]))
-            else:
-                fixed += cval * basis_value(basis, budget / (1 + abs(cval)), ctx)[0]
+            scale = series_scale(basis, ctx)
+            sums = partial_sums(basis.kind, basis.q, basis.s, max_terms, ctx)
+            slow.append([cval * (scale * p) for p in sums])
         points = []
         for n in range(1, max_terms + 1):
             approx = fixed
-            for _, sums in slow:
+            for sums in slow:
                 approx += sums[n - 1]
             delta = abs(approx - oracle_val)
             if delta == 0:
@@ -227,7 +219,7 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     # polynomial degree of the first omitted term: n^s for a plain Lambert
     # or sech term, n^(s+1) for the derivative series
     deg = max(b.s + (1 if b.kind == "lambert_derivative" else 0)
-              for b, _ in slow)
+              for b, _ in slow_entries)
     xs = [float(n) for n, _ in usable]
     ys = [float(d) + deg * math.log10(n + 1) for n, d in usable]
     n = len(xs)

@@ -5,6 +5,11 @@ certified series tails and reports a :class:`Residual`.  The multisection
 check is different in kind: it compares exact rational q-expansion
 coefficients and returns a Fraction (expected: zero).
 
+The reflection checks (``check_t1_case2``/``check_t1_case3`` and both
+cases of ``check_zeta_free``) share one right-hand side, the Bernoulli
+block sum_j (-1)^j c_j W_j hyp((T/2 - 2j) log t) of ``_bernoulli_block``;
+they differ only in the exact c_j and in the zeta term.
+
 The zeta-free two-parameter family (``check_zeta_free``) is implemented
 with the Bernoulli-sum sign (-1)^j in *both* cases; the alternative sign
 in case 1 fails numerically for every (k, a, t) tried, while (-1)^j
@@ -84,48 +89,52 @@ def check_t1_case1(t, ctx: PrecisionContext) -> Residual:
     return ev.residual(lhs, rhs)
 
 
-def check_t1_case2(k: int, t, ctx: PrecisionContext) -> Residual:
-    """The s = -(4k-1) reflection: t^-(2k-1) L_{e^(-2 pi t)} + t^(2k-1) L_{e^(-2 pi/t)}
-    against the Bernoulli block minus zeta(4k-1) cosh((2k-1) log t)."""
+def _bernoulli_block(c: list, total: int, lt):
+    """(2 pi)^(total-1) sum_j (-1)^j c_j W_j hyp((total/2 - 2j) log t), with
+    W_j = bernoulli_weight(j, total) and exact c_j; hyp is cosh when total
+    = 0 mod 4, whose middle term (argument 0) is halved, else sinh.  Each
+    exact c_j W_j is rounded once and then multiplied by hyp."""
+    half = total // 2
+    hyp = mp.cosh if half % 2 == 0 else mp.sinh
+    acc = mp.mpmathify(0)
+    for j, cj in enumerate(c):
+        w = bernoulli_weight(j, total) * cj / (2 if 2 * j == half else 1)
+        sign = 1 if (j % 2 == 0) else -1  # (-1)^j
+        acc += sign * mpf(w.numerator) / w.denominator * hyp((half - 2 * j) * lt)
+    return (2 * mp.pi) ** (total - 1) * acc
+
+
+def _check_t1(k: int, t, ctx: PrecisionContext, plus: int) -> Residual:
+    """The reflection of L at s = -(4k - plus), plus = 1 or -1, with
+    m = 2k - 1 or 2k and hyp = cosh or sinh:
+    t^-m L_{e^(-2 pi t)} + plus t^m L_{e^(-2 pi/t)} against the Bernoulli
+    block with every c_j = -1, minus plus zeta(4k - plus) hyp(m log t)."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     ev = _Evaluator(ctx)
-    s = -4 * k + 1
+    total = 4 * k + 1 - plus  # 4k for s = -(4k-1), 4k+2 for s = -(4k+1)
+    m = (total - 2) // 2
     with ctx.workdps():
         tv = _to_t(t)
         lt = mp.log(tv)
-        lhs = tv ** (-(2 * k - 1)) * ev.lambert(mp.exp(-2 * mp.pi * tv), s)
-        lhs += tv ** (2 * k - 1) * ev.lambert(mp.exp(-2 * mp.pi / tv), s)
-        acc = mp.mpmathify(0)
-        for j in range(0, k + 1):
-            w = bernoulli_weight(j, 4 * k) / (2 if j == k else 1)
-            sign = -1 if (j % 2 == 0) else 1  # (-1)^(j+1)
-            acc += sign * mpf(w.numerator) / w.denominator * mp.cosh((2 * k - 2 * j) * lt)
-        rhs = (2 * mp.pi) ** (4 * k - 1) * acc
-        rhs -= oracle_zeta(4 * k - 1, ctx) * mp.cosh((2 * k - 1) * lt)
+        lhs = tv ** (-m) * ev.lambert(mp.exp(-2 * mp.pi * tv), 1 - total)
+        lhs += plus * (tv ** m * ev.lambert(mp.exp(-2 * mp.pi / tv), 1 - total))
+        rhs = _bernoulli_block([-1] * (k + 1), total, lt)
+        hyp = mp.cosh if plus == 1 else mp.sinh
+        rhs -= plus * (oracle_zeta(total - 1, ctx) * hyp(m * lt))
     return ev.residual(lhs, rhs)
+
+
+def check_t1_case2(k: int, t, ctx: PrecisionContext) -> Residual:
+    """The s = -(4k-1) reflection: t^-(2k-1) L_{e^(-2 pi t)} + t^(2k-1) L_{e^(-2 pi/t)}
+    against the Bernoulli block minus zeta(4k-1) cosh((2k-1) log t)."""
+    return _check_t1(k, t, ctx, 1)
 
 
 def check_t1_case3(k: int, t, ctx: PrecisionContext) -> Residual:
     """The s = -(4k+1) reflection: t^-2k L_{e^(-2 pi t)} - t^2k L_{e^(-2 pi/t)}
     against the Bernoulli block plus zeta(4k+1) sinh(2k log t)."""
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    ev = _Evaluator(ctx)
-    s = -4 * k - 1
-    with ctx.workdps():
-        tv = _to_t(t)
-        lt = mp.log(tv)
-        lhs = tv ** (-2 * k) * ev.lambert(mp.exp(-2 * mp.pi * tv), s)
-        lhs -= tv ** (2 * k) * ev.lambert(mp.exp(-2 * mp.pi / tv), s)
-        acc = mp.mpmathify(0)
-        for j in range(0, k + 1):
-            w = bernoulli_weight(j, 4 * k + 2)
-            sign = -1 if (j % 2 == 0) else 1  # (-1)^(j+1)
-            acc += sign * mpf(w.numerator) / w.denominator * mp.sinh((2 * k + 1 - 2 * j) * lt)
-        rhs = (2 * mp.pi) ** (4 * k + 1) * acc
-        rhs += oracle_zeta(4 * k + 1, ctx) * mp.sinh(2 * k * lt)
-    return ev.residual(lhs, rhs)
+    return _check_t1(k, t, ctx, -1)
 
 
 def check_multisection(p: int, s: int, order: int) -> Fraction:
@@ -231,20 +240,9 @@ def check_zeta_free(case: int, k: int, a, t, ctx: PrecisionContext) -> Residual:
         else:
             lhs = tv ** (-m) * block(tv) + tv**m * block(1 / tv)
 
-        total = 4 * k + 2 if case == 1 else 4 * k
-        acc = mp.mpmathify(0)
-        for j in range(0, k + 1):
-            if case == 1:
-                coeff = af**(2 * k) + af**(-2 * k) - af**(2 * k + 1 - 2 * j) \
-                    - af**(-(2 * k + 1 - 2 * j))
-                hyp = mp.sinh((2 * k + 1 - 2 * j) * lt)
-            else:
-                coeff = af**(2 * k - 1) + af**(1 - 2 * k) - af**(2 * k - 2 * j) \
-                    - af**(2 * j - 2 * k)
-                coeff /= 2 if j == k else 1
-                hyp = mp.cosh((2 * k - 2 * j) * lt)
-            w = bernoulli_weight(j, total) * coeff
-            sign = 1 if (j % 2 == 0) else -1  # (-1)^j
-            acc += sign * mpf(w.numerator) / w.denominator * hyp
-        rhs = (2 * mp.pi) ** (total - 1) * acc
+        total = 2 * m + 2
+        # b_jk(a) or c_jk(a): a^m + a^-m - a^h - a^-h at h = total/2 - 2j
+        rhs = _bernoulli_block(
+            [af**m + af**-m - af**(m + 1 - 2 * j) - af**(2 * j - m - 1)
+             for j in range(k + 1)], total, lt)
     return ev.residual(lhs, rhs)

@@ -11,8 +11,9 @@ where the sech term is sech((n-1/2)|log q|) written in powers of q, so no
 hyperbolic function is evaluated.  Each kind is defined once (``_KINDS``):
 its term, its tail bound and its q-expansion.  The number of terms N is the
 smallest whose tail bound beats the target, found in closed form
-(``_terms_needed``).  The N-term sum is then taken on one of two paths,
-chosen by the input type:
+(``_terms_needed``); a series that would need more than ``TERM_CAP``
+terms raises ConvergenceError.  The N-term sum is then taken on one of
+two paths, chosen by the input type:
 
 * real q and integer s (every table term): the fixed-point kernel
   ``_fixed_sum``.  The N-term sum is a power series in q with exact
@@ -40,7 +41,6 @@ keeps serialized coefficient tables exact.
 from __future__ import annotations
 
 import math
-import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -52,8 +52,7 @@ from mpmath.libmp import from_man_exp
 
 from .core import ConvergenceError, DomainError, PrecisionContext
 
-DEFAULT_TERM_CAP = 10**6
-TERM_CAP_ENV = "ZETA_ODD_MAX_TERMS"
+TERM_CAP = 10**6  # the most terms any one series may take
 
 # decay rates r = mult * sqrt(root) that the published tables and their
 # negative-q rewrites can produce
@@ -62,20 +61,6 @@ _ALLOWED_ROOT_MULT = frozenset({1, 2, 4})
 _QSYM_RE = re.compile(
     r"^(?P<neg>-)?exp\(-(?:(?P<mult>\d+)\*)?(?:sqrt\((?P<root>\d+)\)\*)?pi\)$"
 )
-
-
-def term_cap() -> int:
-    """Series term cap; override with the ZETA_ODD_MAX_TERMS env var."""
-    raw = os.environ.get(TERM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_TERM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TERM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{TERM_CAP_ENV} must be >= 1, got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -301,7 +286,7 @@ def _terms_needed(kind: _Kind, qa, target) -> tuple:
     the first crossing.  A comparison within the rounding of the two ways
     of computing the bound is redone term by term, so N is exactly the one
     a term-by-term search finds, ties included."""
-    cap = term_cap()
+    cap = TERM_CAP
     lead = kind.first(qa) / kind.den(qa)  # _bound(n) = lead |q|^n weight(n)
     bounds = {}
 
@@ -328,7 +313,7 @@ def _terms_needed(kind: _Kind, qa, target) -> tuple:
                 if n > cap:
                     raise ConvergenceError(
                         f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
-                        f"within {cap} terms (set {TERM_CAP_ENV} to raise the cap)")
+                        f"within {cap} terms")
     return n, bounds[n]
 
 

@@ -1,24 +1,19 @@
 """CLI contract: deterministic stdout, JSON shape, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from zetaodd import cli
+from zetaodd import cli, series
 from zetaodd.coefficients import CoefficientTable
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("ZETA_ODD_MAX_TERMS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "zetaodd.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -219,12 +214,18 @@ def test_exit_domain_error():
     assert code == 65
 
 
-def test_exit_convergence_error():
-    code, _, err = run_cli(
-        "compute", "zeta", "--s", "3", "--digits", "80",
-        env_extra={"ZETA_ODD_MAX_TERMS": "3"})
+def test_exit_convergence_error(monkeypatch, capsys):
+    monkeypatch.setattr(series, "TERM_CAP", 3)
+    code, _, err = run_inproc("compute", "zeta", "--s", "3", "--digits", "80",
+                              capsys=capsys)
     assert code == 69
     assert "error:" in err
+    # a real input reaches the cap too: a nome this close to 1 would need
+    # more than TERM_CAP terms
+    code, out, err = run_cli("verify", "--identity", "lemma-p4",
+                             "--q", "0.99999", "--digits", "30")
+    assert code == 69
+    assert out == "" and "error: lambert_eval" in err
 
 
 def test_stdout_deterministic():

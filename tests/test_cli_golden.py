@@ -33,6 +33,25 @@ ARGVS = (
        for m in ("root15", "root7")]
     + [f"bench --s 5 --method {m} --max-terms 12 --digits 120"
        for m in ("p5", "corollary3")]
+    + [f"verify --identity {rest}" for rest in (
+        "t1c1 --t 1.5,0.5",
+        "t1c2 --k 1 --t 1.2,0.3",
+        "t1c2 --k 2 --t 1.2,0.3",
+        "t1c2 --k 3 --t 0.9,-0.25",
+        "t1c3 --k 1 --t 0.8,-0.4",
+        "t1c3 --k 2 --t 0.8,-0.4",
+        "t1c3 --k 3 --t 1.3,0.2",
+        "zeta-free --case 1 --k 1 --a 1/2 --t 1.1,0.2",
+        "zeta-free --case 1 --k 2 --a 3/2 --t 0.9,-0.3",
+        "zeta-free --case 2 --k 1 --a 1/2 --t 1.2,0.35",
+        "zeta-free --case 2 --k 2 --a 3/2 --t 0.85,0.15",
+        "lemma-p4 --q 0.3 --s -3",
+        "lemma-sech --q 0.4 --s -1",
+        "lemma-sech --q 0.4 --s -3",
+        "multisection --p 2 --s -3",
+        "multisection --p 3 --s -5",
+        "multisection --p 5 --s -3",
+        "multisection --p 7 --s -1")]
 )
 
 

@@ -36,6 +36,7 @@ from zetaodd.coefficients import (
 )
 from zetaodd.core import I, DomainError, Surd, make_context
 from zetaodd.oracles import oracle_log, oracle_pi, oracle_zeta
+from zetaodd.series import QSymbolic
 
 F = Fraction
 
@@ -620,6 +621,19 @@ def test_k_must_be_positive():
             coeffs_4km1("corollary", bad)
         with pytest.raises(DomainError):
             coeffs_4kp1("p5", bad)
+        for which in PI_METHODS:
+            with pytest.raises(DomainError):
+                coeffs_pi(which, bad)
+
+
+def test_make_table_sums_repeated_bases():
+    # the 2-section rewrite of log 3 lands its -e^-3pi term on e^-6pi,
+    # which the table already has; the two coefficients are summed
+    t = negative_q_rewrite(coeffs_log(3))
+    h = 1  # 2^(s+1) at s = -1
+    assert t.coefficient(BasisTerm("lambert", q=QSymbolic(1, 6), s=-1)) == \
+        Fraction(4, 3) + Fraction(4, 3) * (h + 2)
+    assert len({b for b, _ in t.entries}) == len(t.entries)
 
 
 def test_registry_dispatch():

@@ -336,6 +336,57 @@ def test_truncate_digits_zeta3():
     assert s == "1.20205690315959428539973816151"
 
 
+def _exact(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def test_truncate_digits_below_a_power_of_ten():
+    # the binary mpf nearest 1/100 lies below it, so its digits are 9s
+    with mp.workdps(40):
+        x = mp.mpf(10) ** -2
+        assert _exact(x) < Fraction(1, 100)
+        assert truncate_digits(x, 10) == "0.009999999999"
+
+
+@st.composite
+def _near_boundaries(draw):
+    """(mpf, digits): a power of ten or a digits-digit boundary
+    m * 10^(e-digits+1), rounded to a precision near the digits, then moved
+    by up to two ulps; either sign."""
+    digits = draw(st.integers(1, 1000))
+    e = draw(st.integers(-40, 40))
+    if draw(st.booleans()):
+        m = 10 ** (digits - 1)
+    else:
+        m = draw(st.integers(10 ** (digits - 1), 10 ** digits))
+    target = m * Fraction(10) ** (e - digits + 1)
+    prec = draw(st.integers(max(2, int(3.33 * digits) - 8), int(3.33 * digits) + 200))
+    with mp.workprec(prec):
+        x = mp.mpf(target.numerator) / target.denominator
+        man, exp = x.man_exp
+        x = mp.ldexp(mp.mpf(man + draw(st.integers(-2, 2))), exp)
+    return (-x if draw(st.booleans()) else x), digits
+
+
+@given(case=_near_boundaries())
+@settings(max_examples=80, deadline=None)
+def test_truncate_digits_is_the_exact_floor(case):
+    x, digits = case
+    text = truncate_digits(x, digits)
+    if x == 0:
+        return
+    # text is ±P with exactly `digits` significant digits, and
+    # P <= |x| < P + one unit in its last place
+    body = text.lstrip("-")
+    assert text.startswith("-") == (x < 0)
+    mant = body.split("e")[0].replace(".", "").lstrip("0")
+    assert len(mant) == digits
+    p = Fraction(body)
+    ulp = p / int(mant)
+    assert p <= abs(_exact(x)) < p + ulp
+
+
 def test_errors_are_distinct():
     assert issubclass(DomainError, ValueError)
     from zetaodd.core import ConvergenceError

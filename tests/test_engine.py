@@ -206,9 +206,9 @@ def test_profile_pi_constant():
 
 
 def test_term_cap_propagates(monkeypatch):
-    from zetaodd.series import TERM_CAP_ENV
+    from zetaodd import series
 
-    monkeypatch.setenv(TERM_CAP_ENV, "3")
+    monkeypatch.setattr(series, "TERM_CAP", 3)
     with pytest.raises(ConvergenceError):
         zeta_odd(3, method="corollary", target_digits=60)
 

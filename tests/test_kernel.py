@@ -21,7 +21,6 @@ from zetaodd.coefficients import (
 )
 from zetaodd.core import ConvergenceError, PrecisionContext, make_context
 from zetaodd.series import (
-    TERM_CAP_ENV,
     QSymbolic,
     lambert_derivative_eval,
     lambert_eval,
@@ -92,10 +91,10 @@ def test_kernel_real_nomes_off_the_tables():
 
 
 def _loop_terms_needed(kind, qa, target):
-    """The term-by-term search the closed form replaced, kept verbatim as
-    the reference: smallest N whose tail bound is below target."""
+    """The term-by-term search the closed form replaced, kept as the
+    reference: smallest N whose tail bound is below target."""
     den = kind.den(qa)
-    cap = series.term_cap()
+    cap = series.TERM_CAP
     qpow = kind.first(qa) * qa  # first(|q|) |q|^N
     n = 1
     while (bound := qpow * kind.weight(n) / den) >= target:
@@ -103,7 +102,7 @@ def _loop_terms_needed(kind, qa, target):
         if n > cap:
             raise ConvergenceError(
                 f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
-                f"within {cap} terms (set {TERM_CAP_ENV} to raise the cap)")
+                f"within {cap} terms")
         qpow *= qa
     return n, bound
 
@@ -148,11 +147,12 @@ def test_closed_form_n_before_the_derivative_bound_peaks():
 
 @pytest.mark.parametrize("kind", list(EVALUATORS))
 def test_term_cap_three_raises_naming_evaluator_and_env(kind, monkeypatch):
-    monkeypatch.setenv(TERM_CAP_ENV, "3")
+    monkeypatch.setattr(series, "TERM_CAP", 3)
     with pytest.raises(ConvergenceError) as info:
         EVALUATORS[kind](QSymbolic(1, 1), -3, mpf("1e-40"), make_context(50))
     message = str(info.value)
-    assert series._KINDS[kind].name in message and TERM_CAP_ENV in message
+    assert series._KINDS[kind].name in message and "within 3 terms" in message
+    assert "ZETA_ODD_MAX_TERMS" not in message
     # the cap is the largest N allowed, as in the search
     with mp.workdps(70):
         qa = QSymbolic(1, 1).value(make_context(50))

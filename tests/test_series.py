@@ -1,6 +1,5 @@
 """Lambert / sech series evaluation: partial sums, tail bounds, term caps."""
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -8,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from zetaodd import series
 from zetaodd.core import ConvergenceError, make_context
 from zetaodd.series import (
-    DEFAULT_TERM_CAP,
-    TERM_CAP_ENV,
+    TERM_CAP,
     QSymbolic,
     divisor_sigma,
     lambert_derivative_eval,
@@ -173,21 +172,15 @@ def test_sech_series_alternating_signs():
 
 
 def test_term_cap_env_triggers_convergence_error(monkeypatch):
-    monkeypatch.setenv(TERM_CAP_ENV, "4")
+    monkeypatch.setattr(series, "TERM_CAP", 4)
     with pytest.raises(ConvergenceError):
         lambert_eval(QSymbolic(1, 2), -3, mpf("1e-40"), CTX)
 
 
 def test_term_cap_env_restored(monkeypatch):
-    monkeypatch.delenv(TERM_CAP_ENV, raising=False)
+    monkeypatch.setenv("ZETA_ODD_MAX_TERMS", "4")  # the program reads no env var
     r = lambert_eval(QSymbolic(1, 2), -3, mpf("1e-40"), CTX)
-    assert r.terms_used < DEFAULT_TERM_CAP
-
-
-def test_term_cap_env_bad_value(monkeypatch):
-    monkeypatch.setenv(TERM_CAP_ENV, "not-a-number")
-    with pytest.raises((ValueError, ConvergenceError)):
-        lambert_eval(QSymbolic(1, 2), -3, mpf("1e-40"), CTX)
+    assert r.terms_used < TERM_CAP == 10**6
 
 
 def test_nome_magnitude_guard():
