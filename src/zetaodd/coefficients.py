@@ -812,27 +812,29 @@ def negative_q_rewrite(table: CoefficientTable) -> CoefficientTable:
     return _make_table(table.constant, table.method, terms, debug)
 
 
-def series_scale(basis: BasisTerm, ctx: PrecisionContext):
-    """Factor in front of a basis term's series: pi*q for the q-derivative,
-    which the formulas use as pi q dL/dq (|pi q| < 1 for our nomes), else 1."""
+def nome_values(entries, ctx: PrecisionContext) -> dict:
+    """The value of each distinct nome of (basis, coefficient) entries."""
+    return {q: q.value(ctx) for q in {b.q for b, _ in entries} - {None}}
+
+
+def series_scale(basis: BasisTerm, qv):
+    """Factor in front of a basis term's series at the nome value qv: pi*q
+    for the q-derivative, which the formulas use as pi q dL/dq, else 1."""
     if basis.kind == "lambert_derivative":
-        return mp.pi * basis.q.value(ctx)
+        return mp.pi * qv
     return 1
 
 
-def basis_value(basis: BasisTerm, target, ctx: PrecisionContext) -> tuple:
-    """(value, error bound, terms used) of one basis term at working precision,
-    its series summed until the tail bound is below target; the error bound
-    is the tail plus the rounding error the series kernel certifies."""
+def basis_value(basis: BasisTerm, qv, target, ctx: PrecisionContext) -> tuple:
+    """(value, error bound, terms used) of one basis term at the nome value
+    qv, its series summed until the tail bound is below target; the error
+    bound is the tail plus the rounding error the series kernel certifies."""
     if basis.kind == "pi_power":
         return mp.pi ** basis.power, mpf(0), 0
-    if basis.kind == "lambert":
-        r = lambert_eval(basis.q, basis.s, target, ctx)
-    elif basis.kind == "sech_series":
-        r = sech_series(basis.q, basis.s, target, ctx)
-    else:
-        r = lambert_derivative_eval(basis.q, basis.s, target, ctx)
-    scale = series_scale(basis, ctx)
+    evaluate = {"lambert": lambert_eval, "sech_series": sech_series,
+                "lambert_derivative": lambert_derivative_eval}[basis.kind]
+    r = evaluate(qv, basis.s, target, ctx)
+    scale = series_scale(basis, qv)
     return scale * r.value, (r.tail_bound + r.rounding_error) * abs(scale), r.terms_used
 
 
@@ -847,6 +849,7 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
     """
     with ctx.workdps():
         budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
+        nomes = nome_values(table.entries, ctx)
         total = mpf(0)
         err = mpf(0)
         size = mpf(0)  # sum of |c_i v_i|, the scale of the rounding error
@@ -854,7 +857,7 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
         for basis, coeff in table.entries:
             cval = eval_exact(coeff, ctx)
             cmag = abs(cval)
-            val, tb, used = basis_value(basis, budget / (1 + cmag), ctx)
+            val, tb, used = basis_value(basis, nomes.get(basis.q), budget / (1 + cmag), ctx)
             terms[str(basis)] = used
             total += cval * val
             err += cmag * tb

@@ -338,8 +338,12 @@ def surd_trig(m: int, multiple: int, kind: str) -> Surd:
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    # the power of sqrt(m) + i has integer parts, cheaper than Fractions
-    z = (Surd.sqrt(m) + I) ** multiple / Surd.sqrt(m + 1) ** multiple
+    # 1/(sqrt(m) + i) = (sqrt(m) - i)/(m+1); the power has integer parts, and
+    # 1/sqrt(m+1)^n is rational, times sqrt(m+1)/(m+1) for odd n
+    n, i = abs(multiple), (I if multiple >= 0 else -I)
+    z = (Surd.sqrt(m) + i) ** n * Fraction(1, (m + 1) ** (n // 2))
+    if n % 2:
+        z = z * Surd.sqrt(m + 1) / (m + 1)
     return z.re if kind == "cos" else z.im
 
 

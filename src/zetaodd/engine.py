@@ -22,10 +22,12 @@ from .coefficients import (
     coeffs_log,
     coeffs_pi,
     method_table,
+    nome_values,
     resolve_method,
     series_scale,
 )
 from .core import (
+    ConvergenceError,
     DomainError,
     PrecisionContext,
     eval_exact,
@@ -80,10 +82,23 @@ def _shared(text: str) -> str:
     return text
 
 
-def _result(table: CoefficientTable, ctx: PrecisionContext,
-            t0: float) -> ConstantResult:
-    value, err, terms = assemble_detailed(table, ctx)
-    decimal = truncate_digits(value, ctx.target_digits)
+ZIV_ATTEMPTS = 5  # assemblies of one table, the guard digits doubling each time
+
+
+def _result(table: CoefficientTable, digits: int, t0: float) -> ConstantResult:
+    """Emit the digits shared by both ends of the certified interval
+    value -+ err, which are those of the constant (Ziv's test); while the
+    ends differ, re-assemble the table with twice the guard digits."""
+    ctx = make_context(digits)
+    for _ in range(ZIV_ATTEMPTS):
+        value, err, terms = assemble_detailed(table, ctx)
+        decimal = truncate_digits(mp.fsub(value, err, exact=True), digits)
+        if decimal == truncate_digits(mp.fadd(value, err, exact=True), digits):
+            break
+        ctx = replace(ctx, guard_digits=2 * ctx.guard_digits)
+    else:
+        raise ConvergenceError(f"{table.constant}: the first {digits} digits were "
+                               f"not certified within {ZIV_ATTEMPTS} attempts")
     # a result keeps no working-precision mantissa and no fresh key strings
     err = mp.make_mpf(mpf_pos(err._mpf_, 53, round_up))
     terms = {_shared(basis): n for basis, n in terms.items()}
@@ -91,30 +106,24 @@ def _result(table: CoefficientTable, ctx: PrecisionContext,
                           err, terms, time.perf_counter() - t0)
 
 
-def zeta_odd(s: int, method: str = "auto", target_digits: int = 50,
-             ctx: PrecisionContext | None = None) -> ConstantResult:
+def zeta_odd(s: int, method: str = "auto", target_digits: int = 50) -> ConstantResult:
     """zeta(s) for odd s >= 3 to target_digits, with a certified bound."""
     t0 = time.perf_counter()
-    ctx = ctx or make_context(target_digits)
-    return _result(zeta_table(s, method), ctx, t0)
+    return _result(zeta_table(s, method), target_digits, t0)
 
 
-def pi_power(n: int, method: str = "auto", target_digits: int = 50,
-             ctx: PrecisionContext | None = None) -> ConstantResult:
+def pi_power(n: int, method: str = "auto", target_digits: int = 50) -> ConstantResult:
     """pi^n for odd n >= 1 straight from a Lambert-series table (see pi_table)."""
     t0 = time.perf_counter()
     if n < 1 or n % 2 == 0:
         raise DomainError(f"n must be an odd integer >= 1, got {n}")
-    ctx = ctx or make_context(target_digits)
-    return _result(pi_table(n, method), ctx, t0)
+    return _result(pi_table(n, method), target_digits, t0)
 
 
-def log_prime(p: int, target_digits: int = 50,
-              ctx: PrecisionContext | None = None) -> ConstantResult:
+def log_prime(p: int, target_digits: int = 50) -> ConstantResult:
     """log p for p in (2, 3, 5) from the s = -1 tables."""
     t0 = time.perf_counter()
-    ctx = ctx or make_context(target_digits)
-    return _result(coeffs_log(p), ctx, t0)
+    return _result(coeffs_log(p), target_digits, t0)
 
 
 def zeta3_first_order(ctx: PrecisionContext | None = None):
@@ -190,11 +199,12 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     fixed = assemble_detailed(fast, ctx)[0]
     with ctx.workdps():
         oracle_val = oracle(ctx)
+        nomes = nome_values(slow_entries, ctx)
         slow = []
         for basis, coeff in slow_entries:
             cval = eval_exact(coeff, ctx)
-            scale = series_scale(basis, ctx)
-            sums = partial_sums(basis.kind, basis.q, basis.s, max_terms, ctx)
+            scale = series_scale(basis, nomes[basis.q])
+            sums = partial_sums(basis.kind, nomes[basis.q], basis.s, max_terms, ctx)
             slow.append([cval * (scale * p) for p in sums])
         points = []
         for n in range(1, max_terms + 1):

@@ -9,21 +9,21 @@ algebraic term in q:
 
 where the sech term is sech((n-1/2)|log q|) written in powers of q, so no
 hyperbolic function is evaluated.  Each kind is defined once (``_KINDS``):
-its term, its tail bound and its q-expansion.  The number of terms N is the
-smallest whose tail bound beats the target, found in closed form
-(``_terms_needed``); a series that would need more than ``TERM_CAP``
-terms raises ConvergenceError.  The N-term sum is then taken on one of
-two paths, chosen by the input type:
+its term, its tail bound and its q-expansion.  s is an integer throughout.
+The number of terms N is the smallest n whose closed-form tail bound
+(``_bound``) is below the target (``_terms_needed``); a series that would
+need more than ``TERM_CAP`` terms raises ConvergenceError.  The N-term sum
+is then taken on one of two paths, chosen by the nome:
 
-* real q and integer s (every table term): the fixed-point kernel
-  ``_fixed_sum``.  The N-term sum is a power series in q with exact
-  rational coefficients from one divisor sieve, summed by rectangular
-  splitting in Python ints.  It returns the sum exactly to its precision
-  together with a certified rounding error: the terms past the order it
-  keeps, bounded through |coefficient| <= d(m) <= 2 sqrt(m), and one unit
-  per fixed-point shift or division, weighted by what multiplies it later.
+* real q (every table term): the fixed-point kernel ``_fixed_sum``.  The
+  N-term sum is a power series in q with exact rational coefficients from
+  one divisor sieve, summed by rectangular splitting in Python ints.  It
+  returns the sum exactly to its precision together with a certified
+  rounding error: the terms past the order it keeps, bounded through
+  |coefficient| <= d(m) <= 2 sqrt(m), and one unit per fixed-point shift
+  or division, weighted by what multiplies it later.
   ``coefficients.basis_value`` adds that error to the tail.
-* complex q or s (the identity checks), a target so loose that the power
+* complex q (the identity checks), a target so loose that the power
   series would need more than 4N + 64 powers of q, and ``partial_sums``
   (the convergence profile, which wants every prefix): the term-by-term
   loop ``_sums`` at working precision.  Its rounding is left to the caller's
@@ -32,8 +32,8 @@ two paths, chosen by the input type:
 ``lambert_eval``, ``lambert_derivative_eval``, ``sech_series`` and
 ``partial_sums`` are thin entry points over them.
 
-q arguments are either raw numbers (identity checks at complex points) or
-:class:`QSymbolic` nomes of the shape sign * exp(-r*pi) with r drawn from
+q arguments are numbers (a table's nome values, and complex points in the
+identity checks) or :class:`QSymbolic` nomes sign * exp(-r*pi) with r from
 the closed set the published formulas generate; the symbolic form is what
 keeps serialized coefficient tables exact.
 """
@@ -162,13 +162,6 @@ def _to_mp(q, ctx: PrecisionContext):
     return _num(q)
 
 
-def _pow_ns(n: int, s):
-    """n**s, principal branch for complex s (log n real since n >= 1)."""
-    if isinstance(s, int):
-        return mp.power(n, s)
-    return mp.exp(s * mp.log(mpf(n)))
-
-
 def _lambert_expansion(a: int, n_terms: int, order: int) -> tuple:
     """q^(m-1) coefficients of the n_terms-term Lambert sum over q, m = 1..order+1:
     c_m = sum of d^-a over the divisors d <= n_terms of m, as e_m / m^a."""
@@ -204,14 +197,14 @@ def _sech_expansion(a: int, n_terms: int, order: int) -> tuple:
 class _Kind:
     """One basis series: the sum over n >= 1 of term(n, s, y, y*q), where y
     runs through first(q) * q^(n-1).  After N terms the tail is at most
-    first(|q|) |q|^N weight(N) / den(|q|) whenever Re(s) <= max_re_s.
+    first(|q|) |q|^N weight(N) / den(|q|) whenever s <= max_s.
 
-    For integer s the N-term sum is also first(q) * sum_m b_m q^m with exact
-    b_m = nums[m] / dens[m] from expansion(-s, N, order), and |b_m| <=
-    coef_bound(m) for s <= max_re_s."""
+    The N-term sum is also first(q) * sum_m b_m q^m with exact b_m =
+    nums[m] / dens[m] from expansion(-s, N, order), and |b_m| <=
+    coef_bound(m) for s <= max_s."""
 
     name: str  # the public evaluator, for error messages
-    max_re_s: int
+    max_s: int
     real_nome: bool  # q must lie in (0, 1), not just inside the unit disc
     first: Callable
     term: Callable
@@ -222,7 +215,7 @@ class _Kind:
 
 
 # Lambert: |n^s| <= 1 and |1-q^n| >= 1-|q|, and the geometric tail supplies
-# the other 1/(1-|q|).  Derivative: the same argument with Re(s+1) <= 0; the
+# the other 1/(1-|q|).  Derivative: the same argument with s+1 <= 0; the
 # factor (1+N) covers the n^(s+1) weights for s near -1.  Sech: y = q^(n-1/2)
 # = e^(-(n-1/2)|log q|), so the term is (2n-1)^s sech((n-1/2)|log q|); terms
 # alternate and decrease for s <= 0, so the tail is at most the first
@@ -231,17 +224,17 @@ class _Kind:
 _KINDS = {
     "lambert": _Kind(
         "lambert_eval", 0, False, lambda q: q,
-        lambda n, s, y, yq: _pow_ns(n, s) * y / (1 - y),
+        lambda n, s, y, yq: mp.power(n, s) * y / (1 - y),
         lambda n: 1, lambda qa: (1 - qa) ** 2,
         _lambert_expansion, lambda m: 2 * math.sqrt(m + 1)),
     "lambert_derivative": _Kind(
         "lambert_derivative_eval", -1, False, lambda q: mp.mpmathify(1),
-        lambda n, s, y, yq: _pow_ns(n, s + 1) * y / (1 - yq) ** 2,
+        lambda n, s, y, yq: mp.power(n, s + 1) * y / (1 - yq) ** 2,
         lambda n: 1 + n, lambda qa: (1 - qa) ** 3,
         _derivative_expansion, lambda m: 2 * (m + 1) ** 1.5),
     "sech_series": _Kind(
         "sech_series", 0, True, mp.sqrt,
-        lambda n, s, y, yq: (-1) ** n * _pow_ns(2 * n - 1, s) * 2 * y / (1 + y * y),
+        lambda n, s, y, yq: (-1) ** n * mp.power(2 * n - 1, s) * 2 * y / (1 + y * y),
         lambda n: 2, lambda qa: 1 - qa * qa,
         _sech_expansion, lambda m: 4 * math.sqrt(2 * m + 1)),
 }
@@ -257,19 +250,12 @@ def _nome(kind: _Kind, q, ctx: PrecisionContext):
     return qv
 
 
-def _bound(kind: _Kind, qa, n: int):
-    """The tail bound after n terms, at working precision."""
-    return kind.first(qa) / kind.den(qa) * qa ** n * kind.weight(n)
-
-
-def _bound_termwise(kind: _Kind, qa, n: int):
-    """The tail bound rounded as a term-by-term search rounds it, |q|
-    multiplied in one factor at a time; it settles the near-ties that
-    _bound cannot."""
-    qpow = kind.first(qa) * qa
-    for _ in range(n - 1):
-        qpow *= qa
-    return qpow * kind.weight(n) / kind.den(qa)
+def _bound(kind: _Kind, qa, n: int, lead=None):
+    """The tail bound after n terms, lead |q|^n weight(n) with lead =
+    first(|q|) / den(|q|), at working precision."""
+    if lead is None:
+        lead = kind.first(qa) / kind.den(qa)
+    return lead * qa ** n * kind.weight(n)
 
 
 def _ln(x) -> float:
@@ -283,38 +269,30 @@ def _terms_needed(kind: _Kind, qa, target) -> tuple:
     N is estimated from float logs and confirmed at working precision by
     bound(N) < target <= bound(N-1).  The bound can only rise before it
     falls (weight(n) = 1+n), so with bound(1) >= target the confirmed N is
-    the first crossing.  A comparison within the rounding of the two ways
-    of computing the bound is redone term by term, so N is exactly the one
-    a term-by-term search finds, ties included."""
+    the first crossing."""
     cap = TERM_CAP
-    lead = kind.first(qa) / kind.den(qa)  # _bound(n) = lead |q|^n weight(n)
-    bounds = {}
-
-    def below(n: int) -> bool:
-        b = bounds[n] = lead * qa ** n * kind.weight(n)
-        if abs(b - target) <= b * mp.ldexp(n + 8, 2 - mp.prec):
-            b = _bound_termwise(kind, qa, n)
-        return b < target
-
-    n = 1
-    if not below(1):
+    lead = kind.first(qa) / kind.den(qa)
+    n, bound = 1, _bound(kind, qa, 1, lead)
+    if bound >= target:
         rate = max(-_ln(qa), 1e-300)
         c = _ln(lead) - _ln(target)
         est = 1.0
         for _ in range(8):  # the weight is 1, 2 or 1+n: a fixed point
             est = (c + math.log(kind.weight(min(max(est, 1.0), cap)))) / rate
         n = cap if est >= cap else max(2, math.floor(est) + 1)
-        if below(n):
-            while n > 2 and below(n - 1):
-                n -= 1
+        bound = _bound(kind, qa, n, lead)
+        if bound < target:
+            while n > 2 and (prev := _bound(kind, qa, n - 1, lead)) < target:
+                n, bound = n - 1, prev
         else:
-            while not below(n):
+            while bound >= target:
                 n += 1
                 if n > cap:
                     raise ConvergenceError(
                         f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
                         f"within {cap} terms")
-    return n, bounds[n]
+                bound = _bound(kind, qa, n, lead)
+    return n, bound
 
 
 def _sums(kind: _Kind, qv, s, n_terms: int):
@@ -410,6 +388,11 @@ def _fixed_sum(kind: _Kind, qv, s: int, n_terms: int) -> tuple:
             mp.make_mpf(from_man_exp(err, -prec)))
 
 
+def _check_s(kind: _Kind, s) -> None:
+    if not isinstance(s, int) or s > kind.max_s:
+        raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {s!r}")
+
+
 def partial_sums(kind: str, q, s, n_terms: int, ctx: PrecisionContext) -> list:
     """Partial sums over N = 1..n_terms of the series of a basis kind
     ("lambert", "lambert_derivative" or "sech_series"), at working precision."""
@@ -424,17 +407,15 @@ def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> Serie
     k = _KINDS[kind]
     with ctx.workdps():
         qv = _nome(k, q, ctx)
-        if mp.re(_num(s)) > k.max_re_s:
-            raise DomainError(f"{k.name} requires Re(s) <= {k.max_re_s}")
+        _check_s(k, s)
         target = _num(target_abs_error)
         if target <= 0:
             raise ValueError("target_abs_error must be positive")
         n, bound = _terms_needed(k, abs(qv), target)
-        fixed = (isinstance(s, int) and not isinstance(qv, mp.mpc)
-                 and _fixed_sum(k, qv, s, n))
+        fixed = not isinstance(qv, mp.mpc) and _fixed_sum(k, qv, s, n)
         if fixed:
             value, rounding = fixed
-        else:  # complex q or s (the identity checks), or a loose target
+        else:  # complex q (the identity checks), or a loose target
             *_, value = _sums(k, qv, s, n)
             rounding = 0
         return SeriesResult(value, n, bound, ctx.working_digits, rounding)
@@ -446,12 +427,11 @@ def lambert_partial_sum(q, s, n_terms: int, ctx: PrecisionContext):
 
 
 def tail_bound(q_abs, s, n_terms: int, ctx: PrecisionContext | None = None) -> mpf:
-    """|q|^(N+1)/(1-|q|)^2, the Lambert tail bound past N terms for Re(s) <= 0."""
-    if mp.re(_num(s)) > 0:
-        raise DomainError("tail_bound is unsupported for Re(s) > 0; pass explicit N")
+    """|q|^(N+1)/(1-|q|)^2, the Lambert tail bound past N terms for integer s <= 0."""
+    k = _KINDS["lambert"]
+    _check_s(k, s)
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    k = _KINDS["lambert"]
     with mp.workdps(ctx.working_digits if ctx else mp.dps):
         qa = abs(_to_mp(q_abs, ctx) if ctx else _num(q_abs))
         if qa >= 1:
@@ -465,13 +445,13 @@ def lambert_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
 
 
 def lambert_derivative_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
-    """dL_q(s)/dq = sum_{n>=1} n^(s+1) q^(n-1)/(1-q^n)^2, certified; Re(s) <= -1."""
+    """dL_q(s)/dq = sum_{n>=1} n^(s+1) q^(n-1)/(1-q^n)^2, certified; s <= -1."""
     return _evaluate("lambert_derivative", q, s, target_abs_error, ctx)
 
 
 def sech_series(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
     """S_q(s) = sum_{n>=0} (-1)^(n+1) (2n+1)^s sech((n+1/2)|log q|), 0 < q < 1,
-    certified; Re(s) <= 0."""
+    certified; s <= 0."""
     return _evaluate("sech_series", q, s, target_abs_error, ctx)
 
 

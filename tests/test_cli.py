@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from zetaodd import cli, series
+from mpmath import mpf
+
+from zetaodd import cli, engine, series
 from zetaodd.coefficients import CoefficientTable
 
 
@@ -226,6 +228,16 @@ def test_exit_convergence_error(monkeypatch, capsys):
                              "--q", "0.99999", "--digits", "30")
     assert code == 69
     assert out == "" and "error: lambert_eval" in err
+
+
+def test_exit_convergence_when_digits_stay_uncertified(monkeypatch, capsys):
+    # an interval that never narrows to one string of digits
+    monkeypatch.setattr(engine, "assemble_detailed",
+                        lambda table, ctx: (mpf(1), mpf("0.5"), {}))
+    code, out, err = run_inproc("compute", "zeta", "--s", "3", "--digits", "20",
+                                capsys=capsys)
+    assert code == 69
+    assert out == "" and "error: zeta(3)" in err
 
 
 def test_stdout_deterministic():

@@ -1,10 +1,20 @@
 """End-to-end evaluation: every method reproduces the oracles at the
 requested precision with a sound certified bound."""
 
+from decimal import ROUND_DOWN, Decimal, localcontext
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from zetaodd.coefficients import assemble_detailed
+from zetaodd import engine
+from zetaodd.coefficients import (
+    METHODS,
+    ZETA_4KM1_METHODS,
+    ZETA_4KP1_METHODS,
+    assemble_detailed,
+)
 from zetaodd.core import ConvergenceError, DomainError, make_context
 from zetaodd.engine import (
     ConstantResult,
@@ -216,7 +226,7 @@ def test_term_cap_propagates(monkeypatch):
 @pytest.mark.parametrize("s,method,digits", [(3, "root15", 1000), (5, "p5", 60)])
 def test_error_bound_rounded_up_to_53_bits(s, method, digits):
     ctx = make_context(digits)
-    res = zeta_odd(s, method, digits, ctx)
+    res = zeta_odd(s, method, digits)
     _, err, _ = assemble_detailed(zeta_table(s, method), ctx)
     assert res.error_bound >= err
     assert res.error_bound._mpf_[3] <= 53  # bit count of the mantissa
@@ -228,3 +238,66 @@ def test_results_share_their_key_strings():
     assert a.constant_id is b.constant_id
     assert all(x is y for x, y in zip(a.terms_used, b.terms_used))
     assert not hasattr(a, "__dict__")  # slots
+
+
+# ------------------------------------------------------ certified digits
+
+# zeta(199), zeta(201) and zeta(401) sit within 1e-59 of 1, where the
+# default guard digits leave the interval straddling a digit boundary
+CASES = ([("zeta", s, m) for s in (3, 7, 199) for m in ZETA_4KM1_METHODS]
+         + [("zeta", s, m) for s in (5, 9, 201, 401) for m in ZETA_4KP1_METHODS]
+         + [("pi", 4 - offset, m) for m, (_, offset, _) in METHODS["pi"].items()]
+         + [("log", p, None) for p in (2, 3, 5)])
+
+
+@given(case=st.sampled_from(CASES), digits=st.integers(1, 600))
+@example(case=("zeta", 401, "p3"), digits=60)  # printed 0.999... with 20 guard digits
+@example(case=("zeta", 201, "root7_p"), digits=10)
+@settings(max_examples=25, deadline=None)
+def test_digits_are_the_constant_truncated(case, digits):
+    what, n, method = case
+    if what == "zeta":
+        res = zeta_odd(n, method, digits)
+    elif what == "pi":
+        res = pi_power(n, method, digits)
+    else:
+        res = log_prime(n, digits)
+    with mp.workdps(digits + 30):
+        true = {"zeta": mp.zeta, "pi": lambda n: mp.pi ** n, "log": mp.log}[what](n)
+        with localcontext() as c:
+            c.prec, c.rounding = digits, ROUND_DOWN
+            want = +Decimal(mp.nstr(true, digits + 25))
+        assert Decimal(res.decimal_value) == want
+        ulp = mpf(10) ** (mp.floor(mp.log10(true)) - digits + 1)
+        assert abs(mpf(res.decimal_value) - true) <= res.error_bound + ulp
+
+
+def _guards(monkeypatch, assemble=None) -> list:
+    """The guard digits of every assembly, which `assemble` (by default
+    the real one) then performs."""
+    guards, assemble = [], assemble or engine.assemble_detailed
+
+    def spy(table, ctx):
+        guards.append(ctx.guard_digits)
+        return assemble(table, ctx)
+
+    monkeypatch.setattr(engine, "assemble_detailed", spy)
+    return guards
+
+
+def test_uncertain_digits_are_reassembled_with_more_guard_digits(monkeypatch):
+    guards = _guards(monkeypatch)
+    assert zeta_odd(3, "root15", 10).decimal_value == "1.202056903"
+    assert guards == [20]  # the common case: one assembly
+    guards.clear()
+    res = zeta_odd(201, "p2", 10)  # 1 + 3e-61: 20 guard digits leave it at 0.9999999999
+    assert res.decimal_value == "1.000000000"
+    assert guards == [20, 40, 80, 160]
+    assert res.error_bound < mpf(2) ** -201
+
+
+def test_interval_that_never_narrows_raises(monkeypatch):
+    guards = _guards(monkeypatch, lambda table, ctx: (mpf(1), mpf("0.5"), {}))
+    with pytest.raises(ConvergenceError, match=r"zeta\(3\).*5 attempts"):
+        zeta_odd(3, "root15", 20)
+    assert guards == [20, 40, 80, 160, 320]

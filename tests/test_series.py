@@ -192,6 +192,19 @@ def test_nome_magnitude_guard():
         lambert_eval(mpf(1), -3, mpf("1e-10"), CTX)
 
 
+def test_non_integer_s_rejected():
+    from zetaodd.core import DomainError
+
+    for s in (mpf(-3), F(-3), -3.0, mp.mpc(-3, 1)):
+        for evaluate in (lambert_eval, lambert_derivative_eval, sech_series):
+            with pytest.raises(DomainError, match="integer s"):
+                evaluate(QSymbolic(1, 2), s, mpf("1e-10"), CTX)
+        with pytest.raises(DomainError, match="integer s"):
+            tail_bound(mpf("0.5"), s, 3, CTX)
+    with pytest.raises(DomainError, match="integer s <= -1"):
+        lambert_derivative_eval(QSymbolic(1, 2), 0, mpf("1e-10"), CTX)
+
+
 # ------------------------------------------------- q-expansion / divisor sums
 
 
