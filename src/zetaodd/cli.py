@@ -9,6 +9,7 @@ usage, 65 domain error, 69 convergence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -34,12 +35,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _digits(text: str) -> int:
-    """--digits: a positive int, else argparse's usage error (exit 64)."""
+def _positive_int(text: str) -> int:
+    """--digits, --order: a positive int, else argparse's usage error (exit 64)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _readable(parse, what: str):
+    """An argparse type that rejects text `parse` cannot read (exit 64) and
+    keeps the text as given, so the lines that print it keep their bytes."""
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except (ValueError, ZeroDivisionError):  # argparse misses the latter
+            raise argparse.ArgumentTypeError(
+                f"expects {what}, got {text!r}") from None
+        return text
+    return check
 
 
 def _bound_exponent(err) -> int:
@@ -180,6 +194,7 @@ def _cmd_bench(args) -> int:
     return EX_OK
 
 
+@functools.cache  # once per process: building costs 20x a parse
 def build_parser() -> _Parser:
     p = _Parser(prog="zetaodd",
                 description="Rapidly converging Lambert-series evaluation of "
@@ -193,7 +208,7 @@ def build_parser() -> _Parser:
 
     # --digits and --format, shared by the three constant subcommands
     out = _Parser(add_help=False)
-    out.add_argument("--digits", type=_digits, default=50)
+    out.add_argument("--digits", type=_positive_int, default=50)
     out.add_argument("--format", choices=("text", "json"), default="text")
 
     cz = csub.add_parser("zeta", parents=[out], help="zeta(s) for odd s >= 3")
@@ -233,12 +248,14 @@ def build_parser() -> _Parser:
     ve.add_argument("--k", type=int, default=1)
     ve.add_argument("--t", default="1,0", help="complex t as 're,im'")
     ve.add_argument("--p", type=int, default=2, choices=(2, 3, 5, 7))
-    ve.add_argument("--a", default="1/2", help="rational a as 'num/den'")
-    ve.add_argument("--q", default="0.5", help="real nome in (0,1)")
+    ve.add_argument("--a", type=_readable(Fraction, "a rational 'num/den'"),
+                    default="1/2", help="rational a as 'num/den'")
+    ve.add_argument("--q", type=_readable(mpf, "a real number"),
+                    default="0.5", help="real nome in (0,1)")
     ve.add_argument("--s", type=int, default=-3)
     ve.add_argument("--case", type=int, default=2, choices=(1, 2))
-    ve.add_argument("--order", type=int, default=50)
-    ve.add_argument("--digits", type=_digits, default=30)
+    ve.add_argument("--order", type=_positive_int, default=50)
+    ve.add_argument("--digits", type=_positive_int, default=30)
     ve.set_defaults(func=_cmd_verify)
 
     be = sub.add_parser("bench", help="convergence profile of a method")
@@ -246,7 +263,7 @@ def build_parser() -> _Parser:
     be.add_argument("--s", type=int, default=3)
     be.add_argument("--method", default="auto")
     be.add_argument("--max-terms", type=int, default=8)
-    be.add_argument("--digits", type=_digits, default=50)
+    be.add_argument("--digits", type=_positive_int, default=50)
     be.set_defaults(func=_cmd_bench)
 
     return p

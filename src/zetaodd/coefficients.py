@@ -693,6 +693,9 @@ METHODS = {
                                         "prop_pi3_fast")),
     },
 }
+# (constant, n mod 4) -> the method `auto` names for zeta(n) or pi^n
+AUTO = {("zeta", 3): "root15", ("zeta", 1): "root15_p",
+        ("pi", 1): "example62", ("pi", 3): "example63"}
 ZETA_4KM1_METHODS = tuple(m for m, e in METHODS["zeta"].items()
                           if e[0] == 3 and m != "corollary2")
 ZETA_4KP1_METHODS = tuple(m for m, e in METHODS["zeta"].items() if e[0] == 1)
@@ -700,11 +703,16 @@ PI_METHODS = tuple(METHODS["pi"])
 
 
 def resolve_method(constant: str, method: str, n: int) -> tuple:
-    """(registry name, k) of `method` for zeta(n) or pi^n; a bare
-    root3/root7/root15 also names its zeta(4k+1) variant."""
+    """(registry name, k) of `method` for zeta(n) or pi^n; `auto` is looked
+    up in AUTO, and a bare root3/root7/root15 also names its zeta(4k+1)
+    variant."""
     methods = METHODS[constant]
     label = f"zeta({n})" if constant == "zeta" else f"pi^{n}"
     name = method
+    if name == "auto":
+        name = AUTO.get((constant, n % 4))
+        if name is None:
+            raise DomainError(f"auto has no {constant} method for {label}")
     if name + "_p" in methods and methods[name][0] != n % 4:
         name += "_p"
     if name not in methods:

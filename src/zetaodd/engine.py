@@ -61,16 +61,13 @@ def _require_odd_s(s: int) -> None:
 
 
 def zeta_table(s: int, method: str = "auto") -> CoefficientTable:
-    """Coefficient table for zeta(s); auto is root15 (of either parity)."""
+    """Coefficient table for zeta(s) from the named method or auto."""
     _require_odd_s(s)
-    return method_table("zeta", "root15" if method == "auto" else method, s)
+    return method_table("zeta", method, s)
 
 
 def pi_table(n: int, method: str) -> CoefficientTable:
-    """Coefficient table for pi^n from the named method; auto is example62
-    for n = 1 mod 4 and example63 for n = 3 mod 4."""
-    if method == "auto":
-        method = "example62" if n % 4 == 1 else "example63"
+    """Coefficient table for pi^n from the named method or auto."""
     name, k = resolve_method("pi", method, n)
     return coeffs_pi(name, k)
 
@@ -160,15 +157,22 @@ def _constant_table(constant_id: str, method: str) -> tuple:
     constant's oracle (a function of the context, independent of the table)."""
     cid = constant_id.strip()
     if cid.startswith("zeta(") and cid.endswith(")"):
-        s = int(cid[5:-1])
+        s = _int_argument(cid, cid[5:-1])
         return zeta_table(s, method), lambda ctx: oracles.oracle_zeta(s, ctx)
     if cid.startswith("pi^"):
-        n = int(cid[3:])
+        n = _int_argument(cid, cid[3:])
         return pi_table(n, method), lambda ctx: oracles.oracle_pi(ctx) ** n
     if cid.startswith("log(") and cid.endswith(")"):
-        p = int(cid[4:-1])
+        p = _int_argument(cid, cid[4:-1])
         return coeffs_log(p), lambda ctx: oracles.oracle_log(p, ctx)
     raise DomainError(f"unknown constant id {constant_id!r}")
+
+
+def _int_argument(cid: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{cid}: {text!r} is not an integer") from None
 
 
 def convergence_profile(constant_id: str, method: str, max_terms: int,

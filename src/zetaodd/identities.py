@@ -2,8 +2,9 @@
 
 Each check evaluates both sides of an identity at working precision with
 certified series tails and reports a :class:`Residual`.  The multisection
-check is different in kind: it compares exact rational q-expansion
-coefficients and returns a Fraction (expected: zero).
+check is different in kind: it compares exact q-expansion coefficients,
+read from the series kernel's divisor sieve, and returns a Fraction
+(expected: zero).
 
 The reflection checks (``check_t1_case2``/``check_t1_case3`` and both
 cases of ``check_zeta_free``) share one right-hand side, the Bernoulli
@@ -25,7 +26,7 @@ from mpmath import mp, mpf
 
 from .core import DomainError, PrecisionContext, bernoulli_weight
 from .oracles import oracle_zeta
-from .series import divisor_sigma, lambert_eval, sech_series
+from .series import _lambert_expansion, lambert_eval, sech_series
 
 _MULTISECTION_PRIMES = (2, 3, 5, 7)
 
@@ -68,7 +69,7 @@ class _Evaluator:
 
 def _to_t(t):
     tv = mp.mpmathify(t)
-    if mp.re(tv) <= 0:
+    if not mp.re(tv) > 0:  # NaN fails too
         raise DomainError(f"need Re(t) > 0, got t = {tv}")
     return tv
 
@@ -145,19 +146,25 @@ def check_multisection(p: int, s: int, order: int) -> Fraction:
     Comparing coefficients of q^l reduces to
     p sigma_s(lp) = (p^(s+1)+p) sigma_s(l) - p^(s+1) sigma_s(l/p); returns
     the largest absolute coefficient difference over l = 1..order (zero).
+    The sigma_s(m) come from the series kernel's divisor sieve as integers
+    e_m: sigma_s(m) = e_m, or e_m / m^|s| for s < 0.  With w = p^(1+|s|)
+    the balance is p e_lp = (p + w) e_l - w e_(l/p), for s < 0 the one
+    above times (lp)^|s|.
     """
     if p not in _MULTISECTION_PRIMES:
         raise DomainError(f"p must be one of {_MULTISECTION_PRIMES}, got {p}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    ps1 = Fraction(p) ** (s + 1)
+    top, a = order * p, abs(s)
+    e, _ = _lambert_expansion(a, top, top - 1)  # e[m - 1] = e_m
+    w = p ** (1 + a)
     worst = Fraction(0)
     for el in range(1, order + 1):
-        lhs = p * divisor_sigma(s, el * p)
-        rhs = (ps1 + p) * divisor_sigma(s, el)
+        diff = p * e[el * p - 1] - (p + w) * e[el - 1]
         if el % p == 0:
-            rhs -= ps1 * divisor_sigma(s, el // p)
-        worst = max(worst, abs(lhs - rhs))
+            diff += w * e[el // p - 1]
+        if diff:
+            worst = max(worst, Fraction(abs(diff), (el * p) ** a if s < 0 else 1))
     return worst
 
 

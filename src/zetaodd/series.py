@@ -30,7 +30,10 @@ is then taken on one of two paths, chosen by the nome:
   slop, which scales with the size of the terms.
 
 ``lambert_eval``, ``lambert_derivative_eval``, ``sech_series`` and
-``partial_sums`` are thin entry points over them.
+``partial_sums`` are thin entry points over them.  The Lambert sieve
+``_lambert_expansion`` is the only divisor-sum code: ``lambert_q_expansion``
+and the multisection check (``identities.check_multisection``) read
+sigma_s(m) from it.
 
 q arguments are numbers (a table's nome values, and complex points in the
 identity checks) or :class:`QSymbolic` nomes sign * exp(-r*pi) with r from
@@ -156,12 +159,6 @@ def _num(x):
     return mp.mpmathify(x)
 
 
-def _to_mp(q, ctx: PrecisionContext):
-    if isinstance(q, QSymbolic):
-        return q.value(ctx)
-    return _num(q)
-
-
 def _lambert_expansion(a: int, n_terms: int, order: int) -> tuple:
     """q^(m-1) coefficients of the n_terms-term Lambert sum over q, m = 1..order+1:
     c_m = sum of d^-a over the divisors d <= n_terms of m, as e_m / m^a."""
@@ -241,7 +238,7 @@ _KINDS = {
 
 
 def _nome(kind: _Kind, q, ctx: PrecisionContext):
-    qv = _to_mp(q, ctx)
+    qv = q.value(ctx) if isinstance(q, QSymbolic) else _num(q)
     if kind.real_nome:
         if isinstance(qv, mp.mpc) or not 0 < qv < 1:
             raise DomainError(f"{kind.name} requires real q in (0, 1)")
@@ -388,11 +385,6 @@ def _fixed_sum(kind: _Kind, qv, s: int, n_terms: int) -> tuple:
             mp.make_mpf(from_man_exp(err, -prec)))
 
 
-def _check_s(kind: _Kind, s) -> None:
-    if not isinstance(s, int) or s > kind.max_s:
-        raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {s!r}")
-
-
 def partial_sums(kind: str, q, s, n_terms: int, ctx: PrecisionContext) -> list:
     """Partial sums over N = 1..n_terms of the series of a basis kind
     ("lambert", "lambert_derivative" or "sech_series"), at working precision."""
@@ -407,7 +399,9 @@ def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> Serie
     k = _KINDS[kind]
     with ctx.workdps():
         qv = _nome(k, q, ctx)
-        _check_s(k, s)
+        if not isinstance(s, int) or s > k.max_s:
+            raise DomainError(
+                f"{k.name} requires integer s <= {k.max_s}, got {s!r}")
         target = _num(target_abs_error)
         if target <= 0:
             raise ValueError("target_abs_error must be positive")
@@ -419,24 +413,6 @@ def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> Serie
             *_, value = _sums(k, qv, s, n)
             rounding = 0
         return SeriesResult(value, n, bound, ctx.working_digits, rounding)
-
-
-def lambert_partial_sum(q, s, n_terms: int, ctx: PrecisionContext):
-    """Partial sum sum_{n=1..N} n^s q^n/(1-q^n) at working precision."""
-    return partial_sums("lambert", q, s, n_terms, ctx)[-1]
-
-
-def tail_bound(q_abs, s, n_terms: int, ctx: PrecisionContext | None = None) -> mpf:
-    """|q|^(N+1)/(1-|q|)^2, the Lambert tail bound past N terms for integer s <= 0."""
-    k = _KINDS["lambert"]
-    _check_s(k, s)
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    with mp.workdps(ctx.working_digits if ctx else mp.dps):
-        qa = abs(_to_mp(q_abs, ctx) if ctx else _num(q_abs))
-        if qa >= 1:
-            raise DomainError(f"need |q| < 1, got {mp.nstr(qa, 8)}")
-        return _bound(k, qa, n_terms)
 
 
 def lambert_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
@@ -455,22 +431,10 @@ def sech_series(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
     return _evaluate("sech_series", q, s, target_abs_error, ctx)
 
 
-def divisor_sigma(s: int, n: int) -> Fraction:
-    """Exact sigma_s(n) = sum of s-th powers of divisors of n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    total = Fraction(0)
-    for d in range(1, int(n**0.5) + 1):
-        if n % d == 0:
-            total += Fraction(d) ** s
-            e = n // d
-            if e != d:
-                total += Fraction(e) ** s
-    return total
-
-
 def lambert_q_expansion(s: int, order: int) -> list[Fraction]:
-    """First `order` q-expansion coefficients of L_q(s): [sigma_s(1), ...]."""
+    """First `order` q-expansion coefficients of L_q(s), [sigma_s(1), ...],
+    from the kernel's divisor sieve: sigma_s(m) = e_m, or e_m / m^|s| for s < 0."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return [divisor_sigma(s, m) for m in range(1, order + 1)]
+    nums, dens = _lambert_expansion(abs(s), order, order - 1)
+    return [Fraction(e, d if s < 0 else 1) for e, d in zip(nums, dens)]

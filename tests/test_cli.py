@@ -277,6 +277,30 @@ def test_exit_usage_on_nonpositive_digits(argv, capsys):
     assert "usage:" in err and "--digits" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--identity", "multisection", "--order", "0"), 64),
+    (("verify", "--identity", "multisection", "--order", "-3"), 64),
+    (("verify", "--identity", "lemma-p4", "--q", "abc"), 64),
+    (("verify", "--identity", "zeta-free", "--a", "abc"), 64),
+    (("verify", "--identity", "zeta-free", "--a", "1/0"), 64),
+    (("bench", "--constant", "zeta(x)"), 65),
+    (("bench", "--constant", "pi^x"), 65),
+    (("verify", "--identity", "t1c3", "--t", "nan,0"), 65),
+])
+def test_malformed_values_exit_without_traceback(argv, code, capsys):
+    try:
+        got = cli.main(list(argv))
+    except SystemExit as stop:
+        got = stop.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert ("usage:" if code == 64 else "error:") in err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("argv, constant, method", [
     (("--method", "root3", "--k", "2"), "zeta(7)", "root3"),
     (("--method", "corollary2", "--k", "1"), "zeta(3)", "corollary"),

@@ -114,6 +114,15 @@ def test_auto_dispatch():
     assert zeta_table(5, "root7").method == "root7_p"
 
 
+def test_auto_is_read_from_one_table(monkeypatch):
+    from zetaodd import coefficients
+
+    monkeypatch.setitem(coefficients.AUTO, ("zeta", 3), "root7")
+    monkeypatch.setitem(coefficients.AUTO, ("pi", 3), "prop_pi3_fast")
+    assert zeta_table(7).method == "root7"
+    assert engine.pi_table(3, "auto").method == "prop_pi3_fast"
+
+
 def test_parity_guard():
     with pytest.raises(DomainError):
         zeta_odd(3, method="p5")

@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from divisor_reference import divisor_sigma, multisection_mismatch
+from zetaodd import identities
 from zetaodd.core import DomainError, make_context
 from zetaodd.identities import (
     check_lemma_p4,
@@ -127,20 +129,34 @@ def test_multisection_rejects_bad_p():
 
 
 def test_multisection_detects_wrong_weight():
-    # sanity that the reduction isn't trivially zero: perturb the weight by
-    # recomputing with p^(s+1) replaced by p^s (off by one) and compare
-    from zetaodd.series import divisor_sigma
-
+    # sanity that the reduction isn't trivially zero: perturb the weight
+    # p^(s+1) to p^s (off by one) and compare
     p, s = 3, -3
-    ps_wrong = Fraction(p) ** s
-    worst = Fraction(0)
-    for el in range(1, 10):
-        lhs = p * divisor_sigma(s, el * p)
-        rhs = (ps_wrong + p) * divisor_sigma(s, el)
-        if el % p == 0:
-            rhs -= ps_wrong * divisor_sigma(s, el // p)
-        worst = max(worst, abs(lhs - rhs))
-    assert worst > 0
+    assert multisection_mismatch(p, s, 9, weight=Fraction(p) ** s) > 0
+
+
+@pytest.mark.parametrize("s", [-9, 2])
+def test_multisection_matches_the_reference_at_order_1000(s):
+    assert check_multisection(7, s, 1000) == multisection_mismatch(7, s, 1000)
+
+
+@pytest.mark.parametrize("s", [-3, 0, 2])
+def test_multisection_reports_a_wrong_coefficient(s, monkeypatch):
+    # one sieve numerator off by one moves sigma_s(12) by 12^min(s, 0); the
+    # mismatch is the reference's for that sigma, as an exact Fraction
+    bad, sieve = 12, identities._lambert_expansion
+
+    def off_by_one(a, n_terms, order):
+        nums, dens = sieve(a, n_terms, order)
+        nums[bad - 1] += 1
+        return nums, dens
+
+    def sigma(s, n):
+        return divisor_sigma(s, n) + (Fraction(bad) ** min(s, 0) if n == bad else 0)
+
+    monkeypatch.setattr(identities, "_lambert_expansion", off_by_one)
+    got = check_multisection(3, s, 10)
+    assert got == multisection_mismatch(3, s, 10, sigma) != 0
 
 
 # --------------------------------------------------------- quartering lemmas

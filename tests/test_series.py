@@ -7,22 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from divisor_reference import divisor_sigma
 from zetaodd import series
 from zetaodd.core import ConvergenceError, make_context
 from zetaodd.series import (
     TERM_CAP,
     QSymbolic,
-    divisor_sigma,
     lambert_derivative_eval,
     lambert_eval,
-    lambert_partial_sum,
     lambert_q_expansion,
+    partial_sums,
     sech_series,
-    tail_bound,
 )
 
 F = Fraction
 CTX = make_context(50)
+LAMBERT = series._KINDS["lambert"]
 
 
 # ------------------------------------------------------------- partial sums
@@ -35,7 +35,7 @@ def test_partial_sum_exact_small():
     #   n=3: (1/3) * (1/8)/(7/8) = 1/21
     # total 17/14
     with CTX.workdps():
-        v = lambert_partial_sum(mpf(1) / 2, -1, 3, CTX)
+        v = partial_sums("lambert", mpf(1) / 2, -1, 3, CTX)[-1]
         assert abs(v - mpf(17) / 14) < mpf("1e-60")
 
 
@@ -44,21 +44,21 @@ def test_partial_sum_exact_s_minus3():
     want = sum(F(n) ** -3 * F(1, 2) ** n / (1 - F(1, 2) ** n) for n in range(1, 5))
     assert want == F(63383, 60480)
     with CTX.workdps():
-        v = lambert_partial_sum(mpf(1) / 2, -3, 4, CTX)
+        v = partial_sums("lambert", mpf(1) / 2, -3, 4, CTX)[-1]
         assert abs(v - mpf(63383) / 60480) < mpf("1e-60")
 
 
 def test_partial_sum_accepts_symbolic_nome():
     q = QSymbolic(1, 2)  # e^{-2 pi}
     with CTX.workdps():
-        direct = lambert_partial_sum(q.value(CTX), -3, 5, CTX)
-        sym = lambert_partial_sum(q, -3, 5, CTX)
+        direct = partial_sums("lambert", q.value(CTX), -3, 5, CTX)[-1]
+        sym = partial_sums("lambert", q, -3, 5, CTX)[-1]
         assert direct == sym
 
 
 def test_partial_sum_monotone_in_n_for_positive_q():
     with CTX.workdps():
-        vals = [lambert_partial_sum(mpf("0.3"), -3, n, CTX) for n in range(1, 9)]
+        vals = partial_sums("lambert", mpf("0.3"), -3, 8, CTX)
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -75,23 +75,23 @@ def test_tail_bound_sound(qnum, s, n):
     # |sum_{n..2n omitted terms}| can never exceed the claimed tail bound
     q = mpf(qnum) / 100
     with CTX.workdps():
-        near = lambert_partial_sum(q, s, n, CTX)
-        far = lambert_partial_sum(q, s, 4 * n, CTX)
-        assert abs(far - near) <= tail_bound(q, s, n, CTX) * (1 + mpf("1e-40"))
+        near = partial_sums("lambert", q, s, n, CTX)[-1]
+        far = partial_sums("lambert", q, s, 4 * n, CTX)[-1]
+        assert abs(far - near) <= series._bound(LAMBERT, q, n) * (1 + mpf("1e-40"))
 
 
 def test_tail_bound_negative_q():
     # bound is stated for |q|; alternating nome stays under it too
     with CTX.workdps():
         q = mpf("-0.6")
-        near = lambert_partial_sum(q, -3, 4, CTX)
-        far = lambert_partial_sum(q, -3, 40, CTX)
-        assert abs(far - near) <= tail_bound(abs(q), -3, 4, CTX)
+        near = partial_sums("lambert", q, -3, 4, CTX)[-1]
+        far = partial_sums("lambert", q, -3, 40, CTX)[-1]
+        assert abs(far - near) <= series._bound(LAMBERT, abs(q), 4)
 
 
 def test_tail_bound_decreasing():
     with CTX.workdps():
-        bounds = [tail_bound(mpf("0.7"), -3, n, CTX) for n in range(1, 12)]
+        bounds = [series._bound(LAMBERT, mpf("0.7"), n) for n in range(1, 12)]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
@@ -124,7 +124,7 @@ def test_lambert_eval_negative_symbolic_nome():
     # q = -e^{-3 pi}: same magnitude bound applies
     r = lambert_eval(QSymbolic(-1, 3), -5, mpf("1e-35"), CTX)
     with CTX.workdps():
-        brute = lambert_partial_sum(QSymbolic(-1, 3), -5, 40, CTX)
+        brute = partial_sums("lambert", QSymbolic(-1, 3), -5, 40, CTX)[-1]
         assert abs(r.value - brute) < mpf("1e-35")
 
 
@@ -135,8 +135,8 @@ def test_derivative_matches_finite_difference():
     with ctx.workdps():
         q = mp.exp(-2 * mp.pi)
         h = mpf("1e-12")
-        up = lambert_partial_sum(q + h, s, 60, ctx)
-        dn = lambert_partial_sum(q - h, s, 60, ctx)
+        up = partial_sums("lambert", q + h, s, 60, ctx)[-1]
+        dn = partial_sums("lambert", q - h, s, 60, ctx)[-1]
         fd = mp.pi * q * (up - dn) / (2 * h)
     r = lambert_derivative_eval(QSymbolic(1, 2), s, mpf("1e-30"), ctx)
     # the eval routine reports sum n^{s+1} q^n/(1-q^n)^2; scale matches pi*q*L'
@@ -199,8 +199,6 @@ def test_non_integer_s_rejected():
         for evaluate in (lambert_eval, lambert_derivative_eval, sech_series):
             with pytest.raises(DomainError, match="integer s"):
                 evaluate(QSymbolic(1, 2), s, mpf("1e-10"), CTX)
-        with pytest.raises(DomainError, match="integer s"):
-            tail_bound(mpf("0.5"), s, 3, CTX)
     with pytest.raises(DomainError, match="integer s <= -1"):
         lambert_derivative_eval(QSymbolic(1, 2), 0, mpf("1e-10"), CTX)
 
@@ -209,16 +207,24 @@ def test_non_integer_s_rejected():
 
 
 def test_divisor_sigma_values():
-    assert divisor_sigma(-1, 6) == F(2)            # 1 + 1/2 + 1/3 + 1/6
-    assert divisor_sigma(-3, 4) == F(73, 64)       # 1 + 1/8 + 1/64
-    assert divisor_sigma(0, 12) == F(6)            # number of divisors
-    assert divisor_sigma(1, 6) == F(12)
+    assert lambert_q_expansion(-1, 6)[-1] == F(2)        # 1 + 1/2 + 1/3 + 1/6
+    assert lambert_q_expansion(-3, 4)[-1] == F(73, 64)   # 1 + 1/8 + 1/64
+    assert lambert_q_expansion(0, 12)[-1] == F(6)        # number of divisors
+    assert lambert_q_expansion(1, 6)[-1] == F(12)
 
 
 def test_divisor_sigma_multiplicative():
     # gcd(m,n)=1 => sigma_s(mn) = sigma_s(m) sigma_s(n)
     for s in (-3, -1, 0, 2):
-        assert divisor_sigma(s, 4 * 9) == divisor_sigma(s, 4) * divisor_sigma(s, 9)
+        c = lambert_q_expansion(s, 4 * 9)
+        assert c[4 * 9 - 1] == c[4 - 1] * c[9 - 1]
+
+
+@given(s=st.integers(-9, 4), order=st.integers(1, 2000))
+@settings(max_examples=25, deadline=None)
+def test_q_expansion_is_the_trial_division_sigma(s, order):
+    assert lambert_q_expansion(s, order) == [divisor_sigma(s, m)
+                                             for m in range(1, order + 1)]
 
 
 def test_q_expansion_prefix():
@@ -235,7 +241,7 @@ def test_q_expansion_matches_partial_sum():
         q = mpf("0.1")
         series = sum(mpf(c.numerator) / c.denominator * q**n
                      for n, c in enumerate(coeffs, start=1))
-        direct = lambert_partial_sum(q, -3, 30, ctx)
+        direct = partial_sums("lambert", q, -3, 30, ctx)[-1]
         assert abs(series - direct) < mpf("1e-28")
 
 
