@@ -25,6 +25,7 @@ coefficients fail numerically.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,12 +42,7 @@ from .core import (
     eval_exact,
     surd_trig,
 )
-from .series import (
-    QSymbolic,
-    lambert_derivative_eval,
-    lambert_eval,
-    sech_series,
-)
+from .series import QSymbolic, Term, base_sums
 
 _KIND_RANK = {"sech_series": 0, "lambert_derivative": 1, "lambert": 2}
 
@@ -820,30 +816,26 @@ def negative_q_rewrite(table: CoefficientTable) -> CoefficientTable:
     return _make_table(table.constant, table.method, terms, debug)
 
 
-def nome_values(entries, ctx: PrecisionContext) -> dict:
-    """The value of each distinct nome of (basis, coefficient) entries."""
-    return {q: q.value(ctx) for q in {b.q for b, _ in entries} - {None}}
+def _by_base(entries) -> dict:
+    """The series entries grouped by base nome: for each radicand r of the
+    nomes, x = e^(-g sqrt(r) pi) with g the gcd of their mults, so that each
+    nome is +-x^j."""
+    groups: dict[int, list] = {}
+    for basis, coeff in entries:
+        if basis.q is not None:
+            groups.setdefault(basis.q.root, []).append((basis, coeff))
+    return {QSymbolic(1, math.gcd(*(b.q.mult for b, _ in group)), root): group
+            for root, group in groups.items()}
 
 
-def series_scale(basis: BasisTerm, qv):
-    """Factor in front of a basis term's series at the nome value qv: pi*q
-    for the q-derivative, which the formulas use as pi q dL/dq, else 1."""
-    if basis.kind == "lambert_derivative":
-        return mp.pi * qv
-    return 1
-
-
-def basis_value(basis: BasisTerm, qv, target, ctx: PrecisionContext) -> tuple:
-    """(value, error bound, terms used) of one basis term at the nome value
-    qv, its series summed until the tail bound is below target; the error
-    bound is the tail plus the rounding error the series kernel certifies."""
-    if basis.kind == "pi_power":
-        return mp.pi ** basis.power, mpf(0), 0
-    evaluate = {"lambert": lambert_eval, "sech_series": sech_series,
-                "lambert_derivative": lambert_derivative_eval}[basis.kind]
-    r = evaluate(qv, basis.s, target, ctx)
-    scale = series_scale(basis, qv)
-    return scale * r.value, (r.tail_bound + r.rounding_error) * abs(scale), r.terms_used
+def _series_term(basis: BasisTerm, coeff, base: QSymbolic, target) -> Term:
+    """The Term of one series entry over its base: the rational part of its
+    coefficient at each radicand r is a weight under the key (derivative, r);
+    the derivative is lifted to q dL/dq, which pi then scales."""
+    derivative = basis.kind == "lambert_derivative"
+    parts = coeff.items() if isinstance(coeff, Surd) else [(1, coeff)]
+    return Term(basis.kind, basis.q.mult // base.mult, basis.q.sign, basis.s, target,
+                tuple(((derivative, r), Fraction(w)) for r, w in parts), int(derivative))
 
 
 def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
@@ -853,23 +845,43 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
     basis term to the series length it needed.  Every series is pushed to
     an absolute error budget of 10^-(target + guard/2) scaled down by its
     coefficient magnitude, so the certified bound lands well below
-    10^-target.
-    """
+    10^-target.  The series of each base nome (_by_base) take one
+    exponential, QSymbolic.value, and one base_sums pass.
+
+    The slop size * 10^-(working - 2) >= 700 u, u = 2^-prec, covers the
+    rounding of the assembly and of the nomes; size bounds sum |c v| by
+    closed-form bounds, each radicand part of c apart.  The base e^(-A), A =
+    g sqrt(r) pi, is good to (4A + 2) u relative, so x^j to j(4A + 2) u =
+    (4a + 2j) u, a <= 20 pi its decay rate (a direct exponential: 4a + 2).
+    That moves a series in q, |q| < 0.05, by under 400 u times its bound."""
     with ctx.workdps():
         budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
-        nomes = nome_values(table.entries, ctx)
         total = mpf(0)
         err = mpf(0)
-        size = mpf(0)  # sum of |c_i v_i|, the scale of the rounding error
+        size = mpf(0)  # an upper bound of sum |c_i v_i|, the scale of the rounding error
         terms: dict[str, int] = {}
         for basis, coeff in table.entries:
-            cval = eval_exact(coeff, ctx)
-            cmag = abs(cval)
-            val, tb, used = basis_value(basis, nomes.get(basis.q), budget / (1 + cmag), ctx)
-            terms[str(basis)] = used
-            total += cval * val
-            err += cmag * tb
-            size += cmag * abs(val)
+            terms[str(basis)] = 0
+            if basis.kind == "pi_power":
+                val = eval_exact(coeff, ctx) * mp.pi ** basis.power
+                total += val
+                size += abs(val)
+        for base, group in _by_base(table.entries).items():
+            cmags = [abs(eval_exact(coeff, ctx)) for _, coeff in group]
+            run = [_series_term(basis, coeff, base, budget / (1 + cmag))
+                   for (basis, coeff), cmag in zip(group, cmags)]
+            info, sums = base_sums(base.value(ctx), run, ctx)
+            factors = {(d, r): eval_exact(Surd({r: 1}), ctx) * (mp.pi if d else 1)
+                       for d, r in sums}
+            for ((basis, _), cmag, t, (n, tail, bound)) in zip(group, cmags, run, info):
+                scale = mp.pi if t.lift else 1
+                terms[str(basis)] = n
+                err += cmag * tail * scale
+                size += sum(abs(factors[key] * w.numerator / w.denominator)
+                            for key, w in t.weights) * bound
+            for key, (value, rounding) in sums.items():
+                total += factors[key] * value
+                err += abs(factors[key]) * rounding
         # fold arithmetic rounding slop into the certificate; cancellation
         # between terms leaves it proportional to the terms, not the total
         err += size * mpf(10) ** (-(ctx.working_digits - 2))

@@ -22,9 +22,7 @@ from .coefficients import (
     coeffs_log,
     coeffs_pi,
     method_table,
-    nome_values,
     resolve_method,
-    series_scale,
 )
 from .core import (
     ConvergenceError,
@@ -203,12 +201,12 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     fixed = assemble_detailed(fast, ctx)[0]
     with ctx.workdps():
         oracle_val = oracle(ctx)
-        nomes = nome_values(slow_entries, ctx)
         slow = []
         for basis, coeff in slow_entries:
             cval = eval_exact(coeff, ctx)
-            scale = series_scale(basis, nomes[basis.q])
-            sums = partial_sums(basis.kind, nomes[basis.q], basis.s, max_terms, ctx)
+            qv = basis.q.value(ctx)
+            scale = mp.pi * qv if basis.kind == "lambert_derivative" else 1  # pi q dL/dq
+            sums = partial_sums(basis.kind, qv, basis.s, max_terms, ctx)
             slow.append([cval * (scale * p) for p in sums])
         points = []
         for n in range(1, max_terms + 1):

@@ -29,6 +29,7 @@ from .oracles import oracle_zeta
 from .series import _lambert_expansion, lambert_eval, sech_series
 
 _MULTISECTION_PRIMES = (2, 3, 5, 7)
+SIEVE_BUDGET_BITS = 2**25  # the most a multisection check may sieve (4 MiB)
 
 
 @dataclass(frozen=True)
@@ -149,13 +150,19 @@ def check_multisection(p: int, s: int, order: int) -> Fraction:
     The sigma_s(m) come from the series kernel's divisor sieve as integers
     e_m: sigma_s(m) = e_m, or e_m / m^|s| for s < 0.  With w = p^(1+|s|)
     the balance is p e_lp = (p + w) e_l - w e_(l/p), for s < 0 the one
-    above times (lp)^|s|.
+    above times (lp)^|s|.  A sieve estimated above SIEVE_BUDGET_BITS (about
+    2 order p (|s| log2(order p) + 256) bits, the ints and their headers)
+    raises DomainError before it starts.
     """
     if p not in _MULTISECTION_PRIMES:
         raise DomainError(f"p must be one of {_MULTISECTION_PRIMES}, got {p}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     top, a = order * p, abs(s)
+    # the sieve holds e_m and m^a, each near m^a, for every m <= top
+    if 2 * top * (a * top.bit_length() + 256) > SIEVE_BUDGET_BITS:
+        raise DomainError(f"order {order} with p = {p} and s = {s} needs a divisor "
+                          f"sieve over the {SIEVE_BUDGET_BITS // 2**23} MiB budget")
     e, _ = _lambert_expansion(a, top, top - 1)  # e[m - 1] = e_m
     w = p ** (1 + a)
     worst = Fraction(0)

@@ -15,25 +15,29 @@ The number of terms N is the smallest n whose closed-form tail bound
 need more than ``TERM_CAP`` terms raises ConvergenceError.  The N-term sum
 is then taken on one of two paths, chosen by the nome:
 
-* real q (every table term): the fixed-point kernel ``_fixed_sum``.  The
-  N-term sum is a power series in q with exact rational coefficients from
-  one divisor sieve, summed by rectangular splitting in Python ints.  It
-  returns the sum exactly to its precision together with a certified
-  rounding error: the terms past the order it keeps, bounded through
-  |coefficient| <= d(m) <= 2 sqrt(m), and one unit per fixed-point shift
-  or division, weighted by what multiplies it later.
-  ``coefficients.basis_value`` adds that error to the tail.
+* real q (every table term): the fixed-point pass ``base_sums``.  Its
+  terms are at nomes +-x^j of one base x, each N-term sum a power series
+  in q with exact rational coefficients from one divisor sieve.  The
+  coefficients of all terms are merged into one sequence in powers of x
+  per prefactor and weight key, over one common denominator per position,
+  and each sequence is summed by rectangular splitting over one set of
+  powers of x in Python ints (``_fixed_pass``).  Each sum comes back exact
+  to its precision with a certified rounding error: the terms past each
+  term's order, bounded through |coefficient| <= d(m) <= 2 sqrt(m), and one
+  unit per fixed-point shift or division, weighted by what multiplies it
+  later.  A table takes one pass per base nome
+  (``coefficients.assemble_detailed``), which adds the error to the tails.
 * complex q (the identity checks), a target so loose that the power
   series would need more than 4N + 64 powers of q, and ``partial_sums``
   (the convergence profile, which wants every prefix): the term-by-term
   loop ``_sums`` at working precision.  Its rounding is left to the caller's
   slop, which scales with the size of the terms.
 
-``lambert_eval``, ``lambert_derivative_eval``, ``sech_series`` and
-``partial_sums`` are thin entry points over them.  The Lambert sieve
-``_lambert_expansion`` is the only divisor-sum code: ``lambert_q_expansion``
-and the multisection check (``identities.check_multisection``) read
-sigma_s(m) from it.
+``lambert_eval``, ``lambert_derivative_eval`` and ``sech_series`` are
+one-term passes over x = |q|, and ``partial_sums`` is the loop.  The
+Lambert sieve ``_lambert_expansion`` is the only divisor-sum code:
+``lambert_q_expansion`` and the multisection check
+(``identities.check_multisection``) read sigma_s(m) from it.
 
 q arguments are numbers (a table's nome values, and complex points in the
 identity checks) or :class:`QSymbolic` nomes sign * exp(-r*pi) with r from
@@ -331,58 +335,176 @@ def _order(kind: _Kind, ax: float, prec: int) -> int:
         m = math.ceil(need)
 
 
-def _fixed_sum(kind: _Kind, qv, s: int, n_terms: int) -> tuple:
-    """The n_terms-term sum for real q and integer s, and its certified
-    absolute error, by rectangular splitting in fixed point.
+@dataclass(frozen=True)
+class Term:
+    """One series of a pass over a base x (base_sums): the basis kind at the
+    nome q = sign x^j, times q^lift, to the smallest N whose tail bound is
+    below target, added with each weight of (key, Fraction) `weights` into
+    the sum of its key."""
 
-    The sum is first(q) sum_{m<=M} b_m q^m with b_m = e_m / f_m exact
-    (see _Kind).  With r ~ sqrt(M) powers X_j = q^j and Y = q^r it is
-    evaluated as sum_i Y^i B_i, B_i = sum_{j<r} (e_{ir+j} X_j) // f_{ir+j}, by
-    Horner in Y: r + M/r full-width multiplies, the rest is small-integer
-    work (Paterson & Stockmeyer; Smith; the idiom of mpmath's
-    exponential_series).  Every quantity is an int scaled by 2^prec, prec
-    being the working precision plus 40 + log2 N guard bits.  Error, in
-    units of 2^-prec, with x = |q| <= ax, beta >= |b_m| for m <= M, xi >=
-    the error of each X_j and of Y (one floor each, from an input off by
-    ex <= 1), and Y^i within i yhat^(i-1) xi of y^i:
-      M + 1 floored divisions, each B_i off by <= sum_j (beta xi + 1);
-      one floor per Horner step and per multiply by first(q);
+    kind: str
+    j: int
+    sign: int
+    s: int
+    target: object
+    weights: tuple = ((None, Fraction(1)),)
+    lift: int = 0
+
+
+def _plan(kind: _Kind, qa, s, target_abs_error) -> tuple:
+    """(N, tail bound) of a basis kind at |q| = qa, after checking s and the target."""
+    if not isinstance(s, int) or s > kind.max_s:
+        raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {s!r}")
+    target = _num(target_abs_error)
+    if target <= 0:
+        raise ValueError("target_abs_error must be positive")
+    return _terms_needed(kind, qa, target)
+
+
+def _powers(x, prec: int, steps: set, r: int) -> tuple:
+    """{n: x^n in fixed point} for the n <= r that a step divides, and the
+    largest error of any power built, in units of 2^-prec.  Each is the
+    previous one times x^gap, the x^gap by steps of x.  A floored product
+    of U ~ u and V ~ v is off by <= |u| e_V + |v| e_U + e_U e_V 2^-prec + 1."""
+    ax = math.nextafter(float(x), 2.0)  # |x^n| <= ax^n
+    x1, ex = _fixed(x, prec)
+    pw = {0: (1 << prec, 0.0), 1: (x1, float(ex))}
+
+    def times(a: int, b: int) -> None:
+        (u, eu), (v, ev) = pw[a], pw[b]
+        pw[a + b] = (u * v >> prec, ax ** a * ev + ax ** b * eu + eu * ev * 2.0 ** -prec + 1)
+
+    need = [n for n in range(r + 1) if any(n % j == 0 for j in steps)]
+    for d in range(1, max(b - a for a, b in zip(need, need[1:]))):
+        times(d, 1)
+    for a, b in zip(need, need[1:]):
+        if b not in pw:
+            times(a, b - a)
+    return {n: pw[n][0] for n in need}, max(e for _, e in pw.values())
+
+
+def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
+    """Every term (Term) at a nome +-x^j of one base 0 < x < 1, in one
+    fixed-point pass over one set of powers of x (_fixed_pass).
+
+    Returns the (N, tail bound, size bound) of each term's series times
+    |q|^lift, the size bound being the closed-form bound after no terms,
+    and the sums {key: (value, certified rounding error)}, values with all
+    their bits.  A term whose order would exceed 4N + 64 (a target far
+    looser than the precision) is summed by the loop _sums instead, its
+    rounding left to the caller's slop."""
+    with ctx.workdps():
+        info, plans = [], []
+        for t in terms:
+            kind = _KINDS[t.kind]
+            qa = x ** t.j
+            n, bound = _plan(kind, qa, t.s, t.target)
+            lifted = qa ** t.lift
+            with mp.workprec(53):  # a scale for the slop: a few digits do
+                size = _bound(kind, qa, 0) * lifted
+            info.append((n, bound * lifted, size))
+            plans.append((t, kind, qa, n))
+        prec = mp.prec + 40 + max(n for n, *_ in info).bit_length()
+        fixed, out = [], {}
+        for t, kind, qa, n in plans:
+            ax = math.nextafter(float(qa), 2.0)
+            order = _order(kind, ax, prec) if ax < 1 else math.inf
+            if order <= 4 * n + 64:
+                fixed.append((t, kind, n, order))
+                continue
+            *_, v = _sums(kind, t.sign * qa, t.s, n)
+            v *= (t.sign * qa) ** t.lift
+            for key, w in t.weights:
+                out[key] = (out.get(key, (0,))[0] + v * _num(w), mpf(0))
+        for key, (total, ulps) in (_fixed_pass(x, fixed, prec) if fixed else {}).items():
+            err = math.ceil(ulps * (1 + 2.0 ** -20)) + 1  # slack for the float sums
+            value = mp.make_mpf(from_man_exp(total, -prec))
+            out[key] = (mp.fadd(out.get(key, (0,))[0], value, exact=True),
+                        mp.make_mpf(from_man_exp(err, -prec)))
+        return info, out
+
+
+def _fixed_pass(x, fixed: list, prec: int) -> dict:
+    """{key: (sum * 2^prec, error in units of 2^-prec)} over (term, kind, N,
+    order) with every term cut at its own order (_order).
+
+    A term's N-term sum is first(q) sum_i b_i q^i, b_i = nums[i] / dens[i]
+    exact from its kind's expansion (_Kind).  With first(q) = q (Lambert)
+    and q^lift folded in, b_i stands at q^(i + off); sech keeps its first(q)
+    = sqrt(q) as a prefactor.  So the term puts sign^(i+off) w b_i at
+    position n = j (i + off) of one sequence in powers of x per key and
+    family.  Where dens[i] = (i + off)^a, a = -s (Lambert, and the
+    derivative lifted by 1), the family ("n", a) takes every j: the term puts
+    D w nums[i] j^a over n^a, D the lcm of the denominators of the weights,
+    and the sum is floored by D at the end; another term has a family of its
+    own j.  So each position takes one floored division, whatever the
+    terms.  r, a multiple of every j, is about sqrt(sequences * positions /
+    density); baby steps X_n = x^n are needed only where some j divides n <
+    r, and each sequence is sum_i Y^i B_i, Y = x^r, B_i = sum_n (E_{ir+n}
+    X_n) // F_{ir+n}, by Horner in Y (Paterson & Stockmeyer; Smith).  Each
+    expansion is merged and dropped before the next.  Error of a sequence,
+    its D-fold's floors being 1/D unit each, with ax >= x, beta = sum |w|
+    coef_bound(order) >= |B_n|, xi >= the error of each X_n and of Y
+    (_powers), and Y^i within i yhat^(i-1) xi of y^i:
+      each floored division off by <= beta xi + 1; a floor per Horner step;
       Y^i's error against |B_i| <= beta / (1 - ax): <= xi beta / ((1-ax)(1-yhat)^2);
-      first(q), rounded to prec bits, off by ef + 1 against |sum| <= beta / (1 - ax);
-      the terms past M, below half a unit (_order).
-    The value is returned exact, with all prec bits; None when the order
-    the precision needs exceeds 4N + 64."""
-    prec = mp.prec + 40 + n_terms.bit_length()
-    ax = math.nextafter(float(abs(qv)), 2.0)
-    order = _order(kind, ax, prec) if ax < 1 else math.inf
-    if order > 4 * n_terms + 64:
-        return None  # a target far looser than the precision: the loop is cheaper
-    nums, dens = kind.expansion(-s, n_terms, order)
-    x, ex = _fixed(qv, prec)
-    r = max(1, math.isqrt(order + 1))
-    xpow = [1 << prec]
-    for _ in range(r):
-        xpow.append(xpow[-1] * x >> prec)
-    y = xpow.pop()
-    acc = 0
-    for i in reversed(range(0, order + 1, r)):
-        block = 0
-        for xj, e, f in zip(xpow, nums[i:i + r], dens[i:i + r]):
-            block += e * xj // f
-        acc = (acc * y >> prec) + block
-    with mp.workprec(prec):
-        fq, ef = _fixed(kind.first(qv), prec)
-    total = acc * fq >> prec
-
-    beta = kind.coef_bound(order)
-    xi = (1 + 2 * ex) / (1 - ax)
+      the terms past each order, below |w| / 2 each (_order);
+      for sech, sqrt(x^j) rounded twice at prec bits and floored (ef + 2
+      units) against beta / (1 - ax), and a floor; the floor by D."""
+    parts, lcds = [], {}
+    for t, kind, n, order in fixed:
+        off = (t.kind == "lambert") + t.lift
+        family = (("n", -t.s) if t.kind != "sech_series" and off == 1
+                  else (t.kind, -t.s, t.j, t.lift))
+        parts.append((t, kind, n, order, off, family))
+        for key, w in t.weights:
+            lcds[key, family] = math.lcm(lcds.get((key, family), 1), w.denominator)
+    steps = {t.j for t, *_ in parts}
+    top = max(t.j * (order + off) for t, _, _, order, off, _ in parts)
+    lcm = math.lcm(*steps)
+    density = sum(any(n % j == 0 for j in steps) for n in range(lcm))
+    r = lcm * max(1, math.isqrt(len(lcds) * (top + 1) * lcm // density) // lcm)
+    size = -(-(top + 1) // r) * r
+    dens = {f: [n ** f[1] for n in range(size)] for f in {p[-1] for p in parts} if f[0] == "n"}
+    seqs = {seq: [[0] * size, 0.0, 0.0] for seq in lcds}  # numerators, beta, sum |w|
+    for t, kind, n, order, off, family in parts:
+        nums, den = kind.expansion(-t.s, n, order)
+        at = slice(t.j * off, t.j * (order + off) + 1, t.j)
+        if family[0] != "n":
+            dens[family] = [1] * size
+            dens[family][at] = den
+        if t.sign < 0:
+            nums = [-v if (i + off) & 1 else v for i, v in enumerate(nums)]
+        for key, w in t.weights:
+            seq = seqs[key, family]
+            c = w.numerator * (lcds[key, family] // w.denominator) * t.j ** (
+                family[1] if family[0] == "n" else 0)
+            seq[0][at] = map(add, seq[0][at], (c * v for v in nums))
+            seq[1] += abs(w) * kind.coef_bound(order)
+            seq[2] += abs(w)
+        del nums, den
+    xs, xi = _powers(x, prec, steps, r)
+    y = xs.pop(r)
+    baby = [xs.get(n, 0) for n in range(r)]  # 0 where no j divides n: no coefficient
+    ax = math.nextafter(float(x), 2.0)
     yhat = ax ** r + xi * 2.0 ** -prec  # >= |y| and |Y|
-    blocks = len(range(0, order + 1, r))
-    ulps = ((order + 1) * (beta * xi + 1) + blocks + 3
-            + xi * beta / ((1 - ax) * (1 - yhat) ** 2) + (ef + 1) * beta / (1 - ax))
-    err = math.ceil(ulps * (1 + 2.0 ** -20)) + 1  # slack for the float sums
-    return (mp.make_mpf(from_man_exp(total, -prec)),
-            mp.make_mpf(from_man_exp(err, -prec)))
+    sums = {}
+    for (key, family), (num, beta, absw) in seqs.items():
+        den, acc = dens[family], 0
+        for i in reversed(range(0, size, r)):
+            acc = (acc * y >> prec) + sum(e * xn // f for e, xn, f in zip(
+                num[i:i + r], baby, den[i:i + r]) if e)
+        divisions = size - num.count(0)
+        ulps = (divisions * (beta * xi + 1) + size // r + 3
+                + xi * beta / ((1 - ax) * (1 - yhat) ** 2) + absw / 2)
+        if family[0] == "sech_series":
+            with mp.workprec(prec):
+                fq, ef = _fixed(mp.sqrt(x ** family[2]), prec)
+            acc = acc * fq >> prec
+            ulps += (ef + 2) * beta / (1 - ax) + 1
+        total, err = sums.get(key, (0, 0))
+        sums[key] = (total + acc // lcds[key, family], err + ulps)
+    return sums
 
 
 def partial_sums(kind: str, q, s, n_terms: int, ctx: PrecisionContext) -> list:
@@ -396,22 +518,18 @@ def partial_sums(kind: str, q, s, n_terms: int, ctx: PrecisionContext) -> list:
 
 
 def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
+    """One basis series at q: a one-term base_sums over x = |q|, or for
+    complex q the loop _sums."""
     k = _KINDS[kind]
     with ctx.workdps():
         qv = _nome(k, q, ctx)
-        if not isinstance(s, int) or s > k.max_s:
-            raise DomainError(
-                f"{k.name} requires integer s <= {k.max_s}, got {s!r}")
-        target = _num(target_abs_error)
-        if target <= 0:
-            raise ValueError("target_abs_error must be positive")
-        n, bound = _terms_needed(k, abs(qv), target)
-        fixed = not isinstance(qv, mp.mpc) and _fixed_sum(k, qv, s, n)
-        if fixed:
-            value, rounding = fixed
-        else:  # complex q (the identity checks), or a loose target
+        if isinstance(qv, mp.mpc):  # the identity checks
+            n, bound = _plan(k, abs(qv), s, target_abs_error)
             *_, value = _sums(k, qv, s, n)
-            rounding = 0
+            return SeriesResult(value, n, bound, ctx.working_digits)
+        term = Term(kind, 1, -1 if qv < 0 else 1, s, target_abs_error)
+        [(n, bound, _)], sums = base_sums(abs(qv), [term], ctx)
+        value, rounding = sums[None]
         return SeriesResult(value, n, bound, ctx.working_digits, rounding)
 
 

@@ -286,6 +286,11 @@ def test_exit_usage_on_nonpositive_digits(argv, capsys):
     (("bench", "--constant", "zeta(x)"), 65),
     (("bench", "--constant", "pi^x"), 65),
     (("verify", "--identity", "t1c3", "--t", "nan,0"), 65),
+    # sieves past the memory budget are refused before they start
+    (("verify", "--identity", "multisection", "--p", "7", "--order", "1000",
+      "--s", "-1000"), 65),
+    (("verify", "--identity", "multisection", "--p", "7", "--order", "1000",
+      "--s", "2000"), 65),
 ])
 def test_malformed_values_exit_without_traceback(argv, code, capsys):
     try:

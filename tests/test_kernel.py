@@ -1,27 +1,33 @@
 """The fixed-point series kernel and the closed-form term count.
 
 The kernel must return the same terms_used-term sum as the term-by-term
-loop, within the error it certifies; the closed-form N must be the smallest
-whose closed-form bound beats the target, and the N of the term-by-term
-search wherever the target is not at an ulp tie of the two roundings of
-the bound; and every table term must take the kernel, while complex nomes
-keep the loop.
+loop, within the error it certifies; a table's pass over one base nome
+must return the weighted sum of its one-term passes, within both their
+certified errors, and one exponential and one pass per base; the
+closed-form N must be the smallest whose closed-form bound beats the
+target, and the N of the term-by-term search wherever the target is not
+at an ulp tie of the two roundings of the bound; and every table term must
+take the kernel, while complex nomes keep the loop.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from zetaodd import engine, identities, series
+from zetaodd import coefficients, engine, identities, series
 from zetaodd.coefficients import (
     METHODS,
     ZETA_4KM1_METHODS,
     ZETA_4KP1_METHODS,
+    assemble_detailed,
     coeffs_log,
+    method_table,
     negative_q_rewrite,
 )
-from zetaodd.core import ConvergenceError, PrecisionContext, make_context
+from zetaodd.core import ConvergenceError, DomainError, PrecisionContext, make_context
 from zetaodd.series import (
     QSymbolic,
     lambert_derivative_eval,
@@ -87,6 +93,86 @@ def test_kernel_real_nomes_off_the_tables():
         ref = partial_sums(kind, q, s, r.terms_used, wide)[-1]
         with wide.workdps():
             assert abs(r.value - ref) <= r.rounding_error
+
+
+# ------------------------------------------------- one pass per base nome
+
+
+def _table(case):
+    if case[0] == "log":
+        return coeffs_log(case[1])
+    constant, name, k = case
+    try:
+        return METHODS[constant][name][2](k)
+    except DomainError:  # root3_p refuses k divisible by 3
+        return None
+
+
+TABLE_CASES = ([(c, name, k) for c, methods in METHODS.items() for name in methods
+                for k in range(1, 5)] + [("log", p) for p in (2, 3, 5)])
+TRUE_VALUE = {"zeta": lambda n: mp.zeta(int(n)), "pi": lambda n: mp.pi ** int(n),
+              "log": lambda p: mp.log(int(p))}
+
+
+@given(case=st.sampled_from(TABLE_CASES), rewrite=st.booleans(),
+       digits=st.integers(10, 2000))
+@settings(max_examples=60, deadline=None)
+def test_each_base_pass_is_the_sum_of_its_one_term_passes(case, rewrite, digits):
+    table = _table(case)
+    if table is None:
+        return
+    if rewrite:
+        table = negative_q_rewrite(table)
+    ctx = make_context(digits)
+    for base, group in coefficients._by_base(table.entries).items():
+        with ctx.workdps():
+            target = mpf(10) ** (-(digits + ctx.guard_digits // 2))
+            run = [coefficients._series_term(b, c, base, target) for b, c in group]
+            # any base will do; a short one makes every nome +-x^j exact
+            with mp.workprec(mp.prec // max(t.j for t in run)):
+                x = +base.value(ctx)
+            wide = 4 * mp.prec  # for exact sums of the kernels' values
+        info, sums = series.base_sums(x, run, ctx)
+        want, slack = Counter(), Counter()
+        for t, (n, _, _) in zip(run, info):
+            with ctx.workdps():
+                q = t.sign * x ** t.j  # exact
+            r = EVALUATORS[t.kind](q, t.s, t.target, ctx)
+            assert r.terms_used == n
+            with mp.workprec(wide):
+                for key, w in t.weights:
+                    want[key] += r.value * q ** t.lift * w.numerator / w.denominator
+                    slack[key] += r.rounding_error * abs(q) ** t.lift * abs(w)
+        assert sums.keys() == want.keys()
+        with mp.workprec(wide):
+            for key, (value, rounding) in sums.items():
+                assert abs(value - want[key]) <= rounding + slack[key], (base, key)
+    value, err, _ = assemble_detailed(table, ctx)
+    with mp.workdps(ctx.working_digits + 20):
+        what, arg = table.constant.rstrip(")").replace("^", "(").split("(")
+        assert abs(value - TRUE_VALUE[what](arg)) <= err
+
+
+@pytest.mark.parametrize("constant, method, n, bases", [
+    ("zeta", "root15", 3, 1), ("zeta", "p3", 5, 1), ("zeta", "p5", 5, 1),
+    ("pi", "example63", 3, 1), ("zeta", "corollary3", 5, 1),
+    ("pi", "prop_pi3", 3, 2), ("pi", "prop_pi3_fast", 3, 2)])
+def test_one_exponential_and_one_pass_per_base(constant, method, n, bases, monkeypatch):
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    count(QSymbolic, "value")
+    count(coefficients, "base_sums")
+    count(series, "_fixed_pass")
+    assemble_detailed(method_table(constant, method, n), make_context(100))
+    assert calls == {"value": bases, "base_sums": bases, "_fixed_pass": bases}
 
 
 # ------------------------------------------------- the closed-form N
