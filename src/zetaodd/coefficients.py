@@ -851,9 +851,10 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
     The slop size * 10^-(working - 2) >= 700 u, u = 2^-prec, covers the
     rounding of the assembly and of the nomes; size bounds sum |c v| by
     closed-form bounds, each radicand part of c apart.  The base e^(-A), A =
-    g sqrt(r) pi, is good to (4A + 2) u relative, so x^j to j(4A + 2) u =
-    (4a + 2j) u, a <= 20 pi its decay rate (a direct exponential: 4a + 2).
-    That moves a series in q, |q| < 0.05, by under 400 u times its bound."""
+    g sqrt(r) pi, rounded from one good to (4A + 2) 2^-p at p >= prec + 20
+    bits (A's roundings, the exponential's), is good to (1 + (4A + 2) 2^-20)
+    u <= (4A + 2) u, so x^j to (4a + 2j) u, a <= 20 pi its decay rate.  That
+    moves a series in q, |q| < 0.05, by under 400 u times its bound."""
     with ctx.workdps():
         budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
         total = mpf(0)

@@ -1,8 +1,10 @@
 """CLI contract: deterministic stdout, JSON shape, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +14,16 @@ from zetaodd import cli, engine, series
 from zetaodd.coefficients import CoefficientTable
 
 
+# the child imports the package this process imports, with or without PYTHONPATH
+SRC = str(Path(cli.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "zetaodd.cli", *argv],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -3,13 +3,17 @@
 The kernel must return the same terms_used-term sum as the term-by-term
 loop, within the error it certifies; a table's pass over one base nome
 must return the weighted sum of its one-term passes, within both their
-certified errors, and one exponential and one pass per base; the
-closed-form N must be the smallest whose closed-form bound beats the
-target, and the N of the term-by-term search wherever the target is not
+certified errors, and one exponential and one pass per base; a base's
+exponential is computed once per process and served rounded from the
+highest precision asked for; the closed-form N must be the smallest whose
+closed-form bound beats the target, the N of the working-precision search
+at every base power of the tables, targets down to 10^-(10^5) and ulp ties
+included, and the N of the term-by-term search wherever the target is not
 at an ulp tie of the two roundings of the bound; and every table term must
 take the kernel, while complex nomes keep the loop.
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -175,6 +179,46 @@ def test_one_exponential_and_one_pass_per_base(constant, method, n, bases, monke
     assert calls == {"value": bases, "base_sums": bases, "_fixed_pass": bases}
 
 
+def test_exponential_cache_rounds_its_highest_precision(monkeypatch):
+    monkeypatch.setattr(series, "_EXP", {})
+    nomes = [QSymbolic(1, 1), QSymbolic(-1, 5), QSymbolic(1, 2, 15), QSymbolic(-1, 1, 3)]
+    highest = 0
+    for digits in (3000, 1000, 50, 1000, 4000, 200):
+        ctx = make_context(digits)
+        with ctx.workdps():
+            prec = mp.prec
+        highest = max(highest, prec)
+        for q in nomes:
+            before = mp.prec
+            v = q.value(ctx)
+            assert mp.prec == before and v._mpf_[3] <= prec
+            with mp.workprec(prec + 100):
+                a = q.mult * mp.sqrt(q.root) * mp.pi
+                exact = q.sign * mp.exp(-a)
+                # rounded from 20 more bits: within (1 + (4A + 2) 2^-20) u,
+                # inside the (4A + 2) u that assemble_detailed allows
+                assert abs(v - exact) <= (1 + (4 * a + 2) * mpf(2) ** -20) \
+                    * mpf(2) ** -prec * abs(exact)
+        assert series._EXP.keys() == {(q.mult, q.root) for q in nomes}
+        assert {bits for bits, _ in series._EXP.values()} == {highest + 20}
+
+
+def test_lower_precision_request_runs_no_exponential(monkeypatch):
+    # the second request is served from the first's exponential
+    monkeypatch.setattr(series, "_EXP", {})
+    exps = []
+    exp = mp.exp
+
+    def counted_exp(*args):
+        exps.append(mp.prec)
+        return exp(*args)
+    monkeypatch.setattr(mp, "exp", counted_exp)
+    for digits, n_exp in ((1200, 1), (1000, 0)):
+        exps.clear()
+        engine.zeta_odd(3, "root15", digits)
+        assert len(exps) == n_exp
+
+
 # ------------------------------------------------- the closed-form N
 
 
@@ -253,6 +297,51 @@ def test_closed_form_n_before_the_derivative_bound_peaks():
         for target in (mpf(10) ** 7, mpf(10) ** 6, mpf(1000), mpf("1e-10")):
             assert series._terms_needed(k, qa, target)[0] == \
                 _loop_terms_needed(k, qa, target)[0]
+
+
+def _base_powers() -> list:
+    """(base, j) of every nome |q| = base^j of every METHODS table at k = 1
+    and of the log tables, with and without the negative-q rewrite."""
+    tables = [gen(1) for methods in METHODS.values() for _, _, gen in methods.values()]
+    tables += [coeffs_log(p) for p in (2, 3, 5)]
+    return sorted({(base, basis.q.mult // base.mult)
+                   for t in tables for u in (t, negative_q_rewrite(t))
+                   for base, group in coefficients._by_base(u.entries).items()
+                   for basis, _ in group}, key=str)
+
+
+def _search(kind, qa, target) -> tuple:
+    """The smallest n with _bound(n) < target at working precision, by
+    doubling and bisection: at |q| <= e^-pi the bound falls by over 10x a
+    term, so the n below the target are a ray, rounding and all."""
+    lo, hi = 0, 1  # bound(lo) >= target or lo = 0; bound(hi) < target
+    while series._bound(kind, qa, hi) >= target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if series._bound(kind, qa, mid) < target else (mid, hi)
+    assert hi == 1 or series._bound(kind, qa, hi - 1) >= target
+    return hi, series._bound(kind, qa, hi)
+
+
+@given(kind=st.sampled_from(list(series._KINDS)), nome=st.sampled_from(_base_powers()),
+       digits=st.integers(10, 2000), exponent=st.floats(math.log10(5), 5),
+       mantissa=st.floats(1, 10, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_n_is_the_working_precision_search_down_to_extreme_targets(kind, nome, digits,
+                                                                  exponent, mantissa):
+    k = series._KINDS[kind]
+    base, j = nome
+    ctx = make_context(digits)
+    with ctx.workdps():
+        qa = base.value(ctx) ** j
+        target = mpf(mantissa) * mpf(10) ** -round(10 ** exponent)
+        n, b = _search(k, qa, target)
+        assert series._terms_needed(k, qa, target) == (n, b)
+        # ties: the bound at N itself and one ulp either side
+        ulp = mp.ldexp(1, mp.mag(b) - mp.prec)
+        for tie in (b - ulp, b, b + ulp):
+            assert series._terms_needed(k, qa, tie) == _search(k, qa, tie)
 
 
 @pytest.mark.parametrize("kind", list(EVALUATORS))
