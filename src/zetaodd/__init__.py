@@ -5,10 +5,7 @@ error bounds."""
 from .coefficients import (
     BasisTerm,
     CoefficientTable,
-    assemble,
     assemble_detailed,
-    coeffs_4km1,
-    coeffs_4kp1,
     coeffs_log,
     coeffs_pi,
     format_coefficient,
@@ -29,7 +26,6 @@ from .engine import (
     ConvergenceProfile,
     convergence_profile,
     log_prime,
-    oracle_zeta,
     pi_power,
     zeta3_first_order,
     zeta_odd,
@@ -44,11 +40,11 @@ from .identities import (
     check_t1_case3,
     check_zeta_free,
 )
+from .oracles import oracle_zeta
 from .series import (
     QSymbolic,
     SeriesResult,
     lambert_eval,
-    lambert_derivative_eval,
     lambert_q_expansion,
     sech_series,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "Residual",
     "SeriesResult",
     "Surd",
-    "assemble",
     "assemble_detailed",
     "bernoulli",
     "check_lemma_p4",
@@ -77,14 +72,11 @@ __all__ = [
     "check_t1_case2",
     "check_t1_case3",
     "check_zeta_free",
-    "coeffs_4km1",
-    "coeffs_4kp1",
     "coeffs_log",
     "coeffs_pi",
     "convergence_profile",
     "format_coefficient",
     "lambert_eval",
-    "lambert_derivative_eval",
     "lambert_q_expansion",
     "log_prime",
     "make_context",

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from . import engine, identities
+from . import engine, identities, oracles
 from .coefficients import METHODS, PI_METHODS, negative_q_rewrite
 from .core import ConvergenceError, DomainError, make_context
 
@@ -35,12 +35,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    """--digits, --order: a positive int, else argparse's usage error (exit 64)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_from(low: int):
+    """An argparse type for --digits and --order: an int >= low, else
+    argparse's usage error (exit 64)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _readable(parse, what: str):
@@ -96,7 +99,7 @@ def _cmd_zeta3_first_order(args) -> int:
     ctx = make_context(30)
     value = engine.zeta3_first_order(ctx)
     with ctx.workdps():
-        err = value - engine.oracle_zeta(3, ctx=ctx)
+        err = value - oracles.oracle_zeta(3, ctx)
         print("constant = zeta(3)")
         print("method = first-order truncation of the sqrt15 family")
         print(f"value = {mp.nstr(value, 20)}")
@@ -208,7 +211,7 @@ def build_parser() -> _Parser:
 
     # --digits and --format, shared by the three constant subcommands
     out = _Parser(add_help=False)
-    out.add_argument("--digits", type=_positive_int, default=50)
+    out.add_argument("--digits", type=_int_from(1), default=50)
     out.add_argument("--format", choices=("text", "json"), default="text")
 
     cz = csub.add_parser("zeta", parents=[out], help="zeta(s) for odd s >= 3")
@@ -254,8 +257,10 @@ def build_parser() -> _Parser:
                     default="0.5", help="real nome in (0,1)")
     ve.add_argument("--s", type=int, default=-3)
     ve.add_argument("--case", type=int, default=2, choices=(1, 2))
-    ve.add_argument("--order", type=_positive_int, default=50)
-    ve.add_argument("--digits", type=_positive_int, default=30)
+    ve.add_argument("--order", type=_int_from(1), default=50)
+    # below 6 digits the threshold 10^-(digits-5) is 1 or more: an identity
+    # off by its own size would pass
+    ve.add_argument("--digits", type=_int_from(6), default=30)
     ve.set_defaults(func=_cmd_verify)
 
     be = sub.add_parser("bench", help="convergence profile of a method")
@@ -263,7 +268,7 @@ def build_parser() -> _Parser:
     be.add_argument("--s", type=int, default=3)
     be.add_argument("--method", default="auto")
     be.add_argument("--max-terms", type=int, default=8)
-    be.add_argument("--digits", type=_positive_int, default=50)
+    be.add_argument("--digits", type=_int_from(1), default=50)
     be.set_defaults(func=_cmd_bench)
 
     return p

@@ -114,12 +114,6 @@ class CoefficientTable:
     entries: tuple  # of (BasisTerm, coefficient)
     debug: dict = field(default_factory=dict, compare=False)
 
-    def coefficient(self, basis: BasisTerm):
-        for b, c in self.entries:
-            if b == basis:
-                return c
-        raise KeyError(str(basis))
-
     def pi_coefficient(self):
         for b, c in self.entries:
             if b.kind == "pi_power":
@@ -341,14 +335,24 @@ def _root15_4km1(k: int) -> CoefficientTable:
 # ---------------------------------------------------------------------------
 
 
+def _h_diff(k: int, j: int):
+    """h(4k+1-2j) - h(2j-1), h(m) = (1 + (1+i)^m) / 2^m: the 2-section part
+    of the multisection c_jk."""
+    def h(m):
+        return (1 + (1 + I) ** m) / _f2(m)
+    return h(4 * k + 1 - 2 * j) - h(2 * j - 1)
+
+
+def _gauss_diff(p: int, k: int, j: int):
+    """p^lo G(hi) - p^hi G(lo) at hi = 4k+1-2j, lo = 2j-1, G =
+    _gauss_sum((p-1)/2, .): the p-section part of the multisection c_jk."""
+    hi, lo, g = 4 * k + 1 - 2 * j, 2 * j - 1, (p - 1) // 2
+    return Fraction(p) ** lo * _gauss_sum(g, hi) - Fraction(p) ** hi * _gauss_sum(g, lo)
+
+
 def _p2_raw(k: int):
     a_k = _f2(4 * k + 1) - (-1) ** k * _f2(2 * k) - 1
-    b = [
-        (_f2(2 * j - 1) * (1 + (1 + I) ** (4 * k + 1 - 2 * j))
-         - _f2(4 * k + 1 - 2 * j) * (1 + (1 + I) ** (2 * j - 1))) / a_k
-        for j in range(k + 1)
-    ]
-    return a_k, b
+    return a_k, [_f2(4 * k) * _h_diff(k, j) / a_k for j in range(k + 1)]
 
 
 def _p3_raw(k: int):
@@ -361,19 +365,7 @@ def _p3_raw(k: int):
         - sgn * _f2(2 * k)
         - a_k * (_f2(4 * k + 1) - sgn * _f2(2 * k) - 1) / _f2(4 * k + 1)
     )
-    c = []
-    for j in range(k + 1):
-        m_hi = 4 * k + 1 - 2 * j
-        m_lo = 2 * j - 1
-        c_jk = (
-            Fraction(3) ** m_lo * _gauss_sum(1, m_hi)
-            - Fraction(3) ** m_hi * _gauss_sum(1, m_lo)
-            - a_k * (
-                (1 + (1 + I) ** m_hi) / _f2(m_hi)
-                - (1 + (1 + I) ** m_lo) / _f2(m_lo)
-            )
-        )
-        c.append(c_jk)
+    c = [_gauss_diff(3, k, j) - a_k * _h_diff(k, j) for j in range(k + 1)]
     return a_k, b_k, c
 
 
@@ -388,21 +380,7 @@ def _p5_raw(k: int):
     b_k = a_k / 2 * (Fraction(5) ** (4 * k + 1) - s5_4k.re.as_fraction()) - (
         _f2(4 * k + 1) - sgn * _f2(2 * k) - 1
     ) / _f2(4 * k + 1)
-    c = []
-    for j in range(k + 1):
-        m_hi = 4 * k + 1 - 2 * j
-        m_lo = 2 * j - 1
-        c_jk = (
-            a_k * (
-                Fraction(5) ** m_lo * _gauss_sum(2, m_hi)
-                - Fraction(5) ** m_hi * _gauss_sum(2, m_lo)
-            )
-            - (
-                (1 + (1 + I) ** m_hi) / _f2(m_hi)
-                - (1 + (1 + I) ** m_lo) / _f2(m_lo)
-            )
-        )
-        c.append(c_jk)
+    c = [a_k * _gauss_diff(5, k, j) - _h_diff(k, j) for j in range(k + 1)]
     return a_k, b_k, c
 
 
@@ -730,16 +708,6 @@ def method_table(constant: str, method: str, n: int) -> CoefficientTable:
     return METHODS[constant][name][2](k)
 
 
-def coeffs_4km1(method: str, k: int) -> CoefficientTable:
-    """Exact table expressing zeta(4k-1) in the chosen basis family."""
-    return method_table("zeta", method, 4 * k - 1)
-
-
-def coeffs_4kp1(method: str, k: int) -> CoefficientTable:
-    """Exact table expressing zeta(4k+1) in the chosen basis family."""
-    return method_table("zeta", method, 4 * k + 1)
-
-
 def coeffs_pi(which: str, k: int = 1) -> CoefficientTable:
     """Exact table expressing an odd pi power in Lambert/sech series.
 
@@ -888,7 +856,3 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
         err += size * mpf(10) ** (-(ctx.working_digits - 2))
         return total, err, terms
 
-
-def assemble(table: CoefficientTable, ctx: PrecisionContext):
-    """Numerical value of a table at the context's working precision."""
-    return assemble_detailed(table, ctx)[0]

@@ -83,7 +83,7 @@ ZIV_ATTEMPTS = 5  # assemblies of one table, the guard digits doubling each time
 def _result(table: CoefficientTable, digits: int, t0: float) -> ConstantResult:
     """Emit the digits shared by both ends of the certified interval
     value -+ err, which are those of the constant (Ziv's test); while the
-    ends differ, re-assemble the table with twice the guard digits."""
+    ends differ, reassemble the table with twice the guard digits."""
     ctx = make_context(digits)
     for _ in range(ZIV_ATTEMPTS):
         value, err, terms = assemble_detailed(table, ctx)
@@ -136,13 +136,6 @@ def zeta3_first_order(ctx: PrecisionContext | None = None):
         x = r15 * mp.pi
         return (mp.pi ** 3 * r15 / 100
                 + mp.exp(-x) * (mpf(9) / 4 + 4 / r15 * mp.sinh(x / 2)))
-
-
-def oracle_zeta(s: int, target_digits: int = 50,
-                ctx: PrecisionContext | None = None):
-    """Euler-Maclaurin zeta(s), sharing no code with the Lambert route."""
-    ctx = ctx or make_context(target_digits)
-    return oracles.oracle_zeta(s, ctx)
 
 
 # ---------------------------------------------------------------------------

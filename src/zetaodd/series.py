@@ -25,16 +25,18 @@ is then taken on one of two paths, chosen by the nome:
   to its precision with a certified rounding error: the terms past each
   term's order, bounded through |coefficient| <= d(m) <= 2 sqrt(m), and one
   unit per fixed-point shift or division, weighted by what multiplies it
-  later.  A table takes one pass per base nome
-  (``coefficients.assemble_detailed``), which adds the error to the tails.
-* complex q (the identity checks), a target so loose that the power
-  series would need more than 4N + 64 powers of q, and ``partial_sums``
-  (the convergence profile, which wants every prefix): the term-by-term
-  loop ``_sums`` at working precision.  Its rounding is left to the caller's
-  slop, which scales with the size of the terms.
+  later.  A term whose power series would need more than 4 TERM_CAP + 64
+  powers of q raises ConvergenceError.  A table takes one pass per base
+  nome (``coefficients.assemble_detailed``), which adds the error to the
+  tails.
+* complex q (the identity checks) and ``partial_sums`` (the convergence
+  profile, which wants every prefix): the term-by-term loop ``_sums`` at
+  working precision.  Its rounding is left to the caller's slop, which
+  scales with the size of the terms.
 
-``lambert_eval``, ``lambert_derivative_eval`` and ``sech_series`` are
-one-term passes over x = |q|, and ``partial_sums`` is the loop.  The
+``lambert_eval`` and ``sech_series`` are one-term passes over x = |q|,
+``_evaluate`` is the same for any kind (the derivative included), and
+``partial_sums`` is the loop.  The
 Lambert sieve ``_lambert_expansion`` is the only divisor-sum code:
 ``lambert_q_expansion`` and the multisection check
 (``identities.check_multisection``) read sigma_s(m) from it.
@@ -217,7 +219,7 @@ class _Kind:
     nums[m] / dens[m] from expansion(-s, N, order), and |b_m| <=
     coef_bound(m) for s <= max_s."""
 
-    name: str  # the public evaluator, for error messages
+    name: str  # for error messages
     max_s: int
     real_nome: bool  # q must lie in (0, 1), not just inside the unit disc
     first: Callable
@@ -242,7 +244,7 @@ _KINDS = {
         lambda n: 1, lambda qa: (1 - qa) ** 2,
         _lambert_expansion, lambda m: 2 * math.sqrt(m + 1)),
     "lambert_derivative": _Kind(
-        "lambert_derivative_eval", -1, False, lambda q: mp.mpmathify(1),
+        "lambert_derivative", -1, False, lambda q: mp.mpmathify(1),
         lambda n, s, y, yq: mp.power(n, s + 1) * y / (1 - yq) ** 2,
         lambda n: 1 + n, lambda qa: (1 - qa) ** 3,
         _derivative_expansion, lambda m: 2 * (m + 1) ** 1.5),
@@ -403,9 +405,9 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
     Returns the (N, tail bound, size bound) of each term's series times
     |q|^lift, the size bound being the closed-form bound after no terms,
     and the sums {key: (value, certified rounding error)}, values with all
-    their bits.  A term whose order would exceed 4N + 64 (a target far
-    looser than the precision) is summed by the loop _sums instead, its
-    rounding left to the caller's slop."""
+    their bits.  A term whose order would exceed 4 TERM_CAP + 64 (a nome
+    near 1 with a target far looser than the precision) raises
+    ConvergenceError: N <= TERM_CAP, so no pass holds more powers of x."""
     with ctx.workdps():
         info, plans = [], []
         for t in terms:
@@ -418,21 +420,19 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
             info.append((n, bound * lifted, size))
             plans.append((t, kind, qa, n))
         prec = mp.prec + 40 + max(n for n, *_ in info).bit_length()
-        fixed, out = [], {}
+        fixed, cap = [], 4 * TERM_CAP + 64
         for t, kind, qa, n in plans:
             ax = math.nextafter(float(qa), 2.0)
             order = _order(kind, ax, prec) if ax < 1 else math.inf
-            if order <= 4 * n + 64:
-                fixed.append((t, kind, n, order))
-                continue
-            *_, v = _sums(kind, t.sign * qa, t.s, n)
-            v *= (t.sign * qa) ** t.lift
-            for key, w in t.weights:
-                out[key] = (out.get(key, (0,))[0] + v * _num(w), mpf(0))
-        for key, (total, ulps) in (_fixed_pass(x, fixed, prec) if fixed else {}).items():
+            if order > cap:
+                raise ConvergenceError(
+                    f"{kind.name}: the power series at |q| = {mp.nstr(qa, 8)} "
+                    f"would need more than {cap} powers of q")
+            fixed.append((t, kind, n, order))
+        out = {}
+        for key, (total, ulps) in _fixed_pass(x, fixed, prec).items():
             err = math.ceil(ulps * (1 + 2.0 ** -20)) + 1  # slack for the float sums
-            value = mp.make_mpf(from_man_exp(total, -prec))
-            out[key] = (mp.fadd(out.get(key, (0,))[0], value, exact=True),
+            out[key] = (mp.make_mpf(from_man_exp(total, -prec)),
                         mp.make_mpf(from_man_exp(err, -prec)))
         return info, out
 
@@ -549,11 +549,6 @@ def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> Serie
 def lambert_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
     """L_q(s) summed to the smallest N whose certified tail beats the target."""
     return _evaluate("lambert", q, s, target_abs_error, ctx)
-
-
-def lambert_derivative_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
-    """dL_q(s)/dq = sum_{n>=1} n^(s+1) q^(n-1)/(1-q^n)^2, certified; s <= -1."""
-    return _evaluate("lambert_derivative", q, s, target_abs_error, ctx)
 
 
 def sech_series(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:

@@ -15,11 +15,10 @@ from zetaodd.coefficients import (
     ZETA_4KM1_METHODS,
     ZETA_4KP1_METHODS,
     assemble_detailed,
-    coeffs_4km1,
-    coeffs_4kp1,
     coeffs_log,
     coeffs_pi,
     gaussian_bernoulli_sum,
+    method_table,
     negative_q_rewrite,
 )
 from zetaodd.core import make_context, truncate_digits
@@ -69,17 +68,17 @@ def test_02_published_coefficient_tables_exact():
     )
 
     t0 = time.perf_counter()
-    families = [
-        (coeffs_4kp1, "p3", P3_GOLDEN),
-        (coeffs_4kp1, "p5", P5_GOLDEN),
-        (coeffs_4kp1, "root7_p", ROOT7_P_GOLDEN),
-        (coeffs_4kp1, "root15_p", ROOT15_P_GOLDEN),
-        (coeffs_4km1, "root7", ROOT7_M_GOLDEN),
-        (coeffs_4km1, "root15", ROOT15_M_GOLDEN),
+    families = [  # zeta(4k + offset)
+        (1, "p3", P3_GOLDEN),
+        (1, "p5", P5_GOLDEN),
+        (1, "root7_p", ROOT7_P_GOLDEN),
+        (1, "root15_p", ROOT15_P_GOLDEN),
+        (-1, "root7", ROOT7_M_GOLDEN),
+        (-1, "root15", ROOT15_M_GOLDEN),
     ]
-    for build, method, golden in families:
+    for offset, method, golden in families:
         for k, expected in golden.items():
-            got = _coeffs(build(method, k))
+            got = _coeffs(method_table("zeta", method, 4 * k + offset))
             assert got == expected, f"{method} k={k}: {got} != {expected}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.3f}s"

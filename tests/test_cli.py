@@ -276,6 +276,8 @@ def test_console_script_installed():
     ("compute", "log", "--p", "2", "--digits", "-1"),
     ("verify", "--identity", "t1c1", "--digits", "0"),
     ("bench", "--digits", "0"),
+    # below 6 digits the threshold 10^-(digits-5) is 1 or more
+    ("verify", "--identity", "lemma-sech", "--q", "0.4", "--s", "-3", "--digits", "5"),
 ])
 def test_exit_usage_on_nonpositive_digits(argv, capsys):
     with pytest.raises(SystemExit) as stop:

@@ -24,12 +24,11 @@ from zetaodd.coefficients import (
     BasisTerm,
     CoefficientTable,
     assemble_detailed,
-    coeffs_4km1,
-    coeffs_4kp1,
     coeffs_log,
     coeffs_pi,
     format_coefficient,
     gaussian_bernoulli_sum,
+    method_table,
     negative_q_rewrite,
     parse_coefficient,
     resolve_method,
@@ -81,7 +80,7 @@ P3_GOLDEN = {
 
 @pytest.mark.parametrize("k", sorted(P3_GOLDEN))
 def test_p3_table(k):
-    t = coeffs_4kp1("p3", k)
+    t = method_table("zeta", "p3", 4 * k + 1)
     s = -(4 * k + 1)
     assert t.constant == f"zeta({4 * k + 1})"
     assert _bases(t) == [
@@ -118,7 +117,7 @@ P5_GOLDEN = {
 
 @pytest.mark.parametrize("k", sorted(P5_GOLDEN))
 def test_p5_table(k):
-    t = coeffs_4kp1("p5", k)
+    t = method_table("zeta", "p5", 4 * k + 1)
     s = -(4 * k + 1)
     assert _bases(t) == [
         f"pi^{4 * k + 1}",
@@ -150,7 +149,7 @@ ROOT7_P_GOLDEN = {
 
 @pytest.mark.parametrize("k", sorted(ROOT7_P_GOLDEN))
 def test_root7_p_table(k):
-    t = coeffs_4kp1("root7_p", k)
+    t = method_table("zeta", "root7_p", 4 * k + 1)
     s = -(4 * k + 1)
     assert _bases(t) == [
         f"pi^{4 * k + 1}",
@@ -188,7 +187,7 @@ ROOT15_P_GOLDEN = {
 
 @pytest.mark.parametrize("k", sorted(ROOT15_P_GOLDEN))
 def test_root15_p_table(k):
-    t = coeffs_4kp1("root15_p", k)
+    t = method_table("zeta", "root15_p", 4 * k + 1)
     s = -(4 * k + 1)
     assert _bases(t) == [
         f"pi^{4 * k + 1}",
@@ -221,7 +220,7 @@ ROOT7_M_GOLDEN = {
 
 @pytest.mark.parametrize("k", sorted(ROOT7_M_GOLDEN))
 def test_root7_m_table(k):
-    t = coeffs_4km1("root7", k)
+    t = method_table("zeta", "root7", 4 * k - 1)
     s = -(4 * k - 1)
     assert t.constant == f"zeta({4 * k - 1})"
     assert _bases(t) == [
@@ -259,7 +258,7 @@ ROOT15_M_GOLDEN = {
 
 @pytest.mark.parametrize("k", sorted(ROOT15_M_GOLDEN))
 def test_root15_m_table(k):
-    t = coeffs_4km1("root15", k)
+    t = method_table("zeta", "root15", 4 * k - 1)
     s = -(4 * k - 1)
     assert _bases(t) == [
         f"pi^{4 * k - 1}",
@@ -277,15 +276,15 @@ def test_root15_m_table(k):
 
 
 def test_corollary_table():
-    t = coeffs_4km1("corollary", 1)
+    t = method_table("zeta", "corollary", 3)
     assert _bases(t) == ["pi^3", "lambert(exp(-2*pi), s=-3)"]
     assert _coeffs(t) == [F(7, 180), F(-2)]
     # corollary2 is an accepted alias
-    assert coeffs_4km1("corollary2", 1) == t
+    assert method_table("zeta", "corollary2", 3) == t
 
 
 def test_corollary3_table():
-    t = coeffs_4kp1("corollary3", 1)
+    t = method_table("zeta", "corollary3", 5)
     assert _bases(t) == [
         "pi^5",
         "lambert_derivative(exp(-2*pi), s=-5)",
@@ -293,14 +292,14 @@ def test_corollary3_table():
     ]
     assert _coeffs(t) == [F(13, 3780), F(-2), F(-2)]
     # the derivative column scales as -2/k
-    t3 = coeffs_4kp1("corollary3", 3)
+    t3 = method_table("zeta", "corollary3", 13)
     assert dict(zip(_bases(t3), _coeffs(t3)))[
         "lambert_derivative(exp(-2*pi), s=-13)"
     ] == F(-2, 3)
 
 
 def test_root3_m_table():
-    t = coeffs_4km1("root3", 1)
+    t = method_table("zeta", "root3", 3)
     assert _bases(t) == [
         "pi^3",
         "lambert(exp(-sqrt(3)*pi), s=-3)",
@@ -311,7 +310,7 @@ def test_root3_m_table():
 
 
 def test_root3_p_table():
-    t = coeffs_4kp1("root3_p", 1)
+    t = method_table("zeta", "root3_p", 5)
     assert _bases(t) == ["pi^5", "lambert(-exp(-sqrt(3)*pi), s=-5)"]
     assert _coeffs(t) == [sq(11, 5670, 3), F(-2)]
 
@@ -319,17 +318,17 @@ def test_root3_p_table():
 def test_root3_p_degenerate_k():
     for k in (3, 6, 9):
         with pytest.raises(DomainError):
-            coeffs_4kp1("root3_p", k)
+            method_table("zeta", "root3_p", 4 * k + 1)
     # neighbours stay fine
-    coeffs_4kp1("root3_p", 2)
-    coeffs_4kp1("root3_p", 4)
+    method_table("zeta", "root3_p", 9)
+    method_table("zeta", "root3_p", 17)
 
 
 def test_root3_m_sign_regression():
     # the zeta(3) value pins the sign of the first Lambert coefficient:
     # flipping it moves the assembled value by ~4 L(e^-sqrt3 pi) ~ 1.7e-2
     ctx = make_context(50)
-    t = coeffs_4km1("root3", 1)
+    t = method_table("zeta", "root3", 3)
     val, err, _ = assemble_detailed(t, ctx)
     with ctx.workdps():
         assert abs(val - oracle_zeta(3, ctx)) < mpf("1e-48")
@@ -354,10 +353,10 @@ def test_gaussian_bernoulli_known_value():
 
 
 def test_debug_payloads():
-    assert coeffs_4kp1("p2", 1).debug["a_k"] == "35"
-    d3 = coeffs_4kp1("p3", 1).debug
+    assert method_table("zeta", "p2", 5).debug["a_k"] == "35"
+    d3 = method_table("zeta", "p3", 5).debug
     assert d3["a_k"] == "3904/37" and d3["b_k"] == "355/37"
-    d5 = coeffs_4kp1("p5", 1).debug
+    d5 = method_table("zeta", "p5", 5).debug
     assert d5["a_k"] == "37/50240" and d5["b_k"] == "3251/50240"
 
 
@@ -494,8 +493,8 @@ def test_rewrite_log3_expansion():
 @pytest.mark.parametrize("make,args", [
     (coeffs_log, (3,)),
     (coeffs_log, (5,)),
-    (coeffs_4kp1, ("p3", 1)),
-    (coeffs_4kp1, ("p5", 2)),
+    (method_table, ("zeta", "p3", 5)),
+    (method_table, ("zeta", "p5", 9)),
     (coeffs_pi, ("prop_pi5", 1)),
 ])
 def test_rewrite_preserves_value(make, args):
@@ -522,8 +521,8 @@ def test_rewrite_idempotent():
 
 def test_json_roundtrip_all_methods():
     tables = (
-        [coeffs_4km1(m, 1) for m in ZETA_4KM1_METHODS]
-        + [coeffs_4kp1(m, 1) for m in ZETA_4KP1_METHODS]
+        [method_table("zeta", m, 3) for m in ZETA_4KM1_METHODS]
+        + [method_table("zeta", m, 5) for m in ZETA_4KP1_METHODS]
         + [coeffs_pi(m, 1) for m in PI_METHODS]
         + [coeffs_log(p) for p in (2, 3, 5)]
     )
@@ -536,7 +535,7 @@ def test_json_roundtrip_all_methods():
 
 
 def test_basis_term_roundtrip():
-    t = coeffs_4kp1("root15_p", 2)
+    t = method_table("zeta", "root15_p", 9)
     for b, _ in t.entries:
         assert BasisTerm.from_dict(b.to_dict()) == b
 
@@ -550,8 +549,8 @@ def test_format_parse_simple():
 
 def test_format_parse_all_table_coefficients():
     tables = (
-        [coeffs_4km1(m, 2) for m in ZETA_4KM1_METHODS]
-        + [coeffs_4kp1(m, 2) for m in ZETA_4KP1_METHODS]
+        [method_table("zeta", m, 7) for m in ZETA_4KM1_METHODS]
+        + [method_table("zeta", m, 9) for m in ZETA_4KP1_METHODS]
         + [coeffs_pi(m, 1) for m in PI_METHODS]
     )
     for t in tables:
@@ -590,7 +589,7 @@ def test_parse_rejects_garbage():
 
 def test_assemble_detailed_reports_terms():
     ctx = make_context(50)
-    t = coeffs_4km1("corollary", 1)
+    t = method_table("zeta", "corollary", 3)
     val, err, terms = assemble_detailed(t, ctx)
     assert set(terms) == {"pi^3", "lambert(exp(-2*pi), s=-3)"}
     assert terms["pi^3"] == 0  # closed form, no series truncation
@@ -608,9 +607,9 @@ def test_method_lists_are_disjoint():
 
 def test_unknown_method_raises():
     with pytest.raises(DomainError):
-        coeffs_4km1("nope", 1)
+        method_table("zeta", "nope", 3)
     with pytest.raises(DomainError):
-        coeffs_4kp1("corollary", 1)  # wrong parity family
+        method_table("zeta", "corollary", 5)  # wrong parity family
     with pytest.raises(DomainError):
         coeffs_pi("nope", 1)
 
@@ -618,9 +617,9 @@ def test_unknown_method_raises():
 def test_k_must_be_positive():
     for bad in (0, -1):
         with pytest.raises(DomainError):
-            coeffs_4km1("corollary", bad)
+            method_table("zeta", "corollary", 4 * bad - 1)
         with pytest.raises(DomainError):
-            coeffs_4kp1("p5", bad)
+            method_table("zeta", "p5", 4 * bad + 1)
         for which in PI_METHODS:
             with pytest.raises(DomainError):
                 coeffs_pi(which, bad)
@@ -631,7 +630,7 @@ def test_make_table_sums_repeated_bases():
     # which the table already has; the two coefficients are summed
     t = negative_q_rewrite(coeffs_log(3))
     h = 1  # 2^(s+1) at s = -1
-    assert t.coefficient(BasisTerm("lambert", q=QSymbolic(1, 6), s=-1)) == \
+    assert dict(t.entries)[BasisTerm("lambert", q=QSymbolic(1, 6), s=-1)] == \
         Fraction(4, 3) + Fraction(4, 3) * (h + 2)
     assert len({b for b, _ in t.entries}) == len(t.entries)
 
@@ -668,8 +667,8 @@ def test_parse_reads_every_real_radicand():
     assert parse_coefficient("(2)+(3)*sqrt(7)+(-1)*sqrt(7)") == 2 + 2 * Surd.sqrt(7)
 
 
-@pytest.mark.parametrize("table", [coeffs_4km1("root15", 1),
-                                   coeffs_4kp1("corollary3", 1)],
+@pytest.mark.parametrize("table", [method_table("zeta", "root15", 3),
+                                   method_table("zeta", "corollary3", 5)],
                          ids=["zeta3_root15", "zeta5_corollary3"])
 def test_assemble_does_not_use_the_pi_oracle(table, monkeypatch):
     # the oracles check the evaluation path, so it must not lean on them;

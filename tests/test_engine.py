@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import zetaodd
 from zetaodd import engine
 from zetaodd.coefficients import (
     METHODS,
@@ -20,7 +21,6 @@ from zetaodd.engine import (
     ConstantResult,
     convergence_profile,
     log_prime,
-    oracle_zeta,
     pi_power,
     zeta3_first_order,
     zeta_odd,
@@ -184,9 +184,11 @@ def test_zeta3_first_order_error():
 
 
 def test_oracle_zeta_wrapper():
+    # the package exports the oracle itself, not a wrapper of it
+    assert zetaodd.oracle_zeta is _oz
     ctx = make_context(40)
     with ctx.workdps():
-        assert abs(oracle_zeta(3, 40) - mp.zeta(3)) < mpf("1e-38")
+        assert abs(zetaodd.oracle_zeta(3, ctx) - mp.zeta(3)) < mpf("1e-38")
 
 
 # ----------------------------------------------------------------- profiles
@@ -281,14 +283,14 @@ def test_digits_are_the_constant_truncated(case, digits):
         assert abs(mpf(res.decimal_value) - true) <= res.error_bound + ulp
 
 
-def _guards(monkeypatch, assemble=None) -> list:
-    """The guard digits of every assembly, which `assemble` (by default
+def _guards(monkeypatch, assembly=None) -> list:
+    """The guard digits of every assembly, which `assembly` (by default
     the real one) then performs."""
-    guards, assemble = [], assemble or engine.assemble_detailed
+    guards, assembly = [], assembly or engine.assemble_detailed
 
     def spy(table, ctx):
         guards.append(ctx.guard_digits)
-        return assemble(table, ctx)
+        return assembly(table, ctx)
 
     monkeypatch.setattr(engine, "assemble_detailed", spy)
     return guards

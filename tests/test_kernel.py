@@ -9,12 +9,14 @@ highest precision asked for; the closed-form N must be the smallest whose
 closed-form bound beats the target, the N of the working-precision search
 at every base power of the tables, targets down to 10^-(10^5) and ulp ties
 included, and the N of the term-by-term search wherever the target is not
-at an ulp tie of the two roundings of the bound; and every table term must
-take the kernel, while complex nomes keep the loop.
+at an ulp tie of the two roundings of the bound; and every real nome must
+take the kernel, however loose its target, while complex nomes keep the
+loop.
 """
 
 import math
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -34,14 +36,13 @@ from zetaodd.coefficients import (
 from zetaodd.core import ConvergenceError, DomainError, PrecisionContext, make_context
 from zetaodd.series import (
     QSymbolic,
-    lambert_derivative_eval,
     lambert_eval,
     partial_sums,
     sech_series,
 )
 
 EVALUATORS = {"lambert": lambert_eval,
-              "lambert_derivative": lambert_derivative_eval,
+              "lambert_derivative": partial(series._evaluate, "lambert_derivative"),
               "sech_series": sech_series}
 
 
@@ -379,15 +380,36 @@ def test_every_table_term_takes_the_kernel(digits, monkeypatch):
         engine.log_prime(p, digits)
 
 
-def test_loose_target_near_the_unit_circle_keeps_the_loop(monkeypatch):
-    # one term meets the target; the power series would need ~2 * 10^4 powers of q
-    ctx = make_context(50)
-    r = lambert_eval(mpf("0.99"), -1, mpf(10) ** 6, ctx)
-    assert r.terms_used == 1 and r.rounding_error == 0
-    assert r.value == partial_sums("lambert", mpf("0.99"), -1, r.terms_used, ctx)[-1]
+def test_loose_target_near_the_unit_circle_takes_the_pass(monkeypatch):
+    # one term meets the target; the power series needs ~2 * 10^4 powers of q
     monkeypatch.setattr(series, "_sums", _no_loop)
-    with pytest.raises(AssertionError, match="loop ran"):
-        lambert_eval(mpf("0.99"), -1, mpf(10) ** 6, ctx)
+    q = mpf("0.99")
+    r = lambert_eval(q, -1, mpf(10) ** 6, make_context(50))
+    assert r.terms_used == 1
+    with mp.workdps(200):  # the one-term sum at the same 53-bit q
+        assert abs(r.value - q / (1 - q)) <= r.rounding_error
+
+
+def test_power_series_past_four_term_caps_raises():
+    # 1 - 10^-5 would need ~2 * 10^7 powers of q, over 4 * TERM_CAP + 64
+    with pytest.raises(ConvergenceError, match="powers of q"):
+        lambert_eval(1 - mpf("1e-5"), -1, mpf(10) ** 12, make_context(50))
+
+
+@pytest.mark.parametrize("target", [mpf(10) ** 3, mpf(10) ** -35], ids=["loose", "tight"])
+def test_real_nomes_never_take_the_loop(target, monkeypatch):
+    ctx = make_context(30)
+    wide = PrecisionContext(ctx.working_digits, ctx.working_digits)
+    cases = [(kind, mpf(q), s) for kind in EVALUATORS
+             for q in ("0.01", "0.5", "0.9", "0.99") for s in (-1, -3)]
+    monkeypatch.setattr(series, "_sums", _no_loop)
+    results = {case: EVALUATORS[case[0]](*case[1:], target, ctx) for case in cases}
+    monkeypatch.undo()  # the loop again, for the reference sums
+    for (kind, q, s), r in results.items():
+        assert r.tail_bound < target
+        ref = partial_sums(kind, q, s, r.terms_used, wide)[-1]
+        with wide.workdps():
+            assert abs(r.value - ref) <= r.rounding_error, (kind, q, s)
 
 
 def test_complex_nomes_keep_the_loop(monkeypatch):

@@ -13,7 +13,6 @@ from zetaodd.core import ConvergenceError, make_context
 from zetaodd.series import (
     TERM_CAP,
     QSymbolic,
-    lambert_derivative_eval,
     lambert_eval,
     lambert_q_expansion,
     partial_sums,
@@ -138,7 +137,7 @@ def test_derivative_matches_finite_difference():
         up = partial_sums("lambert", q + h, s, 60, ctx)[-1]
         dn = partial_sums("lambert", q - h, s, 60, ctx)[-1]
         fd = mp.pi * q * (up - dn) / (2 * h)
-    r = lambert_derivative_eval(QSymbolic(1, 2), s, mpf("1e-30"), ctx)
+    r = series._evaluate("lambert_derivative", QSymbolic(1, 2), s, mpf("1e-30"), ctx)
     # the eval routine reports sum n^{s+1} q^n/(1-q^n)^2; scale matches pi*q*L'
     with ctx.workdps():
         scaled = mp.pi * q * r.value
@@ -196,11 +195,11 @@ def test_non_integer_s_rejected():
     from zetaodd.core import DomainError
 
     for s in (mpf(-3), F(-3), -3.0, mp.mpc(-3, 1)):
-        for evaluate in (lambert_eval, lambert_derivative_eval, sech_series):
+        for kind in series._KINDS:
             with pytest.raises(DomainError, match="integer s"):
-                evaluate(QSymbolic(1, 2), s, mpf("1e-10"), CTX)
+                series._evaluate(kind, QSymbolic(1, 2), s, mpf("1e-10"), CTX)
     with pytest.raises(DomainError, match="integer s <= -1"):
-        lambert_derivative_eval(QSymbolic(1, 2), 0, mpf("1e-10"), CTX)
+        series._evaluate("lambert_derivative", QSymbolic(1, 2), 0, mpf("1e-10"), CTX)
 
 
 # ------------------------------------------------- q-expansion / divisor sums
