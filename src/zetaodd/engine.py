@@ -11,6 +11,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_pos, round_up
@@ -32,7 +33,7 @@ from .core import (
     make_context,
     truncate_digits,
 )
-from .series import partial_sums
+from .series import Term, base_sums
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,29 +189,29 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     slow_key = min(b.q.decay_key() for b, _ in series)
     slow_entries = [(b, c) for b, c in series if b.q.decay_key() == slow_key]
     # the other terms are assembled once, as for a result; the slowest ones
-    # are prefix sums over N = 1..max_terms, scaled as in the formula
-    fast = replace(table, entries=tuple(e for e in table.entries
-                                        if e not in slow_entries))
+    # are their prefixes N = 1..max_terms, in one pass over their nome, the
+    # derivative lifted to q dL/dq and scaled by pi as in the formula
+    fast = replace(table, entries=tuple([e for e in table.entries
+                                         if e not in slow_entries]))
     fixed = assemble_detailed(fast, ctx)[0]
+    run = [Term(b.kind, 1, b.q.sign, b.s, None, ((i, Fraction(1)),),
+                int(b.kind == "lambert_derivative"), max_terms)
+           for i, (b, _) in enumerate(slow_entries)]
+    _, sums = base_sums(slow_entries[0][0].q.magnitude().value(ctx), run, ctx)
     with ctx.workdps():
         oracle_val = oracle(ctx)
-        slow = []
-        for basis, coeff in slow_entries:
-            cval = eval_exact(coeff, ctx)
-            qv = basis.q.value(ctx)
-            scale = mp.pi * qv if basis.kind == "lambert_derivative" else 1  # pi q dL/dq
-            sums = partial_sums(basis.kind, qv, basis.s, max_terms, ctx)
-            slow.append([cval * (scale * p) for p in sums])
+        cvals = [eval_exact(c, ctx) * (mp.pi if t.lift else 1)
+                 for (_, c), t in zip(slow_entries, run)]
         points = []
         for n in range(1, max_terms + 1):
             approx = fixed
-            for sums in slow:
-                approx += sums[n - 1]
+            for i, cval in enumerate(cvals):
+                approx += cval * sums[i, n][0]
             delta = abs(approx - oracle_val)
             if delta == 0:
                 digits = ctx.working_digits
-            else:
-                digits = int(mp.floor(-mp.log10(delta)))
+            else:  # in floats: mpmath's log10 keeps cache entries for every precision
+                digits = math.floor(-math.log10(delta.man) - delta.exp * math.log10(2))
             points.append((n, max(0, digits)))
     # discard saturated points (oracle/assembly precision floor)
     usable = [(n, d) for n, d in points if d < ctx.target_digits - 1]

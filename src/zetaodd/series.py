@@ -9,36 +9,33 @@ algebraic term in q:
 
 where the sech term is sech((n-1/2)|log q|) written in powers of q, so no
 hyperbolic function is evaluated.  Each kind is defined once (``_KINDS``):
-its term, its tail bound and its q-expansion.  s is an integer throughout.
-The number of terms N is the smallest n whose closed-form tail bound
+its tail bound and its q-expansion.  s is an integer throughout.  The
+number of terms N is the smallest n whose closed-form tail bound
 (``_bound``) is below the target (``_terms_needed``); a series that would
-need more than ``TERM_CAP`` terms raises ConvergenceError.  The N-term sum
-is then taken on one of two paths, chosen by the nome:
+need more than ``TERM_CAP`` terms raises ConvergenceError.
 
-* real q (every table term): the fixed-point pass ``base_sums``.  Its
-  terms are at nomes +-x^j of one base x, each N-term sum a power series
-  in q with exact rational coefficients from one divisor sieve.  The
-  coefficients of all terms are merged into one sequence in powers of x
-  per prefactor and weight key, over one common denominator per position,
-  and each sequence is summed by rectangular splitting over one set of
-  powers of x in Python ints (``_fixed_pass``).  Each sum comes back exact
-  to its precision with a certified rounding error: the terms past each
-  term's order, bounded through |coefficient| <= d(m) <= 2 sqrt(m), and one
-  unit per fixed-point shift or division, weighted by what multiplies it
-  later.  A term whose power series would need more than 4 TERM_CAP + 64
-  powers of q raises ConvergenceError.  A table takes one pass per base
-  nome (``coefficients.assemble_detailed``), which adds the error to the
-  tails.
-* complex q (the identity checks) and ``partial_sums`` (the convergence
-  profile, which wants every prefix): the term-by-term loop ``_sums`` at
-  working precision.  Its rounding is left to the caller's slop, which
-  scales with the size of the terms.
+Every N-term sum, at a real or a complex nome, is taken by one kernel, the
+fixed-point pass ``base_sums``.  Its terms are at nomes +-x^j of one base
+x, real in (0, 1) or complex inside the unit disc, each N-term sum a power
+series in q with exact rational coefficients from one divisor sieve.  The
+coefficients of all terms are merged into one sequence in powers of x per
+prefactor and weight key, over one common denominator per position, and
+each sequence is summed by rectangular splitting over one set of powers of
+x in Python ints, one int per component of x (``_fixed_pass``).  Each sum
+comes back exact to its precision with a certified rounding error: the
+terms past each term's order, bounded through |coefficient| <= d(m) <= 2
+sqrt(m), and one unit per fixed-point shift or division, weighted by what
+multiplies it later, every bound taken through |x|.  A term whose power
+series would need more than 4 TERM_CAP + 64 powers of q raises
+ConvergenceError.  A table takes one pass per base nome
+(``coefficients.assemble_detailed``), which adds the error to the tails;
+the convergence profile (``engine.convergence_profile``) takes one pass
+for every prefix of its slowest series (``Term.prefixes``).
 
-``lambert_eval`` and ``sech_series`` are one-term passes over x = |q|,
-``_evaluate`` is the same for any kind (the derivative included), and
-``partial_sums`` is the loop.  The
-Lambert sieve ``_lambert_expansion`` is the only divisor-sum code:
-``lambert_q_expansion`` and the multisection check
+``lambert_eval`` and ``sech_series`` are one-term passes over x = q (or |q|
+for real q), and ``_evaluate`` is the same for any kind (the derivative
+included).  The Lambert sieve ``_lambert_expansion`` is the only divisor-sum
+code: ``lambert_q_expansion`` and the multisection check
 (``identities.check_multisection``) read sigma_s(m) from it.
 
 q arguments are numbers (a table's nome values, and complex points in the
@@ -167,9 +164,7 @@ class SeriesResult:
     terms_used: int
     tail_bound: mpf
     precision_used: int
-    # certified |value - the terms_used-term sum| on the fixed-point path;
-    # 0 on the loop path, whose rounding the caller's slop covers
-    rounding_error: object = 0
+    rounding_error: object  # certified |value - the terms_used-term sum|
 
 
 def _num(x):
@@ -211,9 +206,9 @@ def _sech_expansion(a: int, n_terms: int, order: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Kind:
-    """One basis series: the sum over n >= 1 of term(n, s, y, y*q), where y
-    runs through first(q) * q^(n-1).  After N terms the tail is at most
-    first(|q|) |q|^N weight(N) / den(|q|) whenever s <= max_s.
+    """One basis series, the sum over n >= 1 of its terms (the module
+    docstring).  After N terms the tail is at most first(|q|) |q|^N
+    weight(N) / den(|q|) whenever s <= max_s.
 
     The N-term sum is also first(q) * sum_m b_m q^m with exact b_m =
     nums[m] / dens[m] from expansion(-s, N, order), and |b_m| <=
@@ -223,7 +218,6 @@ class _Kind:
     max_s: int
     real_nome: bool  # q must lie in (0, 1), not just inside the unit disc
     first: Callable
-    term: Callable
     weight: Callable
     den: Callable
     expansion: Callable
@@ -240,30 +234,17 @@ class _Kind:
 _KINDS = {
     "lambert": _Kind(
         "lambert_eval", 0, False, lambda q: q,
-        lambda n, s, y, yq: mp.power(n, s) * y / (1 - y),
         lambda n: 1, lambda qa: (1 - qa) ** 2,
         _lambert_expansion, lambda m: 2 * math.sqrt(m + 1)),
     "lambert_derivative": _Kind(
         "lambert_derivative", -1, False, lambda q: mp.mpmathify(1),
-        lambda n, s, y, yq: mp.power(n, s + 1) * y / (1 - yq) ** 2,
         lambda n: 1 + n, lambda qa: (1 - qa) ** 3,
         _derivative_expansion, lambda m: 2 * (m + 1) ** 1.5),
     "sech_series": _Kind(
         "sech_series", 0, True, mp.sqrt,
-        lambda n, s, y, yq: (-1) ** n * mp.power(2 * n - 1, s) * 2 * y / (1 + y * y),
         lambda n: 2, lambda qa: 1 - qa * qa,
         _sech_expansion, lambda m: 4 * math.sqrt(2 * m + 1)),
 }
-
-
-def _nome(kind: _Kind, q, ctx: PrecisionContext):
-    qv = q.value(ctx) if isinstance(q, QSymbolic) else _num(q)
-    if kind.real_nome:
-        if isinstance(qv, mp.mpc) or not 0 < qv < 1:
-            raise DomainError(f"{kind.name} requires real q in (0, 1)")
-    elif abs(qv) >= 1:
-        raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(abs(qv), 8)}")
-    return qv
 
 
 def _bound(kind: _Kind, qa, n: int, lead=None):
@@ -311,25 +292,28 @@ def _terms_needed(kind: _Kind, qa, target) -> tuple:
     return n, bound
 
 
-def _sums(kind: _Kind, qv, s, n_terms: int):
-    """The partial sums of the first 1..n_terms terms, in order."""
-    acc = mpf(0)
-    y = kind.first(qv)
-    for n in range(1, n_terms + 1):
-        yq = y * qv
-        acc += kind.term(n, s, y, yq)
-        yield acc
-        y = yq
-
-
 def _fixed(v, prec: int) -> tuple:
-    """v * 2^prec as an int, and the ulps lost (0 or 1: the shift floors)."""
-    sign, man, exp, _ = v._mpf_
-    if sign:
-        man = -man
-    if exp + prec >= 0:
-        return man << (exp + prec), 0
-    return man >> -(exp + prec), 1
+    """v * 2^prec as a fixed-point number, one int per component (two for an
+    mpc), and |its error| in units of 2^-prec: each shift floors."""
+    ints, floors = [], 0
+    for sign, man, exp, _ in v._mpc_ if isinstance(v, mp.mpc) else [v._mpf_]:
+        if sign:
+            man = -man
+        if exp + prec >= 0:
+            ints.append(man << (exp + prec))
+        else:
+            ints.append(man >> -(exp + prec))
+            floors += 1
+    return tuple(ints), math.sqrt(floors)
+
+
+def _mul(u: tuple, v: tuple, prec: int) -> tuple:
+    """The product of two fixed-point numbers (_fixed), each component
+    floored: |its error| is below one unit per floor, sqrt(2) if complex."""
+    if len(u) == 1:
+        return (u[0] * v[0] >> prec,)
+    (a, b), (c, d) = u, v
+    return ((a * c - b * d) >> prec, (a * d + b * c) >> prec)
 
 
 def _order(kind: _Kind, ax: float, prec: int) -> int:
@@ -355,7 +339,9 @@ class Term:
     """One series of a pass over a base x (base_sums): the basis kind at the
     nome q = sign x^j, times q^lift, to the smallest N whose tail bound is
     below target, added with each weight of (key, Fraction) `weights` into
-    the sum of its key."""
+    the sum of its key.  With prefixes = P > 0 the target is not read: the
+    series is cut at each N = 1..P instead, prefix N added into the sum of
+    key (key, N)."""
 
     kind: str
     j: int
@@ -364,30 +350,24 @@ class Term:
     target: object
     weights: tuple = ((None, Fraction(1)),)
     lift: int = 0
-
-
-def _plan(kind: _Kind, qa, s, target_abs_error) -> tuple:
-    """(N, tail bound) of a basis kind at |q| = qa, after checking s and the target."""
-    if not isinstance(s, int) or s > kind.max_s:
-        raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {s!r}")
-    target = _num(target_abs_error)
-    if target <= 0:
-        raise ValueError("target_abs_error must be positive")
-    return _terms_needed(kind, qa, target)
+    prefixes: int = 0
 
 
 def _powers(x, prec: int, steps: set, r: int) -> tuple:
     """{n: x^n in fixed point} for the n <= r that a step divides, and the
-    largest error of any power built, in units of 2^-prec.  Each is the
+    largest |error| of any power built, in units of 2^-prec.  Each is the
     previous one times x^gap, the x^gap by steps of x.  A floored product
-    of U ~ u and V ~ v is off by <= |u| e_V + |v| e_U + e_U e_V 2^-prec + 1."""
-    ax = math.nextafter(float(x), 2.0)  # |x^n| <= ax^n
+    of U ~ u and V ~ v is off by <= |u| e_V + |v| e_U + e_U e_V 2^-prec +
+    unit, the unit being 1, or sqrt(2) for a complex x (_mul)."""
+    ax = math.nextafter(float(abs(x)), 2.0)  # |x^n| <= ax^n
     x1, ex = _fixed(x, prec)
-    pw = {0: (1 << prec, 0.0), 1: (x1, float(ex))}
+    unit = math.sqrt(len(x1))
+    pw = {0: ((1 << prec,) + (0,) * (len(x1) - 1), 0.0), 1: (x1, ex)}
 
     def times(a: int, b: int) -> None:
         (u, eu), (v, ev) = pw[a], pw[b]
-        pw[a + b] = (u * v >> prec, ax ** a * ev + ax ** b * eu + eu * ev * 2.0 ** -prec + 1)
+        pw[a + b] = (_mul(u, v, prec),
+                     ax ** a * ev + ax ** b * eu + eu * ev * 2.0 ** -prec + unit)
 
     need = [n for n in range(r + 1) if any(n % j == 0 for j in steps)]
     for d in range(1, max(b - a for a, b in zip(need, need[1:]))):
@@ -399,21 +379,29 @@ def _powers(x, prec: int, steps: set, r: int) -> tuple:
 
 
 def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
-    """Every term (Term) at a nome +-x^j of one base 0 < x < 1, in one
-    fixed-point pass over one set of powers of x (_fixed_pass).
+    """Every term (Term) at a nome +-x^j of one base x, real in (0, 1) or
+    complex with |x| < 1, in one fixed-point pass over one set of powers of
+    x (_fixed_pass).
 
     Returns the (N, tail bound, size bound) of each term's series times
     |q|^lift, the size bound being the closed-form bound after no terms,
-    and the sums {key: (value, certified rounding error)}, values with all
-    their bits.  A term whose order would exceed 4 TERM_CAP + 64 (a nome
-    near 1 with a target far looser than the precision) raises
+    and the sums {key: (value, certified bound of |rounding error|)},
+    values with all their bits.  A term whose order would exceed 4 TERM_CAP
+    + 64 (a nome near 1 with a target far looser than the precision) raises
     ConvergenceError: N <= TERM_CAP, so no pass holds more powers of x."""
     with ctx.workdps():
         info, plans = [], []
         for t in terms:
             kind = _KINDS[t.kind]
-            qa = x ** t.j
-            n, bound = _plan(kind, qa, t.s, t.target)
+            if not isinstance(t.s, int) or t.s > kind.max_s:
+                raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {t.s!r}")
+            qa = abs(x) ** t.j
+            if t.prefixes:
+                n, bound = t.prefixes, _bound(kind, qa, t.prefixes)
+            elif (target := _num(t.target)) > 0:
+                n, bound = _terms_needed(kind, qa, target)
+            else:
+                raise ValueError("target_abs_error must be positive")
             lifted = qa ** t.lift
             with mp.workprec(53):  # a scale for the slop: a few digits do
                 size = _bound(kind, qa, 0) * lifted
@@ -432,14 +420,16 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
         out = {}
         for key, (total, ulps) in _fixed_pass(x, fixed, prec).items():
             err = math.ceil(ulps * (1 + 2.0 ** -20)) + 1  # slack for the float sums
-            out[key] = (mp.make_mpf(from_man_exp(total, -prec)),
-                        mp.make_mpf(from_man_exp(err, -prec)))
+            parts = [from_man_exp(c, -prec) for c in total]  # all the bits
+            value = mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
+            out[key] = (value, mp.make_mpf(from_man_exp(err, -prec)))
         return info, out
 
 
 def _fixed_pass(x, fixed: list, prec: int) -> dict:
-    """{key: (sum * 2^prec, error in units of 2^-prec)} over (term, kind, N,
-    order) with every term cut at its own order (_order).
+    """{key: (sum * 2^prec, |error| in units of 2^-prec)} over (term, kind,
+    N, order) with every term cut at its own order (_order); a sum has one
+    int per component of x (_fixed).
 
     A term's N-term sum is first(q) sum_i b_i q^i, b_i = nums[i] / dens[i]
     exact from its kind's expansion (_Kind).  With first(q) = q (Lambert)
@@ -450,98 +440,107 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
     derivative lifted by 1), the family ("n", a) takes every j: the term puts
     D w nums[i] j^a over n^a, D the lcm of the denominators of the weights,
     and the sum is floored by D at the end; another term has a family of its
-    own j.  So each position takes one floored division, whatever the
+    own j.  A term of P prefixes puts each cut N <= order + 1 under its own
+    keys; the cuts past that expand alike, so their keys share its sum.  So
+    each position takes one floored division per component, whatever the
     terms.  r, a multiple of every j, is about sqrt(sequences * positions /
     density); baby steps X_n = x^n are needed only where some j divides n <
     r, and each sequence is sum_i Y^i B_i, Y = x^r, B_i = sum_n (E_{ir+n}
     X_n) // F_{ir+n}, by Horner in Y (Paterson & Stockmeyer; Smith).  Each
     expansion is merged and dropped before the next.  Error of a sequence,
-    its D-fold's floors being 1/D unit each, with ax >= x, beta = sum |w|
-    coef_bound(order) >= |B_n|, xi >= the error of each X_n and of Y
-    (_powers), and Y^i within i yhat^(i-1) xi of y^i:
-      each floored division off by <= beta xi + 1; a floor per Horner step;
+    each bound taken through |x|, a floor being off by at most a unit, 1 or
+    sqrt(2) for a complex x, its D-fold's floors being 1/D unit each, with
+    ax >= |x|, beta = sum |w| coef_bound(order) >= |B_n|, xi >= the error
+    of each X_n and of Y (_powers), and Y^i within i yhat^(i-1) xi of y^i:
+      each floored division off by <= beta xi + a unit; a floor per Horner step;
       Y^i's error against |B_i| <= beta / (1 - ax): <= xi beta / ((1-ax)(1-yhat)^2);
       the terms past each order, below |w| / 2 each (_order);
-      for sech, sqrt(x^j) rounded twice at prec bits and floored (ef + 2
-      units) against beta / (1 - ax), and a floor; the floor by D."""
-    parts, lcds = [], {}
+      for sech (real x), sqrt(x^j) rounded twice at prec bits and floored
+      (ef + 2 units) against beta / (1 - ax), and a floor; the floor by D."""
+    parts, lcds, aliases = [], {}, {}
     for t, kind, n, order in fixed:
         off = (t.kind == "lambert") + t.lift
         family = (("n", -t.s) if t.kind != "sech_series" and off == 1
                   else (t.kind, -t.s, t.j, t.lift))
-        parts.append((t, kind, n, order, off, family))
-        for key, w in t.weights:
-            lcds[key, family] = math.lcm(lcds.get((key, family), 1), w.denominator)
+        cuts = [(n, t.weights)]
+        if t.prefixes:
+            last = min(n, order + 1)
+            cuts = [(m, [((key, m), w) for key, w in t.weights])
+                    for m in range(1, last + 1)]
+            aliases.update(((key, m), (key, last)) for key, _ in t.weights
+                           for m in range(last + 1, n + 1))
+        parts.append((t, kind, order, off, cuts, family))
+        for _, weights in cuts:
+            for key, w in weights:
+                lcds[key, family] = math.lcm(lcds.get((key, family), 1), w.denominator)
     steps = {t.j for t, *_ in parts}
-    top = max(t.j * (order + off) for t, _, _, order, off, _ in parts)
+    top = max(t.j * (order + off) for t, _, order, off, *_ in parts)
     lcm = math.lcm(*steps)
     density = sum(any(n % j == 0 for j in steps) for n in range(lcm))
     r = lcm * max(1, math.isqrt(len(lcds) * (top + 1) * lcm // density) // lcm)
     size = -(-(top + 1) // r) * r
     dens = {f: [n ** f[1] for n in range(size)] for f in {p[-1] for p in parts} if f[0] == "n"}
     seqs = {seq: [[0] * size, 0.0, 0.0] for seq in lcds}  # numerators, beta, sum |w|
-    for t, kind, n, order, off, family in parts:
-        nums, den = kind.expansion(-t.s, n, order)
-        at = slice(t.j * off, t.j * (order + off) + 1, t.j)
-        if family[0] != "n":
-            dens[family] = [1] * size
-            dens[family][at] = den
-        if t.sign < 0:
-            nums = [-v if (i + off) & 1 else v for i, v in enumerate(nums)]
-        for key, w in t.weights:
-            seq = seqs[key, family]
-            c = w.numerator * (lcds[key, family] // w.denominator) * t.j ** (
-                family[1] if family[0] == "n" else 0)
-            seq[0][at] = map(add, seq[0][at], (c * v for v in nums))
-            seq[1] += abs(w) * kind.coef_bound(order)
-            seq[2] += abs(w)
-        del nums, den
+    for t, kind, order, off, cuts, family in parts:
+        for n, weights in cuts:
+            nums, den = kind.expansion(-t.s, n, order)
+            at = slice(t.j * off, t.j * (order + off) + 1, t.j)
+            if family[0] != "n":
+                dens[family] = [1] * size
+                dens[family][at] = den
+            if t.sign < 0:
+                nums = [-v if (i + off) & 1 else v for i, v in enumerate(nums)]
+            for key, w in weights:
+                seq = seqs[key, family]
+                c = w.numerator * (lcds[key, family] // w.denominator) * t.j ** (
+                    family[1] if family[0] == "n" else 0)
+                seq[0][at] = map(add, seq[0][at], (c * v for v in nums))
+                seq[1] += abs(w) * kind.coef_bound(order)
+                seq[2] += abs(w)
+            del nums, den
     xs, xi = _powers(x, prec, steps, r)
     y = xs.pop(r)
-    baby = [xs.get(n, 0) for n in range(r)]  # 0 where no j divides n: no coefficient
-    ax = math.nextafter(float(x), 2.0)
+    zero = (0,) * len(y)
+    unit = math.sqrt(len(y))
+    # lists here and below: each tuple(generator) would stay in CPython's tuple free lists
+    baby = list(zip(*[xs.get(n, zero) for n in range(r)]))  # per component; 0 where no j divides n
+    ax = math.nextafter(float(abs(x)), 2.0)
     yhat = ax ** r + xi * 2.0 ** -prec  # >= |y| and |Y|
     sums = {}
     for (key, family), (num, beta, absw) in seqs.items():
-        den, acc = dens[family], 0
+        den, acc = dens[family], zero
         for i in reversed(range(0, size, r)):
-            acc = (acc * y >> prec) + sum(e * xn // f for e, xn, f in zip(
-                num[i:i + r], baby, den[i:i + r]) if e)
+            es, fs = num[i:i + r], den[i:i + r]
+            acc = [a + sum(e * xn // f for e, xn, f in zip(es, bx, fs) if e)
+                   for a, bx in zip(_mul(acc, y, prec), baby)]
         divisions = size - num.count(0)
-        ulps = (divisions * (beta * xi + 1) + size // r + 3
+        ulps = ((divisions * (beta * xi + 1) + size // r + 3) * unit
                 + xi * beta / ((1 - ax) * (1 - yhat) ** 2) + absw / 2)
         if family[0] == "sech_series":
             with mp.workprec(prec):
                 fq, ef = _fixed(mp.sqrt(x ** family[2]), prec)
-            acc = acc * fq >> prec
+            acc = _mul(acc, fq, prec)
             ulps += (ef + 2) * beta / (1 - ax) + 1
-        total, err = sums.get(key, (0, 0))
-        sums[key] = (total + acc // lcds[key, family], err + ulps)
+        total, err = sums.get(key, (zero, 0))
+        sums[key] = ([v + a // lcds[key, family] for v, a in zip(total, acc)], err + ulps)
+    for alias, key in aliases.items():
+        sums[alias] = sums[key]
     return sums
 
 
-def partial_sums(kind: str, q, s, n_terms: int, ctx: PrecisionContext) -> list:
-    """Partial sums over N = 1..n_terms of the series of a basis kind
-    ("lambert", "lambert_derivative" or "sech_series"), at working precision."""
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    k = _KINDS[kind]
-    with ctx.workdps():
-        return list(_sums(k, _nome(k, q, ctx), s, n_terms))
-
-
 def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
-    """One basis series at q: a one-term base_sums over x = |q|, or for
-    complex q the loop _sums."""
+    """One basis series at q: a one-term base_sums over x = q, or over x =
+    |q| with the sign in the term for real q."""
     k = _KINDS[kind]
     with ctx.workdps():
-        qv = _nome(k, q, ctx)
-        if isinstance(qv, mp.mpc):  # the identity checks
-            n, bound = _plan(k, abs(qv), s, target_abs_error)
-            *_, value = _sums(k, qv, s, n)
-            return SeriesResult(value, n, bound, ctx.working_digits)
-        term = Term(kind, 1, -1 if qv < 0 else 1, s, target_abs_error)
-        [(n, bound, _)], sums = base_sums(abs(qv), [term], ctx)
+        qv = q.value(ctx) if isinstance(q, QSymbolic) else _num(q)
+        if k.real_nome:
+            if isinstance(qv, mp.mpc) or not 0 < qv < 1:
+                raise DomainError(f"{k.name} requires real q in (0, 1)")
+        elif abs(qv) >= 1:
+            raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(abs(qv), 8)}")
+        x, sign = (-qv, -1) if not isinstance(qv, mp.mpc) and qv < 0 else (qv, 1)
+        [(n, bound, _)], sums = base_sums(x, [Term(kind, 1, sign, s, target_abs_error)], ctx)
         value, rounding = sums[None]
         return SeriesResult(value, n, bound, ctx.working_digits, rounding)
 

@@ -4,12 +4,17 @@ golden/cli_stdout.json maps each argv below to the stdout the CLI printed
 for it: values, `error_bound` exponents, `terms_used` lines, convergence
 profile points and slopes.  Any change to the series evaluation that moves
 one of them shows up here.  ``python tests/test_cli_golden.py`` adds the
-stdout of the argvs not pinned yet and never rewrites an existing entry.
+stdout of the argvs not pinned yet and never rewrites an existing entry;
+``python tests/test_cli_golden.py --diff`` prints, for each pinned argv
+whose stdout moved, its old and new lines, and writes nothing.
 """
 
 import contextlib
+import difflib
 import io
 import json
+import re
+import sys
 from decimal import ROUND_DOWN, Decimal, localcontext
 from pathlib import Path
 
@@ -91,7 +96,28 @@ def test_pinned_zeta201_digits_are_mpmaths(golden):
         assert f"value = {want}\n" in golden[f"compute zeta --s 201 --method {m} --digits 10"]
 
 
+def test_pinned_residuals_are_below_the_series_target(golden):
+    # the series of a check are summed to 10^-(digits + 5): a residual pinned
+    # by hand must sit below that, not merely below the printed threshold
+    pinned = {a: out for a, out in golden.items()
+              if a.startswith("verify") and "multisection" not in a}
+    assert len(pinned) == 14
+    for argv, out in pinned.items():
+        digits = int(re.search(r"--digits (\d+)", argv)[1]) if "--digits" in argv else 30
+        residual = re.search(r"^rel_residual = (\S+)$", out, re.M)[1]
+        assert Decimal(residual) < Decimal(10) ** -(digits + 5), argv
+
+
 if __name__ == "__main__":
     pinned = json.loads(GOLDEN.read_text())
-    pinned.update({a: cli_stdout(a) for a in ARGVS if a not in pinned})
-    GOLDEN.write_text(json.dumps(pinned, indent=1) + "\n")
+    if sys.argv[1:] == ["--diff"]:
+        for argv in ARGVS:
+            if argv in pinned and (now := cli_stdout(argv)) != pinned[argv]:
+                print(argv)
+                for line in difflib.unified_diff(pinned[argv].splitlines(),
+                                                 now.splitlines(), lineterm="", n=0):
+                    if not line.startswith(("---", "+++", "@@")):
+                        print(f"  {line}")
+    else:
+        pinned.update({a: cli_stdout(a) for a in ARGVS if a not in pinned})
+        GOLDEN.write_text(json.dumps(pinned, indent=1) + "\n")

@@ -1,19 +1,21 @@
 """The fixed-point series kernel and the closed-form term count.
 
 The kernel must return the same terms_used-term sum as the term-by-term
-loop, within the error it certifies; a table's pass over one base nome
-must return the weighted sum of its one-term passes, within both their
-certified errors, and one exponential and one pass per base; a base's
-exponential is computed once per process and served rounded from the
-highest precision asked for; the closed-form N must be the smallest whose
-closed-form bound beats the target, the N of the working-precision search
-at every base power of the tables, targets down to 10^-(10^5) and ulp ties
-included, and the N of the term-by-term search wherever the target is not
-at an ulp tie of the two roundings of the bound; and every real nome must
-take the kernel, however loose its target, while complex nomes keep the
-loop.
+reference (series_reference), at real and complex nomes, within the error
+it certifies; a table's pass over one base nome must return the weighted
+sum of its one-term passes, within both their certified errors, and one
+exponential and one pass per base; a base's exponential is computed once
+per process and served rounded from the highest precision asked for; the
+closed-form N must be the smallest whose closed-form bound beats the
+target, the N of the working-precision search at every base power of the
+tables, targets down to 10^-(10^5) and ulp ties included, and the N of the
+term-by-term search wherever the target is not at an ulp tie of the two
+roundings of the bound; and every series value, of a table, an identity
+check or a convergence profile, must come out of the kernel's pass, a
+profile taking one pass for all the prefixes of its slowest series.
 """
 
+import dataclasses
 import math
 from collections import Counter
 from functools import partial
@@ -37,9 +39,9 @@ from zetaodd.core import ConvergenceError, DomainError, PrecisionContext, make_c
 from zetaodd.series import (
     QSymbolic,
     lambert_eval,
-    partial_sums,
     sech_series,
 )
+from series_reference import prefix_sums, series_sum
 
 EVALUATORS = {"lambert": lambert_eval,
               "lambert_derivative": partial(series._evaluate, "lambert_derivative"),
@@ -82,9 +84,28 @@ def test_kernel_within_its_certified_error(case, s, digits):
     assert 0 < r.rounding_error < target
     # the same nome value, summed term by term at twice the precision
     wide = PrecisionContext(ctx.working_digits, ctx.working_digits)
-    ref = partial_sums(kind, qv, s, r.terms_used, wide)[-1]
     with wide.workdps():
-        assert abs(r.value - ref) <= r.rounding_error
+        assert abs(r.value - series_sum(kind, qv, s, r.terms_used)) <= r.rounding_error
+
+
+@given(radius=st.floats(0.05, 0.9), phase=st.floats(-math.pi, math.pi),
+       s=st.integers(-9, 0), digits=st.integers(10, 600))
+@settings(max_examples=25, deadline=None)
+def test_complex_kernel_within_its_certified_error(radius, phase, s, digits):
+    ctx = make_context(digits)
+    with ctx.workdps():
+        target = mpf(10) ** (-(digits + ctx.guard_digits // 2))
+        q = mpf(radius) * mp.expj(phase)
+    r = lambert_eval(q, s, target, ctx)
+    assert 0 < r.rounding_error < target and isinstance(r.value, mp.mpc)
+    n = r.terms_used
+    # 30 more digits keep the reference's own rounding, over up to ~2 * 10^4
+    # terms, far below the kernel's error of about 2^-(working bits + 40)
+    with mp.workdps(ctx.working_digits + 30):
+        sums = prefix_sums("lambert", q, s, n + max(8, n // 4))
+        assert abs(r.value - sums[n - 1]) <= r.rounding_error
+        # the tail bound taken through |q| holds for the complex q
+        assert abs(sums[-1] - sums[n - 1]) <= r.tail_bound
 
 
 def test_kernel_real_nomes_off_the_tables():
@@ -95,9 +116,8 @@ def test_kernel_real_nomes_off_the_tables():
                        ("lambert_derivative", mpf("0.75"), -1),
                        ("sech_series", mpf("0.6"), 0)):
         r = EVALUATORS[kind](q, s, mpf(10) ** -45, ctx)
-        ref = partial_sums(kind, q, s, r.terms_used, wide)[-1]
         with wide.workdps():
-            assert abs(r.value - ref) <= r.rounding_error
+            assert abs(r.value - series_sum(kind, q, s, r.terms_used)) <= r.rounding_error
 
 
 # ------------------------------------------------- one pass per base nome
@@ -363,13 +383,20 @@ def test_term_cap_three_raises_naming_evaluator_and_env(kind, monkeypatch):
 # ------------------------------------------------------ which path runs
 
 
-def _no_loop(*args, **kwargs):
-    raise AssertionError("the term-by-term loop ran")
+def _count_passes(monkeypatch) -> list:
+    """Spy on the kernel's pass: one list of (term, N, order) per pass."""
+    passes, run = [], series._fixed_pass
+
+    def spy(x, fixed, prec):
+        passes.append([(t, n, order) for t, _, n, order in fixed])
+        return run(x, fixed, prec)
+    monkeypatch.setattr(series, "_fixed_pass", spy)
+    return passes
 
 
 @pytest.mark.parametrize("digits", [50, 1000])
 def test_every_table_term_takes_the_kernel(digits, monkeypatch):
-    monkeypatch.setattr(series, "_sums", _no_loop)
+    passes = _count_passes(monkeypatch)
     for method in ZETA_4KM1_METHODS:
         engine.zeta_odd(3, method, digits)
     for method in ZETA_4KP1_METHODS:
@@ -378,14 +405,15 @@ def test_every_table_term_takes_the_kernel(digits, monkeypatch):
         engine.pi_power(4 - offset, method, digits)
     for p in (2, 3, 5):
         engine.log_prime(p, digits)
+    assert len(passes) >= len(ZETA_4KM1_METHODS) + len(ZETA_4KP1_METHODS) + 3
 
 
 def test_loose_target_near_the_unit_circle_takes_the_pass(monkeypatch):
     # one term meets the target; the power series needs ~2 * 10^4 powers of q
-    monkeypatch.setattr(series, "_sums", _no_loop)
+    passes = _count_passes(monkeypatch)
     q = mpf("0.99")
     r = lambert_eval(q, -1, mpf(10) ** 6, make_context(50))
-    assert r.terms_used == 1
+    assert r.terms_used == 1 and len(passes) == 1
     with mp.workdps(200):  # the one-term sum at the same 53-bit q
         assert abs(r.value - q / (1 - q)) <= r.rounding_error
 
@@ -402,20 +430,84 @@ def test_real_nomes_never_take_the_loop(target, monkeypatch):
     wide = PrecisionContext(ctx.working_digits, ctx.working_digits)
     cases = [(kind, mpf(q), s) for kind in EVALUATORS
              for q in ("0.01", "0.5", "0.9", "0.99") for s in (-1, -3)]
-    monkeypatch.setattr(series, "_sums", _no_loop)
+    passes = _count_passes(monkeypatch)
     results = {case: EVALUATORS[case[0]](*case[1:], target, ctx) for case in cases}
-    monkeypatch.undo()  # the loop again, for the reference sums
+    assert len(passes) == len(cases)
     for (kind, q, s), r in results.items():
         assert r.tail_bound < target
-        ref = partial_sums(kind, q, s, r.terms_used, wide)[-1]
         with wide.workdps():
+            ref = series_sum(kind, q, s, r.terms_used)
             assert abs(r.value - ref) <= r.rounding_error, (kind, q, s)
 
 
-def test_complex_nomes_keep_the_loop(monkeypatch):
-    monkeypatch.setattr(series, "_sums", _no_loop)
+IDENTITY_CHECKS = [
+    lambda ctx: identities.check_t1_case1(mp.mpc("1.5", "0.5"), ctx),
+    lambda ctx: identities.check_t1_case2(2, mp.mpc("1.2", "0.3"), ctx),
+    lambda ctx: identities.check_t1_case3(1, mp.mpc("0.8", "-0.4"), ctx),
+    lambda ctx: identities.check_zeta_free(1, 1, "1/2", mp.mpc("1.1", "0.2"), ctx),
+    lambda ctx: identities.check_lemma_p4(mpf("0.3"), -3, ctx),
+    lambda ctx: identities.check_lemma_sech(mpf("0.4"), -3, ctx),
+]
+
+
+def test_complex_nomes_and_identity_checks_take_the_pass(monkeypatch):
     ctx = make_context(30)
-    with pytest.raises(AssertionError, match="loop ran"):
-        lambert_eval(mp.mpc("0.1", "0.2"), -3, mpf("1e-30"), ctx)
-    with pytest.raises(AssertionError, match="loop ran"):
-        identities.check_lemma_sech(mpf("0.3"), -3, ctx)
+    passes = _count_passes(monkeypatch)
+    r = lambert_eval(mp.mpc("0.1", "0.2"), -3, mpf("1e-30"), ctx)
+    assert len(passes) == 1 and 0 < r.rounding_error < mpf("1e-30")
+    # every series value of every numeric identity check is one pass's,
+    # with a certified rounding error
+    results = []
+    for name in ("lambert_eval", "sech_series"):
+        def spy(*args, _run=getattr(identities, name)):
+            results.append(_run(*args))
+            return results[-1]
+        monkeypatch.setattr(identities, name, spy)
+    for check in IDENTITY_CHECKS:
+        passes.clear()
+        results.clear()
+        check(ctx)
+        assert len(results) == len(passes) >= 2
+        assert any(isinstance(r.value, mp.mpc) for r in results)
+        assert all(0 < r.rounding_error < mpf(10) ** -35 for r in results)
+
+
+def test_profile_takes_one_pass_for_its_slowest_base(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    engine.convergence_profile("zeta(3)", "root15", 12, make_context(120))
+    prefix = [p for p in passes if any(t.prefixes for t, _, _ in p)]
+    assert len(prefix) == 1
+    assert {(t.kind, t.j, t.prefixes) for t, _, _ in prefix[0]} == {
+        ("lambert", 1, 12), ("sech_series", 1, 12)}
+
+
+def test_long_profile_builds_at_most_order_plus_one_sequences(monkeypatch):
+    # 200 prefixes at 50 digits: the cuts past the pass's order share one sequence
+    built = Counter()
+    for name, k in series._KINDS.items():
+        def counted(a, n_terms, order, _name=name, _run=k.expansion):
+            built[_name] += 1
+            return _run(a, n_terms, order)
+        monkeypatch.setitem(series._KINDS, name, dataclasses.replace(k, expansion=counted))
+    passes = _count_passes(monkeypatch)
+    kernel, ctx, use_reference = engine.base_sums, make_context(50), []
+
+    def slow_pass(x, terms, ctx):
+        if not any(t.prefixes for t in terms):
+            return kernel(x, terms, ctx)
+        built.clear()
+        info, sums = kernel(x, terms, ctx)
+        for t, n, order in passes[-1]:
+            assert n == 200 and built[t.kind] <= order + 1 < 200
+        with mp.workdps(3 * ctx.working_digits):
+            for t in (terms if use_reference else ()):
+                [(key, _)] = t.weights
+                q = t.sign * x ** t.j
+                for n, ref in enumerate(prefix_sums(t.kind, q, t.s, 200), 1):
+                    sums[key, n] = (+(ref * q ** t.lift), sums[key, n][1])
+        return info, sums
+    monkeypatch.setattr(engine, "base_sums", slow_pass)
+    profile = engine.convergence_profile("zeta(3)", "root15", 200, ctx)
+    # the same profile from the reference prefix sums
+    use_reference.append(True)
+    assert engine.convergence_profile("zeta(3)", "root15", 200, ctx) == profile

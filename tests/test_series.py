@@ -1,4 +1,4 @@
-"""Lambert / sech series evaluation: partial sums, tail bounds, term caps."""
+"""Lambert / sech series evaluation: prefix sums, tail bounds, term caps."""
 
 from fractions import Fraction
 
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from divisor_reference import divisor_sigma
+from series_reference import prefix_sums, series_sum
 from zetaodd import series
 from zetaodd.core import ConvergenceError, make_context
 from zetaodd.series import (
@@ -15,7 +16,6 @@ from zetaodd.series import (
     QSymbolic,
     lambert_eval,
     lambert_q_expansion,
-    partial_sums,
     sech_series,
 )
 
@@ -24,7 +24,15 @@ CTX = make_context(50)
 LAMBERT = series._KINDS["lambert"]
 
 
-# ------------------------------------------------------------- partial sums
+# ------------------------------------------------------------- prefix sums
+
+
+def kernel_prefixes(q, s, n_terms, ctx=CTX) -> list:
+    """The kernel's Lambert prefix sums N = 1..n_terms at a real q, in one
+    pass (Term.prefixes)."""
+    term = series.Term("lambert", 1, 1 if q > 0 else -1, s, None, prefixes=n_terms)
+    _, sums = series.base_sums(abs(q), [term], ctx)
+    return [sums[None, n][0] for n in range(1, n_terms + 1)]
 
 
 def test_partial_sum_exact_small():
@@ -34,7 +42,7 @@ def test_partial_sum_exact_small():
     #   n=3: (1/3) * (1/8)/(7/8) = 1/21
     # total 17/14
     with CTX.workdps():
-        v = partial_sums("lambert", mpf(1) / 2, -1, 3, CTX)[-1]
+        v = kernel_prefixes(mpf(1) / 2, -1, 3)[-1]
         assert abs(v - mpf(17) / 14) < mpf("1e-60")
 
 
@@ -43,22 +51,23 @@ def test_partial_sum_exact_s_minus3():
     want = sum(F(n) ** -3 * F(1, 2) ** n / (1 - F(1, 2) ** n) for n in range(1, 5))
     assert want == F(63383, 60480)
     with CTX.workdps():
-        v = partial_sums("lambert", mpf(1) / 2, -3, 4, CTX)[-1]
+        v = kernel_prefixes(mpf(1) / 2, -3, 4)[-1]
         assert abs(v - mpf(63383) / 60480) < mpf("1e-60")
 
 
 def test_partial_sum_accepts_symbolic_nome():
     q = QSymbolic(1, 2)  # e^{-2 pi}
-    with CTX.workdps():
-        direct = partial_sums("lambert", q.value(CTX), -3, 5, CTX)[-1]
-        sym = partial_sums("lambert", q, -3, 5, CTX)[-1]
-        assert direct == sym
+    direct = lambert_eval(q.value(CTX), -3, mpf("1e-40"), CTX)
+    assert lambert_eval(q, -3, mpf("1e-40"), CTX) == direct
 
 
 def test_partial_sum_monotone_in_n_for_positive_q():
-    with CTX.workdps():
-        vals = partial_sums("lambert", mpf("0.3"), -3, 8, CTX)
+    q = mpf("0.3")
+    vals = kernel_prefixes(q, -3, 8)
     assert all(b > a for a, b in zip(vals, vals[1:]))
+    with mp.workdps(2 * CTX.working_digits):  # the term-by-term sums
+        ref = prefix_sums("lambert", q, -3, 8)
+        assert all(abs(v - r) < mpf("1e-70") for v, r in zip(vals, ref))
 
 
 # --------------------------------------------------------------- tail bound
@@ -74,18 +83,16 @@ def test_tail_bound_sound(qnum, s, n):
     # |sum_{n..2n omitted terms}| can never exceed the claimed tail bound
     q = mpf(qnum) / 100
     with CTX.workdps():
-        near = partial_sums("lambert", q, s, n, CTX)[-1]
-        far = partial_sums("lambert", q, s, 4 * n, CTX)[-1]
-        assert abs(far - near) <= series._bound(LAMBERT, q, n) * (1 + mpf("1e-40"))
+        sums = prefix_sums("lambert", q, s, 4 * n)
+        assert abs(sums[-1] - sums[n - 1]) <= series._bound(LAMBERT, q, n) * (1 + mpf("1e-40"))
 
 
 def test_tail_bound_negative_q():
     # bound is stated for |q|; alternating nome stays under it too
     with CTX.workdps():
         q = mpf("-0.6")
-        near = partial_sums("lambert", q, -3, 4, CTX)[-1]
-        far = partial_sums("lambert", q, -3, 40, CTX)[-1]
-        assert abs(far - near) <= series._bound(LAMBERT, abs(q), 4)
+        sums = prefix_sums("lambert", q, -3, 40)
+        assert abs(sums[-1] - sums[3]) <= series._bound(LAMBERT, abs(q), 4)
 
 
 def test_tail_bound_decreasing():
@@ -123,7 +130,7 @@ def test_lambert_eval_negative_symbolic_nome():
     # q = -e^{-3 pi}: same magnitude bound applies
     r = lambert_eval(QSymbolic(-1, 3), -5, mpf("1e-35"), CTX)
     with CTX.workdps():
-        brute = partial_sums("lambert", QSymbolic(-1, 3), -5, 40, CTX)[-1]
+        brute = series_sum("lambert", QSymbolic(-1, 3).value(CTX), -5, 40)
         assert abs(r.value - brute) < mpf("1e-35")
 
 
@@ -134,8 +141,8 @@ def test_derivative_matches_finite_difference():
     with ctx.workdps():
         q = mp.exp(-2 * mp.pi)
         h = mpf("1e-12")
-        up = partial_sums("lambert", q + h, s, 60, ctx)[-1]
-        dn = partial_sums("lambert", q - h, s, 60, ctx)[-1]
+        up = series_sum("lambert", q + h, s, 60)
+        dn = series_sum("lambert", q - h, s, 60)
         fd = mp.pi * q * (up - dn) / (2 * h)
     r = series._evaluate("lambert_derivative", QSymbolic(1, 2), s, mpf("1e-30"), ctx)
     # the eval routine reports sum n^{s+1} q^n/(1-q^n)^2; scale matches pi*q*L'
@@ -240,7 +247,7 @@ def test_q_expansion_matches_partial_sum():
         q = mpf("0.1")
         series = sum(mpf(c.numerator) / c.denominator * q**n
                      for n, c in enumerate(coeffs, start=1))
-        direct = partial_sums("lambert", q, -3, 30, ctx)[-1]
+        direct = kernel_prefixes(q, -3, 30, ctx)[-1]
         assert abs(series - direct) < mpf("1e-28")
 
 
