@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from mpmath import mp, mpf
 
 from .core import DomainError, PrecisionContext, bernoulli_weight
 from .oracles import oracle_zeta
-from .series import _lambert_expansion, lambert_eval, sech_series
+from .series import _lambert_terms, lambert_eval, sech_series
 
 _MULTISECTION_PRIMES = (2, 3, 5, 7)
 SIEVE_BUDGET_BITS = 2**25  # the most a multisection check may sieve (4 MiB)
@@ -159,17 +160,21 @@ def check_multisection(p: int, s: int, order: int) -> Fraction:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     top, a = order * p, abs(s)
-    # the sieve holds e_m and m^a, each near m^a, for every m <= top
+    # the sieve holds m^a for every m <= top, and e_m, near m^a, for 2 order of them
     if 2 * top * (a * top.bit_length() + 256) > SIEVE_BUDGET_BITS:
         raise DomainError(f"order {order} with p = {p} and s = {s} needs a divisor "
                           f"sieve over the {SIEVE_BUDGET_BITS // 2**23} MiB budget")
-    e, _ = _lambert_expansion(a, top, top - 1)  # e[m - 1] = e_m
+    low, high = [0] * order, [0] * order  # e_l and e_lp, l = 1..order
+    for at, nums in _lambert_terms(a, top, top - 1)[0]:  # term d: k^a at m = dk (= lp)
+        g, h = (at.step // p, 1) if at.step % p == 0 else (at.step, p)  # l = gt, k = ht
+        low[at] = map(add, low[at], nums)
+        high[g - 1::g] = map(add, high[g - 1::g], nums[h - 1::h])
     w = p ** (1 + a)
     worst = Fraction(0)
     for el in range(1, order + 1):
-        diff = p * e[el * p - 1] - (p + w) * e[el - 1]
+        diff = p * high[el - 1] - (p + w) * low[el - 1]
         if el % p == 0:
-            diff += w * e[el // p - 1]
+            diff += w * low[el // p - 1]
         if diff:
             worst = max(worst, Fraction(abs(diff), (el * p) ** a if s < 0 else 1))
     return worst

@@ -15,28 +15,16 @@ number of terms N is the smallest n whose closed-form tail bound
 need more than ``TERM_CAP`` terms raises ConvergenceError.
 
 Every N-term sum, at a real or a complex nome, is taken by one kernel, the
-fixed-point pass ``base_sums``.  Its terms are at nomes +-x^j of one base
-x, real in (0, 1) or complex inside the unit disc, each N-term sum a power
-series in q with exact rational coefficients from one divisor sieve.  The
-coefficients of all terms are merged into one sequence in powers of x per
-prefactor and weight key, over one common denominator per position, and
-each sequence is summed by rectangular splitting over one set of powers of
-x in Python ints, one int per component of x (``_fixed_pass``).  Each sum
-comes back exact to its precision with a certified rounding error: the
-terms past each term's order, bounded through |coefficient| <= d(m) <= 2
-sqrt(m), and one unit per fixed-point shift or division, weighted by what
-multiplies it later, every bound taken through |x|.  A term whose power
-series would need more than 4 TERM_CAP + 64 powers of q raises
-ConvergenceError.  A table takes one pass per base nome
-(``coefficients.assemble_detailed``), which adds the error to the tails;
-the convergence profile (``engine.convergence_profile``) takes one pass
-for every prefix of its slowest series (``Term.prefixes``).
-
-``lambert_eval`` and ``sech_series`` are one-term passes over x = q (or |q|
-for real q), and ``_evaluate`` is the same for any kind (the derivative
-included).  The Lambert sieve ``_lambert_expansion`` is the only divisor-sum
-code: ``lambert_q_expansion`` and the multisection check
-(``identities.check_multisection``) read sigma_s(m) from it.
+fixed-point pass ``base_sums`` over the powers of one base x, |x| < 1: each
+series is a power series in q = +-x^j with exact coefficients from one
+divisor sieve (``_lambert_terms``), summed by rectangular splitting in
+Python ints, one int per component of x (``_fixed_pass``), and returned
+with a certified rounding error.  A table takes one pass per base nome
+(``coefficients.assemble_detailed``); the convergence profile
+(``engine.convergence_profile``) takes one for all the prefixes of its
+slowest series (``Term.prefixes``).  ``lambert_eval`` and ``sech_series``
+are one-term passes, and ``lambert_q_expansion`` and the multisection check
+(``identities.check_multisection``) read sigma_s(m) from the sieve.
 
 q arguments are numbers (a table's nome values, and complex points in the
 identity checks) or :class:`QSymbolic` nomes sign * exp(-r*pi) with r from
@@ -52,7 +40,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
@@ -173,35 +161,41 @@ def _num(x):
     return mp.mpmathify(x)
 
 
-def _lambert_expansion(a: int, n_terms: int, order: int) -> tuple:
-    """q^(m-1) coefficients of the n_terms-term Lambert sum over q, m = 1..order+1:
-    c_m = sum of d^-a over the divisors d <= n_terms of m, as e_m / m^a."""
+def _sieve(terms, length: int) -> list:
+    """The sum of an expansion's terms, (slice, numerators) each, at 0..length-1."""
+    e = [0] * length
+    for at, nums in terms:
+        e[at] = map(add, e[at], nums)
+    return e
+
+
+def _lambert_terms(a: int, n_terms: int, order: int) -> tuple:
+    """The n_terms-term Lambert sum over q in q^(m-1) coefficients c_m = e_m /
+    m^a, m = 1..order+1, c_m the sum of d^-a over the divisors d <= n_terms
+    of m: the (slice of m - 1, numerators k^a at m = dk) of each term d <=
+    min(n_terms, order+1), lazily, and the denominators m^a."""
     top = order + 1
     powers = [k ** a for k in range(top + 1)]
-    e = [0] * (top + 1)
-    for d in range(1, min(n_terms, top) + 1):  # the sieve: d | m, m/d = k
-        e[d::d] = map(add, e[d::d], powers[1:top // d + 1])
-    return e[1:], powers[1:]
+    return ((slice(d - 1, top, d), powers[1:top // d + 1])
+            for d in range(1, min(n_terms, top) + 1)), powers[1:]
 
 
-def _derivative_expansion(a: int, n_terms: int, order: int) -> tuple:
-    """q^(m-1) coefficients m c_m of the derivative sum, m = 1..order+1."""
-    nums, dens = _lambert_expansion(a, n_terms, order)
-    return [m * e for m, e in enumerate(nums, 1)], dens
+def _derivative_terms(a: int, n_terms: int, order: int) -> tuple:
+    """The derivative sum's q^(m-1) coefficients m c_m = e_m / m^(a-1), m = 1..order+1."""
+    terms, _ = _lambert_terms(a, n_terms, order)
+    return terms, (m ** (a - 1) for m in range(1, order + 2))  # read only without lift
 
 
-def _sech_expansion(a: int, n_terms: int, order: int) -> tuple:
-    """q^m coefficients 2 a_m of the sech sum over q^(1/2), m = 0..order:
-    a_m sums (-1)^(n+j) (2n-1)^-a over (2n-1)(2j+1) = 2m+1 with n <= n_terms,
-    as a numerator over (2m+1)^a."""
+def _sech_terms(a: int, n_terms: int, order: int) -> tuple:
+    """q^m coefficients 2 a_m of the sech sum over q^(1/2), m = 0..order, term
+    by term: a_m sums (-1)^(n+j) (2n-1)^-a over (2n-1)(2j+1) = 2m+1 with n <=
+    n_terms, as a numerator over (2m+1)^a; term n fills m = n-1 + (2n-1) j."""
     powers = [(2 * j + 1) ** a for j in range(order + 1)]
-    signed = [-p if j & 1 else p for j, p in enumerate(powers)]
-    e = [0] * (order + 1)
-    for n in range(1, min(n_terms, order + 1) + 1):  # m = n-1 + (2n-1) j
-        u = 2 * n - 1
-        e[n - 1::u] = map(sub if n & 1 else add, e[n - 1::u],
-                          signed[:len(range(n - 1, order + 1, u))])
-    return [2 * v for v in e], powers
+    even = [-2 * p if j & 1 else 2 * p for j, p in enumerate(powers)]
+    odd = [-v for v in even]
+    return ((slice(n - 1, order + 1, 2 * n - 1),
+             (odd if n & 1 else even)[:len(range(n - 1, order + 1, 2 * n - 1))])
+            for n in range(1, min(n_terms, order + 1) + 1)), powers
 
 
 @dataclass(frozen=True)
@@ -211,8 +205,8 @@ class _Kind:
     weight(N) / den(|q|) whenever s <= max_s.
 
     The N-term sum is also first(q) * sum_m b_m q^m with exact b_m =
-    nums[m] / dens[m] from expansion(-s, N, order), and |b_m| <=
-    coef_bound(m) for s <= max_s."""
+    nums[m] / dens[m] from (terms, dens) = expansion(-s, N, order), nums
+    summed from the terms (_sieve), and |b_m| <= coef_bound(m) for s <= max_s."""
 
     name: str  # for error messages
     max_s: int
@@ -222,6 +216,7 @@ class _Kind:
     den: Callable
     expansion: Callable
     coef_bound: Callable
+    den_shift: int = 0
 
 
 # Lambert: |n^s| <= 1 and |1-q^n| >= 1-|q|, and the geometric tail supplies
@@ -235,15 +230,15 @@ _KINDS = {
     "lambert": _Kind(
         "lambert_eval", 0, False, lambda q: q,
         lambda n: 1, lambda qa: (1 - qa) ** 2,
-        _lambert_expansion, lambda m: 2 * math.sqrt(m + 1)),
+        _lambert_terms, lambda m: 2 * math.sqrt(m + 1)),
     "lambert_derivative": _Kind(
         "lambert_derivative", -1, False, lambda q: mp.mpmathify(1),
         lambda n: 1 + n, lambda qa: (1 - qa) ** 3,
-        _derivative_expansion, lambda m: 2 * (m + 1) ** 1.5),
+        _derivative_terms, lambda m: 2 * (m + 1) ** 1.5, 1),
     "sech_series": _Kind(
         "sech_series", 0, True, mp.sqrt,
         lambda n: 2, lambda qa: 1 - qa * qa,
-        _sech_expansion, lambda m: 4 * math.sqrt(2 * m + 1)),
+        _sech_terms, lambda m: 4 * math.sqrt(2 * m + 1)),
 }
 
 
@@ -341,7 +336,7 @@ class Term:
     below target, added with each weight of (key, Fraction) `weights` into
     the sum of its key.  With prefixes = P > 0 the target is not read: the
     series is cut at each N = 1..P instead, prefix N added into the sum of
-    key (key, N)."""
+    key (key, N); terms that share a key then share P."""
 
     kind: str
     j: int
@@ -417,8 +412,13 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
                     f"{kind.name}: the power series at |q| = {mp.nstr(qa, 8)} "
                     f"would need more than {cap} powers of q")
             fixed.append((t, kind, n, order))
+        sums = _fixed_pass(x, fixed, prec)
+        for key, p in {(key, t.prefixes) for t in terms if t.prefixes for key, _ in t.weights}:
+            for m in range(2, p + 1):  # prefix m: the running sum of the terms alone up to m
+                (u, eu), (v, ev) = sums[key, m - 1], sums.get((key, m), ((0, 0), 0))
+                sums[key, m] = [a + b for a, b in zip(u, v)], eu + ev
         out = {}
-        for key, (total, ulps) in _fixed_pass(x, fixed, prec).items():
+        for key, (total, ulps) in sums.items():
             err = math.ceil(ulps * (1 + 2.0 ** -20)) + 1  # slack for the float sums
             parts = [from_man_exp(c, -prec) for c in total]  # all the bits
             value = mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
@@ -436,18 +436,17 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
     and q^lift folded in, b_i stands at q^(i + off); sech keeps its first(q)
     = sqrt(q) as a prefactor.  So the term puts sign^(i+off) w b_i at
     position n = j (i + off) of one sequence in powers of x per key and
-    family.  Where dens[i] = (i + off)^a, a = -s (Lambert, and the
-    derivative lifted by 1), the family ("n", a) takes every j: the term puts
-    D w nums[i] j^a over n^a, D the lcm of the denominators of the weights,
-    and the sum is floored by D at the end; another term has a family of its
-    own j.  A term of P prefixes puts each cut N <= order + 1 under its own
-    keys; the cuts past that expand alike, so their keys share its sum.  So
-    each position takes one floored division per component, whatever the
-    terms.  r, a multiple of every j, is about sqrt(sequences * positions /
+    family.  Where dens[i] = (i + off)^a, a = -s - den_shift (Lambert, and
+    the derivative lifted by 1), the family ("n", a) takes every j: the term
+    puts D w nums[i] j^a over n^a, D the lcm of the denominators of the
+    weights, and the sum is floored by D at the end; another term has a
+    family of its own j.  A term of P prefixes puts each of its terms m <=
+    order + 1 alone under (key, m), for base_sums to take running sums.
+    r, a multiple of every j, is about sqrt(sequences * positions /
     density); baby steps X_n = x^n are needed only where some j divides n <
     r, and each sequence is sum_i Y^i B_i, Y = x^r, B_i = sum_n (E_{ir+n}
-    X_n) // F_{ir+n}, by Horner in Y (Paterson & Stockmeyer; Smith).  Each
-    expansion is merged and dropped before the next.  Error of a sequence,
+    X_n) // F_{ir+n}, by Horner in Y (Paterson & Stockmeyer; Smith), one
+    floored division per nonzero position and component.  Error of a sequence,
     each bound taken through |x|, a floor being off by at most a unit, 1 or
     sqrt(2) for a complex x, its D-fold's floors being 1/D unit each, with
     ax >= |x|, beta = sum |w| coef_bound(order) >= |B_n|, xi >= the error
@@ -457,39 +456,37 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
       the terms past each order, below |w| / 2 each (_order);
       for sech (real x), sqrt(x^j) rounded twice at prec bits and floored
       (ef + 2 units) against beta / (1 - ax), and a floor; the floor by D."""
-    parts, lcds, aliases = [], {}, {}
+    parts, lcds = [], {}
     for t, kind, n, order in fixed:
         off = (t.kind == "lambert") + t.lift
-        family = (("n", -t.s) if t.kind != "sech_series" and off == 1
+        family = (("n", -t.s - kind.den_shift) if t.kind != "sech_series" and off == 1
                   else (t.kind, -t.s, t.j, t.lift))
-        cuts = [(n, t.weights)]
-        if t.prefixes:
-            last = min(n, order + 1)
-            cuts = [(m, [((key, m), w) for key, w in t.weights])
-                    for m in range(1, last + 1)]
-            aliases.update(((key, m), (key, last)) for key, _ in t.weights
-                           for m in range(last + 1, n + 1))
-        parts.append((t, kind, order, off, cuts, family))
-        for _, weights in cuts:
+        keyed = [t.weights] if not t.prefixes else [
+            [((key, m), w) for key, w in t.weights] for m in range(1, min(n, order + 1) + 1)]
+        parts.append((t, kind, n, order, off, keyed, family))
+        for weights in keyed:
             for key, w in weights:
                 lcds[key, family] = math.lcm(lcds.get((key, family), 1), w.denominator)
     steps = {t.j for t, *_ in parts}
-    top = max(t.j * (order + off) for t, _, order, off, *_ in parts)
+    top = max(t.j * (order + off) for t, _, _, order, off, *_ in parts)
     lcm = math.lcm(*steps)
     density = sum(any(n % j == 0 for j in steps) for n in range(lcm))
     r = lcm * max(1, math.isqrt(len(lcds) * (top + 1) * lcm // density) // lcm)
     size = -(-(top + 1) // r) * r
     dens = {f: [n ** f[1] for n in range(size)] for f in {p[-1] for p in parts} if f[0] == "n"}
     seqs = {seq: [[0] * size, 0.0, 0.0] for seq in lcds}  # numerators, beta, sum |w|
-    for t, kind, order, off, cuts, family in parts:
-        for n, weights in cuts:
-            nums, den = kind.expansion(-t.s, n, order)
-            at = slice(t.j * off, t.j * (order + off) + 1, t.j)
-            if family[0] != "n":
-                dens[family] = [1] * size
-                dens[family][at] = den
+    for t, kind, n, order, off, keyed, family in parts:
+        terms, den = kind.expansion(-t.s, n, order)
+        if family[0] != "n":
+            dens[family] = [1] * size
+            dens[family][t.j * off:t.j * (order + off) + 1:t.j] = den
+        expansions = ([(slice(0, order + 1), _sieve(terms, order + 1))] if not t.prefixes
+                      else terms)
+        for weights, (fills, nums) in zip(keyed, expansions):
+            fills = range(order + 1)[fills]  # the i that nums stand at
+            at = slice(t.j * (fills.start + off), t.j * (order + off) + 1, t.j * fills.step)
             if t.sign < 0:
-                nums = [-v if (i + off) & 1 else v for i, v in enumerate(nums)]
+                nums = [-v if (i + off) & 1 else v for i, v in zip(fills, nums)]
             for key, w in weights:
                 seq = seqs[key, family]
                 c = w.numerator * (lcds[key, family] // w.denominator) * t.j ** (
@@ -497,7 +494,7 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
                 seq[0][at] = map(add, seq[0][at], (c * v for v in nums))
                 seq[1] += abs(w) * kind.coef_bound(order)
                 seq[2] += abs(w)
-            del nums, den
+        del terms, den, nums
     xs, xi = _powers(x, prec, steps, r)
     y = xs.pop(r)
     zero = (0,) * len(y)
@@ -523,8 +520,6 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
             ulps += (ef + 2) * beta / (1 - ax) + 1
         total, err = sums.get(key, (zero, 0))
         sums[key] = ([v + a // lcds[key, family] for v, a in zip(total, acc)], err + ulps)
-    for alias, key in aliases.items():
-        sums[alias] = sums[key]
     return sums
 
 
@@ -561,5 +556,5 @@ def lambert_q_expansion(s: int, order: int) -> list[Fraction]:
     from the kernel's divisor sieve: sigma_s(m) = e_m, or e_m / m^|s| for s < 0."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    nums, dens = _lambert_expansion(abs(s), order, order - 1)
-    return [Fraction(e, d if s < 0 else 1) for e, d in zip(nums, dens)]
+    terms, dens = _lambert_terms(abs(s), order, order - 1)
+    return [Fraction(e, d if s < 0 else 1) for e, d in zip(_sieve(terms, order), dens)]

@@ -5,6 +5,7 @@ exponent were wrong, and ~10^-(working digits) when the identity holds, so a
 threshold halfway between is an unambiguous verdict.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -144,17 +145,17 @@ def test_multisection_matches_the_reference_at_order_1000(s):
 def test_multisection_reports_a_wrong_coefficient(s, monkeypatch):
     # one sieve numerator off by one moves sigma_s(12) by 12^min(s, 0); the
     # mismatch is the reference's for that sigma, as an exact Fraction
-    bad, sieve = 12, identities._lambert_expansion
+    bad, sieve = 12, identities._lambert_terms
 
-    def off_by_one(a, n_terms, order):
-        nums, dens = sieve(a, n_terms, order)
-        nums[bad - 1] += 1
-        return nums, dens
+    def off_by_one(a, n_terms, order):  # one more term putting 1 at m = bad
+        terms, dens = sieve(a, n_terms, order)
+        extra = (slice(bad - 1, order + 1, bad), [1] + [0] * ((order + 1) // bad - 1))
+        return itertools.chain(terms, [extra]), dens
 
     def sigma(s, n):
         return divisor_sigma(s, n) + (Fraction(bad) ** min(s, 0) if n == bad else 0)
 
-    monkeypatch.setattr(identities, "_lambert_expansion", off_by_one)
+    monkeypatch.setattr(identities, "_lambert_terms", off_by_one)
     got = check_multisection(3, s, 10)
     assert got == multisection_mismatch(3, s, 10, sigma) != 0
 

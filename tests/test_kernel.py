@@ -482,14 +482,21 @@ def test_profile_takes_one_pass_for_its_slowest_base(monkeypatch):
 
 
 def test_long_profile_builds_at_most_order_plus_one_sequences(monkeypatch):
-    # 200 prefixes at 50 digits: the cuts past the pass's order share one sequence
-    built = Counter()
+    # 200 prefixes at 50 digits: one expansion per series, and one sequence
+    # per term alone up to the pass's order (base_sums takes running sums)
+    built, summed = Counter(), []
     for name, k in series._KINDS.items():
         def counted(a, n_terms, order, _name=name, _run=k.expansion):
             built[_name] += 1
             return _run(a, n_terms, order)
         monkeypatch.setitem(series._KINDS, name, dataclasses.replace(k, expansion=counted))
-    passes = _count_passes(monkeypatch)
+    passes, run = _count_passes(monkeypatch), series._fixed_pass
+
+    def keys_of(x, fixed, prec):
+        sums = run(x, fixed, prec)
+        summed.append(list(sums))
+        return sums
+    monkeypatch.setattr(series, "_fixed_pass", keys_of)
     kernel, ctx, use_reference = engine.base_sums, make_context(50), []
 
     def slow_pass(x, terms, ctx):
@@ -497,8 +504,12 @@ def test_long_profile_builds_at_most_order_plus_one_sequences(monkeypatch):
             return kernel(x, terms, ctx)
         built.clear()
         info, sums = kernel(x, terms, ctx)
+        assert len(passes[-1]) == sum(built.values())
         for t, n, order in passes[-1]:
-            assert n == 200 and built[t.kind] <= order + 1 < 200
+            [(key, _)] = t.weights
+            assert n == 200 and built[t.kind] == 1
+            assert len([k for k in summed[-1] if k[0] == key]) == order + 1 < 200
+            assert all((key, m) in sums for m in range(1, 201))
         with mp.workdps(3 * ctx.working_digits):
             for t in (terms if use_reference else ()):
                 [(key, _)] = t.weights
