@@ -799,11 +799,11 @@ def _by_base(entries) -> dict:
 def _series_term(basis: BasisTerm, coeff, base: QSymbolic, target) -> Term:
     """The Term of one series entry over its base: the rational part of its
     coefficient at each radicand r is a weight under the key (derivative, r);
-    the derivative is lifted to q dL/dq, which pi then scales."""
+    the derivative's series is q dL/dq, which pi then scales."""
     derivative = basis.kind == "lambert_derivative"
     parts = coeff.items() if isinstance(coeff, Surd) else [(1, coeff)]
     return Term(basis.kind, basis.q.mult // base.mult, basis.q.sign, basis.s, target,
-                tuple(((derivative, r), Fraction(w)) for r, w in parts), int(derivative))
+                tuple(((derivative, r), Fraction(w)) for r, w in parts))
 
 
 def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
@@ -843,7 +843,7 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
             factors = {(d, r): eval_exact(Surd({r: 1}), ctx) * (mp.pi if d else 1)
                        for d, r in sums}
             for ((basis, _), cmag, t, (n, tail, bound)) in zip(group, cmags, run, info):
-                scale = mp.pi if t.lift else 1
+                scale = mp.pi if basis.kind == "lambert_derivative" else 1
                 terms[str(basis)] = n
                 err += cmag * tail * scale
                 size += sum(abs(factors[key] * w.numerator / w.denominator)

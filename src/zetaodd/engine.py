@@ -190,18 +190,17 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     slow_entries = [(b, c) for b, c in series if b.q.decay_key() == slow_key]
     # the other terms are assembled once, as for a result; the slowest ones
     # are their prefixes N = 1..max_terms, in one pass over their nome, the
-    # derivative lifted to q dL/dq and scaled by pi as in the formula
+    # derivative (summed as q dL/dq) scaled by pi as in the formula
     fast = replace(table, entries=tuple([e for e in table.entries
                                          if e not in slow_entries]))
     fixed = assemble_detailed(fast, ctx)[0]
-    run = [Term(b.kind, 1, b.q.sign, b.s, None, ((i, Fraction(1)),),
-                int(b.kind == "lambert_derivative"), max_terms)
+    run = [Term(b.kind, 1, b.q.sign, b.s, None, ((i, Fraction(1)),), prefixes=max_terms)
            for i, (b, _) in enumerate(slow_entries)]
     _, sums = base_sums(slow_entries[0][0].q.magnitude().value(ctx), run, ctx)
     with ctx.workdps():
         oracle_val = oracle(ctx)
-        cvals = [eval_exact(c, ctx) * (mp.pi if t.lift else 1)
-                 for (_, c), t in zip(slow_entries, run)]
+        cvals = [eval_exact(c, ctx) * (mp.pi if b.kind == "lambert_derivative" else 1)
+                 for b, c in slow_entries]
         points = []
         for n in range(1, max_terms + 1):
             approx = fixed

@@ -165,9 +165,9 @@ def check_multisection(p: int, s: int, order: int) -> Fraction:
         raise DomainError(f"order {order} with p = {p} and s = {s} needs a divisor "
                           f"sieve over the {SIEVE_BUDGET_BITS // 2**23} MiB budget")
     low, high = [0] * order, [0] * order  # e_l and e_lp, l = 1..order
-    for at, nums in _lambert_terms(a, top, top - 1)[0]:  # term d: k^a at m = dk (= lp)
-        g, h = (at.step // p, 1) if at.step % p == 0 else (at.step, p)  # l = gt, k = ht
-        low[at] = map(add, low[at], nums)
+    for start, d, nums in _lambert_terms(a, top, top - 1):  # term d: k^a at m = dk (= lp)
+        g, h = (d // p, 1) if d % p == 0 else (d, p)  # l = gt, k = ht
+        low[start::d] = map(add, low[start::d], nums)
         high[g - 1::g] = map(add, high[g - 1::g], nums[h - 1::h])
     w = p ** (1 + a)
     worst = Fraction(0)

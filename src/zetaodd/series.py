@@ -3,9 +3,9 @@
 Every basis series of the published formulas is a sum over n >= 1 of an
 algebraic term in q:
 
-    lambert             L_q(s)   = sum n^s q^n / (1 - q^n)
-    lambert_derivative  dL_q/dq  = sum n^(s+1) q^(n-1) / (1 - q^n)^2
-    sech_series         S_q(s)   = sum (-1)^n (2n-1)^s 2 q^(n-1/2) / (1 + q^(2n-1))
+    lambert             L_q(s)    = sum n^s q^n / (1 - q^n)
+    lambert_derivative  q dL_q/dq = sum n^(s+1) q^n / (1 - q^n)^2
+    sech_series         S_q(s)    = sum (-1)^n (2n-1)^s 2 q^(n-1/2) / (1 + q^(2n-1))
 
 where the sech term is sech((n-1/2)|log q|) written in powers of q, so no
 hyperbolic function is evaluated.  Each kind is defined once (``_KINDS``):
@@ -162,51 +162,51 @@ def _num(x):
 
 
 def _sieve(terms, length: int) -> list:
-    """The sum of an expansion's terms, (slice, numerators) each, at 0..length-1."""
+    """The sum of an expansion's terms, (start, step, numerators) each, at 0..length-1."""
     e = [0] * length
-    for at, nums in terms:
-        e[at] = map(add, e[at], nums)
+    for start, step, nums in terms:
+        e[start::step] = map(add, e[start::step], nums)
     return e
 
 
-def _lambert_terms(a: int, n_terms: int, order: int) -> tuple:
+def _lambert_terms(a: int, n_terms: int, order: int):
     """The n_terms-term Lambert sum over q in q^(m-1) coefficients c_m = e_m /
     m^a, m = 1..order+1, c_m the sum of d^-a over the divisors d <= n_terms
-    of m: the (slice of m - 1, numerators k^a at m = dk) of each term d <=
-    min(n_terms, order+1), lazily, and the denominators m^a."""
+    of m: the (start d - 1, step d, numerators k^a at m = dk) of each term
+    d <= min(n_terms, order+1), lazily."""
     top = order + 1
     powers = [k ** a for k in range(top + 1)]
-    return ((slice(d - 1, top, d), powers[1:top // d + 1])
-            for d in range(1, min(n_terms, top) + 1)), powers[1:]
+    return ((d - 1, d, powers[1:top // d + 1]) for d in range(1, min(n_terms, top) + 1))
 
 
-def _derivative_terms(a: int, n_terms: int, order: int) -> tuple:
-    """The derivative sum's q^(m-1) coefficients m c_m = e_m / m^(a-1), m = 1..order+1."""
-    terms, _ = _lambert_terms(a, n_terms, order)
-    return terms, (m ** (a - 1) for m in range(1, order + 2))  # read only without lift
-
-
-def _sech_terms(a: int, n_terms: int, order: int) -> tuple:
+def _sech_terms(a: int, n_terms: int, order: int):
     """q^m coefficients 2 a_m of the sech sum over q^(1/2), m = 0..order, term
     by term: a_m sums (-1)^(n+j) (2n-1)^-a over (2n-1)(2j+1) = 2m+1 with n <=
     n_terms, as a numerator over (2m+1)^a; term n fills m = n-1 + (2n-1) j."""
     powers = [(2 * j + 1) ** a for j in range(order + 1)]
     even = [-2 * p if j & 1 else 2 * p for j, p in enumerate(powers)]
     odd = [-v for v in even]
-    return ((slice(n - 1, order + 1, 2 * n - 1),
+    return ((n - 1, 2 * n - 1,
              (odd if n & 1 else even)[:len(range(n - 1, order + 1, 2 * n - 1))])
-            for n in range(1, min(n_terms, order + 1) + 1)), powers
+            for n in range(1, min(n_terms, order + 1) + 1))
 
 
 @dataclass(frozen=True)
 class _Kind:
-    """One basis series, the sum over n >= 1 of its terms (the module
-    docstring).  After N terms the tail is at most first(|q|) |q|^N
-    weight(N) / den(|q|) whenever s <= max_s.
+    """One basis series, q^lift times the sum over n >= 1 of its terms (the
+    module docstring).  After N terms the tail of that sum is at most
+    first(|q|) |q|^N weight(N) / den(|q|) whenever s <= max_s.
 
-    The N-term sum is also first(q) * sum_m b_m q^m with exact b_m =
-    nums[m] / dens[m] from (terms, dens) = expansion(-s, N, order), nums
-    summed from the terms (_sieve), and |b_m| <= coef_bound(m) for s <= max_s."""
+    The N-term series is also a power series in q whose coefficients, m
+    = 0..order, are exact numerators from expansion(-s, N, order), the
+    (start, step, numerators) of each term, summed by _sieve, over
+    denominators that its family sets, with numerators times j^a at the
+    nome q = +-x^j and |numerator / denominator| <= coef_bound(m) for s <=
+    max_s.  Lambert and the derivative are the family ("n", a), a = -s -
+    lift: numerator m stands at q^(m+1), the power n = j (m+1) of x, over
+    n^a.  Sech is the family ("sech", a, j), a = -s: numerator m stands at
+    q^m, the power n = j m, over (2n + j)^a, and first(q) = sqrt(q)
+    multiplies the sum."""
 
     name: str  # for error messages
     max_s: int
@@ -216,15 +216,15 @@ class _Kind:
     den: Callable
     expansion: Callable
     coef_bound: Callable
-    den_shift: int = 0
+    lift: int = 0
 
 
 # Lambert: |n^s| <= 1 and |1-q^n| >= 1-|q|, and the geometric tail supplies
-# the other 1/(1-|q|).  Derivative: the same argument with s+1 <= 0; the
-# factor (1+N) covers the n^(s+1) weights for s near -1.  Sech: y = q^(n-1/2)
-# = e^(-(n-1/2)|log q|), so the term is (2n-1)^s sech((n-1/2)|log q|); terms
-# alternate and decrease for s <= 0, so the tail is at most the first
-# omitted term, and sech(x) <= 2e^(-x) gives the bound.  Coefficients: a
+# the other 1/(1-|q|).  Derivative: the same argument for dL/dq with s+1 <=
+# 0; the factor (1+N) covers the n^(s+1) weights for s near -1.  Sech: y =
+# q^(n-1/2) = e^(-(n-1/2)|log q|), so the term is (2n-1)^s sech((n-1/2)|log
+# q|); terms alternate and decrease for s <= 0, so the tail is at most the
+# first omitted term, and sech(x) <= 2e^(-x) gives the bound.  Coefficients: a
 # sum of at most d(m) terms of size <= 1, and d(m) <= 2 sqrt(m).
 _KINDS = {
     "lambert": _Kind(
@@ -234,7 +234,7 @@ _KINDS = {
     "lambert_derivative": _Kind(
         "lambert_derivative", -1, False, lambda q: mp.mpmathify(1),
         lambda n: 1 + n, lambda qa: (1 - qa) ** 3,
-        _derivative_terms, lambda m: 2 * (m + 1) ** 1.5, 1),
+        _lambert_terms, lambda m: 2 * (m + 1) ** 1.5, 1),
     "sech_series": _Kind(
         "sech_series", 0, True, mp.sqrt,
         lambda n: 2, lambda qa: 1 - qa * qa,
@@ -332,9 +332,9 @@ def _order(kind: _Kind, ax: float, prec: int) -> int:
 @dataclass(frozen=True)
 class Term:
     """One series of a pass over a base x (base_sums): the basis kind at the
-    nome q = sign x^j, times q^lift, to the smallest N whose tail bound is
-    below target, added with each weight of (key, Fraction) `weights` into
-    the sum of its key.  With prefixes = P > 0 the target is not read: the
+    nome q = sign x^j (_Kind), to the smallest N whose tail bound is below
+    target, added with each weight of (key, Fraction) `weights` into the
+    sum of its key.  With prefixes = P > 0 the target is not read: the
     series is cut at each N = 1..P instead, prefix N added into the sum of
     key (key, N); terms that share a key then share P."""
 
@@ -344,7 +344,6 @@ class Term:
     s: int
     target: object
     weights: tuple = ((None, Fraction(1)),)
-    lift: int = 0
     prefixes: int = 0
 
 
@@ -376,7 +375,8 @@ def _powers(x, prec: int, steps: set, r: int) -> tuple:
 def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
     """Every term (Term) at a nome +-x^j of one base x, real in (0, 1) or
     complex with |x| < 1, in one fixed-point pass over one set of powers of
-    x (_fixed_pass).
+    x (_fixed_pass).  A sech term needs x in (0, 1) and sign +1: other
+    nomes raise DomainError.
 
     Returns the (N, tail bound, size bound) of each term's series times
     |q|^lift, the size bound being the closed-form bound after no terms,
@@ -388,6 +388,10 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
         info, plans = [], []
         for t in terms:
             kind = _KINDS[t.kind]
+            if kind.real_nome and (isinstance(x, mp.mpc) or not 0 < x < 1 or t.sign < 0):
+                raise DomainError(f"{kind.name} requires real q in (0, 1)")
+            if abs(x) >= 1:
+                raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(abs(x) ** t.j, 8)}")
             if not isinstance(t.s, int) or t.s > kind.max_s:
                 raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {t.s!r}")
             qa = abs(x) ** t.j
@@ -397,7 +401,7 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
                 n, bound = _terms_needed(kind, qa, target)
             else:
                 raise ValueError("target_abs_error must be positive")
-            lifted = qa ** t.lift
+            lifted = qa ** kind.lift
             with mp.workprec(53):  # a scale for the slop: a few digits do
                 size = _bound(kind, qa, 0) * lifted
             info.append((n, bound * lifted, size))
@@ -431,17 +435,12 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
     N, order) with every term cut at its own order (_order); a sum has one
     int per component of x (_fixed).
 
-    A term's N-term sum is first(q) sum_i b_i q^i, b_i = nums[i] / dens[i]
-    exact from its kind's expansion (_Kind).  With first(q) = q (Lambert)
-    and q^lift folded in, b_i stands at q^(i + off); sech keeps its first(q)
-    = sqrt(q) as a prefactor.  So the term puts sign^(i+off) w b_i at
-    position n = j (i + off) of one sequence in powers of x per key and
-    family.  Where dens[i] = (i + off)^a, a = -s - den_shift (Lambert, and
-    the derivative lifted by 1), the family ("n", a) takes every j: the term
-    puts D w nums[i] j^a over n^a, D the lcm of the denominators of the
-    weights, and the sum is floored by D at the end; another term has a
-    family of its own j.  A term of P prefixes puts each of its terms m <=
-    order + 1 alone under (key, m), for base_sums to take running sums.
+    A term puts its numerators (_Kind), each times D w and the sign of its
+    power of q, at their powers of x in one sequence per key and family,
+    over the denominators its family sets; D is the lcm of the denominators
+    of the weights, and the sum is floored by D at the end.  A term of P
+    prefixes puts each of its terms m <= order + 1 alone under (key, m),
+    for base_sums to take running sums.
     r, a multiple of every j, is about sqrt(sequences * positions /
     density); baby steps X_n = x^n are needed only where some j divides n <
     r, and each sequence is sum_i Y^i B_i, Y = x^r, B_i = sum_n (E_{ir+n}
@@ -458,9 +457,9 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
       (ef + 2 units) against beta / (1 - ax), and a floor; the floor by D."""
     parts, lcds = [], {}
     for t, kind, n, order in fixed:
-        off = (t.kind == "lambert") + t.lift
-        family = (("n", -t.s - kind.den_shift) if t.kind != "sech_series" and off == 1
-                  else (t.kind, -t.s, t.j, t.lift))
+        sech = t.kind == "sech_series"
+        off = int(not sech)  # numerator m stands at q^(m + off)
+        family = ("sech", -t.s, t.j) if sech else ("n", -t.s - kind.lift)
         keyed = [t.weights] if not t.prefixes else [
             [((key, m), w) for key, w in t.weights] for m in range(1, min(n, order + 1) + 1)]
         parts.append((t, kind, n, order, off, keyed, family))
@@ -473,28 +472,24 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
     density = sum(any(n % j == 0 for j in steps) for n in range(lcm))
     r = lcm * max(1, math.isqrt(len(lcds) * (top + 1) * lcm // density) // lcm)
     size = -(-(top + 1) // r) * r
-    dens = {f: [n ** f[1] for n in range(size)] for f in {p[-1] for p in parts} if f[0] == "n"}
+    dens = {f: [(n if f[0] == "n" else 2 * n + f[2]) ** f[1] for n in range(size)]
+            for f in {p[-1] for p in parts}}
     seqs = {seq: [[0] * size, 0.0, 0.0] for seq in lcds}  # numerators, beta, sum |w|
     for t, kind, n, order, off, keyed, family in parts:
-        terms, den = kind.expansion(-t.s, n, order)
-        if family[0] != "n":
-            dens[family] = [1] * size
-            dens[family][t.j * off:t.j * (order + off) + 1:t.j] = den
-        expansions = ([(slice(0, order + 1), _sieve(terms, order + 1))] if not t.prefixes
-                      else terms)
-        for weights, (fills, nums) in zip(keyed, expansions):
-            fills = range(order + 1)[fills]  # the i that nums stand at
-            at = slice(t.j * (fills.start + off), t.j * (order + off) + 1, t.j * fills.step)
+        terms = kind.expansion(-t.s, n, order)
+        expansions = [(0, 1, _sieve(terms, order + 1))] if not t.prefixes else terms
+        for weights, (start, step, nums) in zip(keyed, expansions):
+            at = slice(t.j * (start + off), t.j * (order + off) + 1, t.j * step)
             if t.sign < 0:
-                nums = [-v if (i + off) & 1 else v for i, v in zip(fills, nums)]
+                nums = [-v if (i + off) & 1 else v
+                        for i, v in zip(range(start, order + 1, step), nums)]
             for key, w in weights:
                 seq = seqs[key, family]
-                c = w.numerator * (lcds[key, family] // w.denominator) * t.j ** (
-                    family[1] if family[0] == "n" else 0)
+                c = w.numerator * (lcds[key, family] // w.denominator) * t.j ** family[1]
                 seq[0][at] = map(add, seq[0][at], (c * v for v in nums))
                 seq[1] += abs(w) * kind.coef_bound(order)
                 seq[2] += abs(w)
-        del terms, den, nums
+        del terms, nums
     xs, xi = _powers(x, prec, steps, r)
     y = xs.pop(r)
     zero = (0,) * len(y)
@@ -513,7 +508,7 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
         divisions = size - num.count(0)
         ulps = ((divisions * (beta * xi + 1) + size // r + 3) * unit
                 + xi * beta / ((1 - ax) * (1 - yhat) ** 2) + absw / 2)
-        if family[0] == "sech_series":
+        if family[0] == "sech":
             with mp.workprec(prec):
                 fq, ef = _fixed(mp.sqrt(x ** family[2]), prec)
             acc = _mul(acc, fq, prec)
@@ -526,14 +521,8 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
 def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
     """One basis series at q: a one-term base_sums over x = q, or over x =
     |q| with the sign in the term for real q."""
-    k = _KINDS[kind]
     with ctx.workdps():
         qv = q.value(ctx) if isinstance(q, QSymbolic) else _num(q)
-        if k.real_nome:
-            if isinstance(qv, mp.mpc) or not 0 < qv < 1:
-                raise DomainError(f"{k.name} requires real q in (0, 1)")
-        elif abs(qv) >= 1:
-            raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(abs(qv), 8)}")
         x, sign = (-qv, -1) if not isinstance(qv, mp.mpc) and qv < 0 else (qv, 1)
         [(n, bound, _)], sums = base_sums(x, [Term(kind, 1, sign, s, target_abs_error)], ctx)
         value, rounding = sums[None]
@@ -556,5 +545,5 @@ def lambert_q_expansion(s: int, order: int) -> list[Fraction]:
     from the kernel's divisor sieve: sigma_s(m) = e_m, or e_m / m^|s| for s < 0."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    terms, dens = _lambert_terms(abs(s), order, order - 1)
-    return [Fraction(e, d if s < 0 else 1) for e, d in zip(_sieve(terms, order), dens)]
+    e = _sieve(_lambert_terms(abs(s), order, order - 1), order)
+    return [Fraction(v, m ** max(-s, 0)) for m, v in enumerate(e, 1)]

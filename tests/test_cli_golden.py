@@ -6,7 +6,8 @@ profile points and slopes.  Any change to the series evaluation that moves
 one of them shows up here.  ``python tests/test_cli_golden.py`` adds the
 stdout of the argvs not pinned yet and never rewrites an existing entry;
 ``python tests/test_cli_golden.py --diff`` prints, for each pinned argv
-whose stdout moved, its old and new lines, and writes nothing.
+whose stdout moved, its old and new lines, writes nothing, and exits 1 if
+any moved, 0 otherwise.
 """
 
 import contextlib
@@ -111,13 +112,16 @@ def test_pinned_residuals_are_below_the_series_target(golden):
 if __name__ == "__main__":
     pinned = json.loads(GOLDEN.read_text())
     if sys.argv[1:] == ["--diff"]:
+        moved = False
         for argv in ARGVS:
             if argv in pinned and (now := cli_stdout(argv)) != pinned[argv]:
+                moved = True
                 print(argv)
                 for line in difflib.unified_diff(pinned[argv].splitlines(),
                                                  now.splitlines(), lineterm="", n=0):
                     if not line.startswith(("---", "+++", "@@")):
                         print(f"  {line}")
+        sys.exit(1 if moved else 0)
     else:
         pinned.update({a: cli_stdout(a) for a in ARGVS if a not in pinned})
         GOLDEN.write_text(json.dumps(pinned, indent=1) + "\n")

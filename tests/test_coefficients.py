@@ -534,6 +534,17 @@ def test_json_roundtrip_all_methods():
         assert back.to_json() == blob
 
 
+def test_sech_series_at_a_negative_nome_is_refused_from_json():
+    # the kernel checks a table read back from JSON as sech_series checks its q
+    d = json.loads(method_table("zeta", "root15", 3).to_json())
+    for e in d["entries"]:
+        if e["basis"]["kind"] == "sech_series":
+            e["basis"]["q"] = "-" + e["basis"]["q"]
+    table = CoefficientTable.from_dict(d)
+    with pytest.raises(DomainError, match="sech_series requires real q"):
+        assemble_detailed(table, make_context(30))
+
+
 def test_basis_term_roundtrip():
     t = method_table("zeta", "root15_p", 9)
     for b, _ in t.entries:

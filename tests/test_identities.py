@@ -148,9 +148,8 @@ def test_multisection_reports_a_wrong_coefficient(s, monkeypatch):
     bad, sieve = 12, identities._lambert_terms
 
     def off_by_one(a, n_terms, order):  # one more term putting 1 at m = bad
-        terms, dens = sieve(a, n_terms, order)
-        extra = (slice(bad - 1, order + 1, bad), [1] + [0] * ((order + 1) // bad - 1))
-        return itertools.chain(terms, [extra]), dens
+        extra = (bad - 1, bad, [1] + [0] * ((order + 1) // bad - 1))
+        return itertools.chain(sieve(a, n_terms, order), [extra])
 
     def sigma(s, n):
         return divisor_sigma(s, n) + (Fraction(bad) ** min(s, 0) if n == bad else 0)

@@ -59,6 +59,12 @@ def _table_nomes() -> list:
     return sorted(nomes, key=lambda q: (q.decay_key(), q.sign))
 
 
+def _reference(kind, q, s, n_terms):
+    """The reference's n_terms-term sum at q, times q for the derivative,
+    which the kernel sums as q dL/dq."""
+    return series_sum(kind, q, s, n_terms) * q ** series._KINDS[kind].lift
+
+
 NOMES = _table_nomes()
 CASES = [(kind, q) for kind in EVALUATORS for q in NOMES
          if kind != "sech_series" or q.sign > 0]
@@ -72,20 +78,29 @@ def test_table_nomes_cover_both_signs():
 
 
 @given(case=st.sampled_from(CASES), s=st.integers(0, 100).map(lambda j: -2 * j - 1),
-       digits=st.integers(10, 3000))
-@settings(max_examples=30, deadline=None)
-def test_kernel_within_its_certified_error(case, s, digits):
+       digits=st.integers(10, 3000), j=st.sampled_from([1, 2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_kernel_within_its_certified_error(case, s, digits, j):
+    # j = 1: the one-term pass at the nome; j > 1: the term at q = sign x^j
+    # over the base x = |nome|, where the family's denominators and the j^a
+    # numerators differ from j = 1
     kind, q = case
     ctx = make_context(digits)
     with ctx.workdps():
         target = mpf(10) ** (-(digits + ctx.guard_digits // 2))
-        qv = q.value(ctx)
-    r = EVALUATORS[kind](q, s, target, ctx)
-    assert 0 < r.rounding_error < target
+        x = abs(q.value(ctx))
+    if j == 1:
+        r = EVALUATORS[kind](q, s, target, ctx)
+        n, value, rounding = r.terms_used, r.value, r.rounding_error
+    else:
+        [(n, _, _)], sums = series.base_sums(x, [series.Term(kind, j, q.sign, s, target)], ctx)
+        value, rounding = sums[None]
+    assert 0 < rounding < target
     # the same nome value, summed term by term at twice the precision
     wide = PrecisionContext(ctx.working_digits, ctx.working_digits)
     with wide.workdps():
-        assert abs(r.value - series_sum(kind, qv, s, r.terms_used)) <= r.rounding_error
+        qj = q.sign * x ** j  # at the reference's precision, not the working one
+        assert abs(value - _reference(kind, qj, s, n)) <= rounding
 
 
 @given(radius=st.floats(0.05, 0.9), phase=st.floats(-math.pi, math.pi),
@@ -117,7 +132,7 @@ def test_kernel_real_nomes_off_the_tables():
                        ("sech_series", mpf("0.6"), 0)):
         r = EVALUATORS[kind](q, s, mpf(10) ** -45, ctx)
         with wide.workdps():
-            assert abs(r.value - series_sum(kind, q, s, r.terms_used)) <= r.rounding_error
+            assert abs(r.value - _reference(kind, q, s, r.terms_used)) <= r.rounding_error
 
 
 # ------------------------------------------------- one pass per base nome
@@ -166,8 +181,8 @@ def test_each_base_pass_is_the_sum_of_its_one_term_passes(case, rewrite, digits)
             assert r.terms_used == n
             with mp.workprec(wide):
                 for key, w in t.weights:
-                    want[key] += r.value * q ** t.lift * w.numerator / w.denominator
-                    slack[key] += r.rounding_error * abs(q) ** t.lift * abs(w)
+                    want[key] += r.value * w.numerator / w.denominator
+                    slack[key] += r.rounding_error * abs(w)
         assert sums.keys() == want.keys()
         with mp.workprec(wide):
             for key, (value, rounding) in sums.items():
@@ -436,7 +451,7 @@ def test_real_nomes_never_take_the_loop(target, monkeypatch):
     for (kind, q, s), r in results.items():
         assert r.tail_bound < target
         with wide.workdps():
-            ref = series_sum(kind, q, s, r.terms_used)
+            ref = _reference(kind, q, s, r.terms_used)
             assert abs(r.value - ref) <= r.rounding_error, (kind, q, s)
 
 
@@ -515,7 +530,7 @@ def test_long_profile_builds_at_most_order_plus_one_sequences(monkeypatch):
                 [(key, _)] = t.weights
                 q = t.sign * x ** t.j
                 for n, ref in enumerate(prefix_sums(t.kind, q, t.s, 200), 1):
-                    sums[key, n] = (+(ref * q ** t.lift), sums[key, n][1])
+                    sums[key, n] = (+(ref * q ** series._KINDS[t.kind].lift), sums[key, n][1])
         return info, sums
     monkeypatch.setattr(engine, "base_sums", slow_pass)
     profile = engine.convergence_profile("zeta(3)", "root15", 200, ctx)
