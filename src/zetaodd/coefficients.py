@@ -466,8 +466,14 @@ def _p5_4kp1(k: int) -> CoefficientTable:
     return _make_table(_zc(k, 1), "p5", coeffs.items(), debug)
 
 
+def _degenerates(method: str, k: int) -> bool:
+    """True where `method` has no table at k: the sqrt3-family zeta(4k+1)
+    substitution degenerates when 3 divides k."""
+    return method == "root3_p" and k % 3 == 0
+
+
 def _root3_4kp1(k: int) -> CoefficientTable:
-    if k % 3 == 0:
+    if _degenerates("root3_p", k):
         raise DomainError(
             f"the sqrt3-family zeta(4k+1) formula is invalid for k = {k}: "
             "its defining substitution degenerates when k is divisible by 3"
@@ -667,9 +673,12 @@ METHODS = {
                                         "prop_pi3_fast")),
     },
 }
-# (constant, n mod 4) -> the method `auto` names for zeta(n) or pi^n
-AUTO = {("zeta", 3): "root15", ("zeta", 1): "root15_p",
-        ("pi", 1): "example62", ("pi", 3): "example63"}
+# (constant, n mod 4) -> the methods `auto` may name for zeta(n) or pi^n, in
+# order of preference; it takes the first one defined at that k.  For zeta
+# these are the cheapest per certified digit (README, Notes), not the
+# fastest-converging per term.
+AUTO = {("zeta", 3): ("corollary",), ("zeta", 1): ("root3_p", "root7_p"),
+        ("pi", 1): ("example62",), ("pi", 3): ("example63",)}
 ZETA_4KM1_METHODS = tuple(m for m, e in METHODS["zeta"].items()
                           if e[0] == 3 and m != "corollary2")
 ZETA_4KP1_METHODS = tuple(m for m, e in METHODS["zeta"].items() if e[0] == 1)
@@ -677,14 +686,16 @@ PI_METHODS = tuple(METHODS["pi"])
 
 
 def resolve_method(constant: str, method: str, n: int) -> tuple:
-    """(registry name, k) of `method` for zeta(n) or pi^n; `auto` is looked
-    up in AUTO, and a bare root3/root7/root15 also names its zeta(4k+1)
-    variant."""
+    """(registry name, k) of `method` for zeta(n) or pi^n; `auto` takes the
+    first AUTO candidate defined at its k, and a bare root3/root7/root15
+    also names its zeta(4k+1) variant."""
     methods = METHODS[constant]
     label = f"zeta({n})" if constant == "zeta" else f"pi^{n}"
     name = method
     if name == "auto":
-        name = AUTO.get((constant, n % 4))
+        name = next((m for m in AUTO.get((constant, n % 4), ())
+                     if not _degenerates(m, (n + methods[m][1]) // 4)),
+                    None)
         if name is None:
             raise DomainError(f"auto has no {constant} method for {label}")
     if name + "_p" in methods and methods[name][0] != n % 4:

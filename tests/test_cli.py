@@ -319,7 +319,7 @@ def test_parser_is_built_once():
 @pytest.mark.parametrize("argv, constant, method", [
     (("--method", "root3", "--k", "2"), "zeta(7)", "root3"),
     (("--method", "corollary2", "--k", "1"), "zeta(3)", "corollary"),
-    (("--method", "auto", "--k", "1"), "zeta(5)", "root15_p"),
+    (("--method", "auto", "--k", "1"), "zeta(5)", "root3_p"),
     (("--method", "root7_p", "--k", "2"), "zeta(9)", "root7_p"),
 ])
 def test_coeffs_zeta_method_fixes_parity(argv, constant, method, capsys):

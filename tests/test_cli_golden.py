@@ -23,6 +23,7 @@ import pytest
 from mpmath import mp
 
 from zetaodd import cli
+from zetaodd.coefficients import resolve_method
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
 
@@ -85,6 +86,14 @@ def test_golden_covers_every_argv(golden):
 @pytest.mark.parametrize("argv", ARGVS)
 def test_cli_stdout_is_pinned(argv, golden):
     assert cli_stdout(argv) == golden[argv]
+
+
+def test_auto_is_its_resolved_method_byte_for_byte(golden):
+    autos = [a for a in golden if "--method auto" in a]
+    assert len(autos) == 8
+    for argv in autos:
+        name, _ = resolve_method("zeta", "auto", int(re.search(r"--s (\d+)", argv)[1]))
+        assert golden[argv] == golden[argv.replace("auto", name)], argv
 
 
 def test_pinned_zeta201_digits_are_mpmaths(golden):

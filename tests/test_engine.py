@@ -1,6 +1,7 @@
 """End-to-end evaluation: every method reproduces the oracles at the
 requested precision with a sound certified bound."""
 
+from dataclasses import replace
 from decimal import ROUND_DOWN, Decimal, localcontext
 
 import pytest
@@ -107,8 +108,9 @@ def test_rapid_method_needs_few_terms():
 
 
 def test_auto_dispatch():
-    assert zeta_table(3).method == "root15"
-    assert zeta_table(5).method == "root15_p"
+    assert zeta_table(3).method == "corollary"
+    assert zeta_table(5).method == "root3_p"
+    assert zeta_table(13).method == "root7_p"  # root3_p degenerates at k = 3
     assert zeta_table(3, "root7").method == "root7"
     # bare root names map onto the parity at hand
     assert zeta_table(5, "root7").method == "root7_p"
@@ -117,10 +119,16 @@ def test_auto_dispatch():
 def test_auto_is_read_from_one_table(monkeypatch):
     from zetaodd import coefficients
 
-    monkeypatch.setitem(coefficients.AUTO, ("zeta", 3), "root7")
-    monkeypatch.setitem(coefficients.AUTO, ("pi", 3), "prop_pi3_fast")
+    monkeypatch.setitem(coefficients.AUTO, ("zeta", 3), ("root7",))
+    monkeypatch.setitem(coefficients.AUTO, ("pi", 3), ("prop_pi3_fast",))
     assert zeta_table(7).method == "root7"
     assert engine.pi_table(3, "auto").method == "prop_pi3_fast"
+
+
+def test_auto_falls_back_where_root3_p_degenerates():
+    # every field but wall_time
+    assert replace(zeta_odd(13, "auto", 30), wall_time=0) == \
+        replace(zeta_odd(13, "root7_p", 30), wall_time=0)
 
 
 def test_parity_guard():
