@@ -674,10 +674,10 @@ METHODS = {
     },
 }
 # (constant, n mod 4) -> the methods `auto` may name for zeta(n) or pi^n, in
-# order of preference; it takes the first one defined at that k.  For zeta
-# these are the cheapest per certified digit (README, Notes), not the
-# fastest-converging per term.
-AUTO = {("zeta", 3): ("corollary",), ("zeta", 1): ("root3_p", "root7_p"),
+# order of preference; it takes the first one defined at that k.  For
+# zeta(4k+1) these are the cheapest per certified digit (README, Notes), not
+# the fastest-converging per term; zeta(4k-1) keeps root15 (ROADMAP item 8).
+AUTO = {("zeta", 3): ("root15",), ("zeta", 1): ("root3_p", "root7_p"),
         ("pi", 1): ("example62",), ("pi", 3): ("example63",)}
 ZETA_4KM1_METHODS = tuple(m for m, e in METHODS["zeta"].items()
                           if e[0] == 3 and m != "corollary2")

@@ -327,7 +327,7 @@ def test_root3_p_degenerate_k():
 def test_auto_takes_root7_p_where_root3_p_degenerates():
     for s in range(3, 202, 2):
         k = (s + 1) // 4 if s % 4 == 3 else (s - 1) // 4
-        want = ("corollary" if s % 4 == 3
+        want = ("root15" if s % 4 == 3
                 else "root3_p" if k % 3 else "root7_p")
         assert resolve_method("zeta", "auto", s) == (want, k)
         method_table("zeta", "auto", s)  # no DomainError

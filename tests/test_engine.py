@@ -108,7 +108,7 @@ def test_rapid_method_needs_few_terms():
 
 
 def test_auto_dispatch():
-    assert zeta_table(3).method == "corollary"
+    assert zeta_table(3).method == "root15"
     assert zeta_table(5).method == "root3_p"
     assert zeta_table(13).method == "root7_p"  # root3_p degenerates at k = 3
     assert zeta_table(3, "root7").method == "root7"
