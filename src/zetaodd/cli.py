@@ -3,7 +3,9 @@
 Subcommands: compute (zeta / pi / log / zeta3-first-order), coeffs,
 verify, bench.  stdout is byte-deterministic for a fixed argv; wall-clock
 timing goes to stderr.  Exit codes: 0 ok, 2 failed verification, 64 bad
-usage, 65 domain error, 69 convergence failure.
+usage, 65 domain error, 69 convergence failure, 74 stdout closed early (a
+reader such as `| head` left; the rest of the output is dropped, with no
+traceback).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -25,6 +28,7 @@ EX_FAIL = 2
 EX_USAGE = 64
 EX_DOMAIN = 65
 EX_CONVERGENCE = 69
+EX_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,13 +281,20 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DOMAIN
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_CONVERGENCE
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: point stdout at devnull, so the
+        # flush at exit has nowhere left to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
 
 
 if __name__ == "__main__":

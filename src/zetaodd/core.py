@@ -67,24 +67,43 @@ def make_context(target_digits: int) -> PrecisionContext:
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
+_EVEN_BERNOULLI: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
+
+
+def _tangent_numbers(m: int) -> list[int]:
+    """T_1..T_m (index 0 unused), tan x = sum T_k x^(2k-1) / (2k-1)!, by
+    the integer recurrences of Brent and Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers" (2011): O(m^2) products of a
+    big int by a small one."""
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (convention B_1 = -1/2).
+    """Exact Bernoulli number B_n (convention B_1 = -1/2; B_n = 0 for odd
+    n >= 3).
 
-    Classical recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0; cached, so the
-    amortized cost over a session is one triangular pass.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers.
+    The cache of even numbers grows on demand, to at least twice its size,
+    so asking for B_2, B_4, ... in turn costs a constant factor over one
+    fill.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    while len(_BERNOULLI_CACHE) <= n:
-        m = len(_BERNOULLI_CACHE)
-        acc = Fraction(0)
-        for j, bj in enumerate(_BERNOULLI_CACHE):
-            acc += math.comb(m + 1, j) * bj
-        _BERNOULLI_CACHE.append(-acc / (m + 1))
-    return _BERNOULLI_CACHE[n]
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    k = n // 2
+    have = len(_EVEN_BERNOULLI)
+    if k >= have:
+        t = _tangent_numbers(max(k, 2 * (have - 1)))
+        _EVEN_BERNOULLI.extend(Fraction((-1) ** (j - 1) * 2 * j * t[j], 4**j * (4**j - 1))
+                               for j in range(have, len(t)))
+    return _EVEN_BERNOULLI[k]
 
 
 def bernoulli_weight(j: int, total: int) -> Fraction:

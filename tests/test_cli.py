@@ -248,6 +248,21 @@ def test_exit_convergence_when_digits_stay_uncertified(monkeypatch, capsys):
     assert out == "" and "error: zeta(3)" in err
 
 
+def test_exit_without_traceback_when_stdout_closes_early():
+    # `coeffs ... | head -3` where head has already left: the read end is
+    # closed before the child writes, so every run meets the broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetaodd.cli", "coeffs", "--constant", "zeta", "--k", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=CHILD_ENV)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.EX_IOERR
+
+
 def test_stdout_deterministic():
     argv = ("compute", "zeta", "--s", "5", "--method", "root15_p",
             "--digits", "60", "--format", "json")

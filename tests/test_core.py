@@ -1,6 +1,7 @@
 """Exact arithmetic layer: Bernoulli numbers and the field Q(i, sqrt2, sqrt3,
 sqrt5, sqrt7) in its Gaussian, quadratic and biquadratic corners."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,19 @@ def test_bernoulli_table():
 def test_bernoulli_odd_vanish():
     for n in range(3, 40, 2):
         assert bernoulli(n) == 0
+
+
+def _bernoulli_classical(n_max: int) -> list:
+    """B_0..B_n_max by the classical recurrence sum_{j<=m} C(m+1, j) B_j = 0,
+    the reference for the tangent-number route of `core.bernoulli`."""
+    b = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        b.append(-sum(math.comb(m + 1, j) * bj for j, bj in enumerate(b)) / (m + 1))
+    return b
+
+
+def test_bernoulli_matches_the_classical_recurrence():
+    assert [bernoulli(n) for n in range(401)] == _bernoulli_classical(400)
 
 
 def test_bernoulli_sum_identity():
