@@ -38,7 +38,7 @@ from .core import (
     DomainError,
     PrecisionContext,
     Surd,
-    bernoulli_weight,
+    bernoulli_weights,
     eval_exact,
     surd_trig,
 )
@@ -209,12 +209,24 @@ _SQRT2 = Surd.sqrt(2)
 
 
 def _bernoulli_sum(c: list, total: int):
-    """sum_j (-1)^j c_j B_2j B_(total-2j) / ((2j)! (total-2j)!), exact."""
-    acc = Fraction(0)
-    for j, cj in enumerate(c):
-        term = cj * bernoulli_weight(j, total)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    """sum_j (-1)^j c_j B_2j B_(total-2j) / ((2j)! (total-2j)!), exact: a
+    Surd when some c_j is one, else a Fraction.  Each radicand's numerators
+    are summed as ints over the lcm of its c_j denominators and the weights'
+    one denominator, then reduced once."""
+    weights, den = bernoulli_weights(total, len(c))
+    parts: dict[int, list] = {}  # radicand -> [(signed weight, c_j part)]
+    for j, (cj, w) in enumerate(zip(c, weights)):
+        for r, v in cj.items() if isinstance(cj, Surd) else [(1, cj)]:
+            parts.setdefault(r, []).append((-w if j % 2 else w, v))
+    sums = {}
+    for r, terms in parts.items():
+        lcm = math.lcm(*(v.denominator for _, v in terms))
+        num = sum(w * v.numerator * (lcm // v.denominator) for w, v in terms)
+        if num:
+            sums[r] = Fraction(num, lcm * den)
+    if any(isinstance(cj, Surd) for cj in c):
+        return Surd(sums)
+    return sums.get(1, Fraction(0))
 
 
 def _f2(e: int) -> Fraction:
@@ -311,11 +323,12 @@ def _root7_4km1(k: int) -> CoefficientTable:
 def _root15_4km1(k: int) -> CoefficientTable:
     s = -4 * k + 1
     cos_odd = surd_trig(15, 2 * k - 1, "cos")
-    den = 4 * cos_odd * cos_odd  # 4 cos^2((2k-1) theta), rational
+    den = (4 * cos_odd * cos_odd).as_fraction()  # 4 cos^2((2k-1) theta)
     a_k = (surd_trig(15, 4 * k - 1, "cos") - 2 * surd_trig(15, 4 * k, "sin")) / den
     b_k = ((2 + 2 * surd_trig(15, 4 * k, "cos")
             + surd_trig(15, 4 * k - 1, "sin")) / den).as_fraction()
-    c = [surd_trig(15, 2 * k - 2 * j, "cos") / (cos_odd * (2 if j == k else 1))
+    inv = 1 / cos_odd
+    c = [surd_trig(15, 2 * k - 2 * j, "cos") * inv / (2 if j == k else 1)
          for j in range(k + 1)]
     w = -_bernoulli_sum(c, 4 * k)  # (-1)^(j+1)
     q15 = QSymbolic(1, 1, 15)
@@ -335,11 +348,20 @@ def _root15_4km1(k: int) -> CoefficientTable:
 # ---------------------------------------------------------------------------
 
 
+def _one_plus_i_power(m: int) -> Surd:
+    """(1+i)^m = (2i)^floor(m/2) (1+i)^(m mod 2), in closed form."""
+    n, odd = divmod(m, 2)
+    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[n % 4]  # i^n
+    if odd:
+        re, im = re - im, re + im  # times 1+i
+    return Surd({1: re, -1: im}) * _f2(n)
+
+
 def _h_diff(k: int, j: int):
     """h(4k+1-2j) - h(2j-1), h(m) = (1 + (1+i)^m) / 2^m: the 2-section part
     of the multisection c_jk."""
     def h(m):
-        return (1 + (1 + I) ** m) / _f2(m)
+        return (1 + _one_plus_i_power(m)) / _f2(m)
     return h(4 * k + 1 - 2 * j) - h(2 * j - 1)
 
 
@@ -529,8 +551,9 @@ def _root15_4kp1(k: int) -> CoefficientTable:
     sin2k = surd_trig(15, 2 * k, "sin")
     if sin2k == 0:
         raise DomainError(f"degenerate sin(2k theta) = 0 at k = {k}")
-    cot2k = surd_trig(15, 2 * k, "cos") / sin2k
-    c = [surd_trig(15, 2 * k + 1 - 2 * j, "sin") / sin2k for j in range(k + 1)]
+    inv = 1 / sin2k
+    cot2k = surd_trig(15, 2 * k, "cos") * inv
+    c = [surd_trig(15, 2 * k + 1 - 2 * j, "sin") * inv for j in range(k + 1)]
     w = _bernoulli_sum(c, 4 * k + 2)  # (-1)^j
     q15 = QSymbolic(1, 1, 15)
     coeffs = {

@@ -106,14 +106,17 @@ def bernoulli(n: int) -> Fraction:
     return _EVEN_BERNOULLI[k]
 
 
-def bernoulli_weight(j: int, total: int) -> Fraction:
-    """B_2j B_(total-2j) / ((2j)! (total-2j)!), the weight of the j-th term
-    of every Bernoulli block in the reflection formulas."""
-    return (
-        bernoulli(2 * j)
-        * bernoulli(total - 2 * j)
-        / (math.factorial(2 * j) * math.factorial(total - 2 * j))
-    )
+def bernoulli_weights(total: int, count: int) -> tuple:
+    """(nums, den), ints with B_2j B_(total-2j) / ((2j)! (total-2j)!) =
+    nums[j] / den for j < count: the weights of every Bernoulli block in
+    the reflection formulas over one denominator.  nums[j] is C(total, 2j)
+    B_2j B_(total-2j) D, with D the lcm of the denominators of the
+    products, and den = D total!."""
+    pairs = [(bernoulli(2 * j), bernoulli(total - 2 * j)) for j in range(count)]
+    d = math.lcm(*(a.denominator * b.denominator for a, b in pairs))
+    nums = [math.comb(total, 2 * j) * a.numerator * b.numerator
+            * (d // (a.denominator * b.denominator)) for j, (a, b) in enumerate(pairs)]
+    return nums, d * math.factorial(total)
 
 
 # ---------------------------------------------------------------------------

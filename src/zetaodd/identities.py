@@ -25,7 +25,7 @@ from operator import add
 
 from mpmath import mp, mpf
 
-from .core import DomainError, PrecisionContext, bernoulli_weight
+from .core import DomainError, PrecisionContext, bernoulli_weights
 from .oracles import oracle_zeta
 from .series import _lambert_terms, lambert_eval, sech_series
 
@@ -94,14 +94,16 @@ def check_t1_case1(t, ctx: PrecisionContext) -> Residual:
 
 def _bernoulli_block(c: list, total: int, lt):
     """(2 pi)^(total-1) sum_j (-1)^j c_j W_j hyp((total/2 - 2j) log t), with
-    W_j = bernoulli_weight(j, total) and exact c_j; hyp is cosh when total
-    = 0 mod 4, whose middle term (argument 0) is halved, else sinh.  Each
-    exact c_j W_j is rounded once and then multiplied by hyp."""
+    W_j = B_2j B_(total-2j) / ((2j)! (total-2j)!) (core.bernoulli_weights)
+    and rational c_j; hyp is cosh when total = 0 mod 4, whose middle term
+    (argument 0) is halved, else sinh.  Each exact c_j W_j is reduced and
+    rounded once and then multiplied by hyp."""
     half = total // 2
     hyp = mp.cosh if half % 2 == 0 else mp.sinh
+    weights, den = bernoulli_weights(total, len(c))
     acc = mp.mpmathify(0)
-    for j, cj in enumerate(c):
-        w = bernoulli_weight(j, total) * cj / (2 if 2 * j == half else 1)
+    for j, (cj, w) in enumerate(zip(c, weights)):
+        w = Fraction(w * cj.numerator, den * cj.denominator * (2 if 2 * j == half else 1))
         sign = 1 if (j % 2 == 0) else -1  # (-1)^j
         acc += sign * mpf(w.numerator) / w.denominator * hyp((half - 2 * j) * lt)
     return (2 * mp.pi) ** (total - 1) * acc

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from bernoulli_reference import bernoulli_sum
 from zetaodd.coefficients import (
     METHODS,
     PI_METHODS,
@@ -33,6 +34,7 @@ from zetaodd.coefficients import (
     parse_coefficient,
     resolve_method,
 )
+from zetaodd.coefficients import _bernoulli_sum, _one_plus_i_power
 from zetaodd.core import I, DomainError, Surd, make_context
 from zetaodd.oracles import oracle_log, oracle_pi, oracle_zeta
 from zetaodd.series import QSymbolic
@@ -359,6 +361,31 @@ def test_gaussian_bernoulli_sum_is_real(method):
 def test_gaussian_bernoulli_known_value():
     # hand-checkable smallest case: p2, k=1
     assert gaussian_bernoulli_sum("p2", 1).re == F(1, 9408)
+
+
+_RATIONALS = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**9)
+_SURDS = st.dictionaries(st.sampled_from([1, -1, 2, 3, -3, 7, 15, -15, 105]), _RATIONALS,
+                         min_size=1, max_size=4).map(Surd)
+_COEFFS = st.one_of(st.integers(-10**9, 10**9), _RATIONALS, _SURDS)
+
+
+@pytest.mark.parametrize("total", range(4, 203, 2))
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_bernoulli_sum_matches_the_per_term_loop(total, data):
+    # every count of terms a block may have, with ints, Fractions and Surds
+    # with i and sqrt parts for c_j, alone or mixed
+    c = data.draw(st.lists(_COEFFS, min_size=1, max_size=total // 2 + 1))
+    got, want = _bernoulli_sum(c, total), bernoulli_sum(c, total)
+    assert got == want
+    assert type(got) is type(want)
+    if isinstance(got, Fraction):
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_one_plus_i_power_is_the_surd_power():
+    for m in range(-1, 402):
+        assert _one_plus_i_power(m) == (1 + I) ** m, m
 
 
 def test_debug_payloads():

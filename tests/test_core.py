@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from bernoulli_reference import bernoulli_weight
 from zetaodd.core import (
     I,
     DomainError,
     PrecisionContext,
     Surd,
     bernoulli,
-    bernoulli_weight,
+    bernoulli_weights,
     eval_exact,
     make_context,
     surd_trig,
@@ -307,8 +308,18 @@ def test_trig_pi6_is_surd_trig_at_sqrt3():
 
 def test_bernoulli_weight():
     # j = 1 of the zeta(3) block: B_2 B_2 / (2! 2!)
-    assert bernoulli_weight(1, 4) == F(1, 144)
-    assert bernoulli_weight(0, 6) == bernoulli(6) / 720
+    nums, den = bernoulli_weights(4, 2)
+    assert F(nums[1], den) == F(1, 144)
+    nums, den = bernoulli_weights(6, 1)
+    assert F(nums[0], den) == bernoulli(6) / 720
+
+
+def test_bernoulli_weights_are_the_per_term_products():
+    for total in range(4, 203, 2):
+        nums, den = bernoulli_weights(total, total // 2 + 1)
+        assert all(isinstance(n, int) for n in nums) and isinstance(den, int)
+        assert [F(n, den) for n in nums] == [bernoulli_weight(j, total)
+                                             for j in range(total // 2 + 1)]
 
 
 # ------------------------------------------------------- contexts, truncation

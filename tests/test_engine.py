@@ -259,6 +259,15 @@ def test_results_share_their_key_strings():
     assert not hasattr(a, "__dict__")  # slots
 
 
+def test_shared_returns_the_first_string_seen_equal():
+    # lru_cache looks a key up by equality and returns the value stored with
+    # the first one, so _shared is not the identity on equal, distinct strings
+    first, second = "".join(["shared", "-probe"]), "".join(["shared-", "probe"])
+    assert first == second and first is not second
+    assert engine._shared(first) is first
+    assert engine._shared(second) is first
+
+
 # ------------------------------------------------------ certified digits
 
 # zeta(199), zeta(201) and zeta(401) sit within 1e-59 of 1, where the

@@ -10,8 +10,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from bernoulli_reference import bernoulli_weight
 from divisor_reference import divisor_sigma, multisection_mismatch
 from zetaodd import identities
 from zetaodd.core import DomainError, make_context
@@ -219,6 +222,32 @@ def test_zeta_free_complex_t():
     assert check_zeta_free(1, 1, Fraction(1, 2), t, CTX30).rel_residual < TOL30
     for t in _random_points(2, 303):
         assert check_zeta_free(2, 2, Fraction(1, 2), t, CTX30).rel_residual < TOL30
+
+
+@pytest.mark.parametrize("total", [4, 6, 8, 10, 12, 14, 40, 42, 100, 102, 200, 202])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_bernoulli_block_matches_the_per_term_loop(total, data):
+    # the reference sums each exact c_j W_j (the middle cosh term halved)
+    # times hyp at 30 more digits; the block agrees to its working precision
+    c = data.draw(st.lists(st.one_of(st.integers(-10**9, 10**9),
+                                     st.fractions(max_denominator=10**6)),
+                           min_size=total // 4 + 1, max_size=total // 4 + 1))
+    t = data.draw(st.sampled_from([mp.mpf(1), mp.mpf("1.25"), mp.mpc("1.2", "0.3"),
+                                   mp.mpc("0.8", "-0.4")]))
+    half = total // 2
+    with CTX30.workdps():
+        got = identities._bernoulli_block(c, total, mp.log(t))
+    with mp.workdps(CTX30.working_digits + 30):
+        hyp = mp.cosh if half % 2 == 0 else mp.sinh
+        terms = [(-1) ** j * cj * bernoulli_weight(j, total) / (2 if 2 * j == half else 1)
+                 for j, cj in enumerate(c)]
+        terms = [mp.mpf(w.numerator) / w.denominator * hyp((half - 2 * j) * mp.log(t))
+                 for j, w in enumerate(terms)]
+        scale = (2 * mp.pi) ** (total - 1)
+        want = scale * mp.fsum(terms)
+        size = scale * mp.fsum(abs(x) for x in terms)
+        assert abs(got - want) <= size * mp.mpf(10) ** (3 - CTX30.working_digits)
 
 
 def test_zeta_free_domain():
