@@ -142,10 +142,21 @@ def _parse_t(text: str):
         raise DomainError(f"--t expects 're,im', got {text!r}") from exc
 
 
+# identity -> (its check in `identities`, the check's flags in argument
+# order); the check is looked up at call time, so a replaced one is called
+_CHECKS = {
+    "t1c1": ("check_t1_case1", ("t",)),
+    "t1c2": ("check_t1_case2", ("k", "t")),
+    "t1c3": ("check_t1_case3", ("k", "t")),
+    "lemma-p4": ("check_lemma_p4", ("q", "s")),
+    "lemma-sech": ("check_lemma_sech", ("q", "s")),
+    "zeta-free": ("check_zeta_free", ("case", "k", "a", "t")),
+}
+
+
 def _cmd_verify(args) -> int:
     ctx = make_context(args.digits)
     name = args.identity
-    params: list[str] = []
     if name == "multisection":
         mismatch = identities.check_multisection(args.p, args.s, args.order)
         print("identity = multisection")
@@ -154,34 +165,14 @@ def _cmd_verify(args) -> int:
         ok = mismatch == 0
         print("PASS" if ok else "FAIL")
         return EX_OK if ok else EX_FAIL
+    check, flags = _CHECKS[name]
     with ctx.workdps():
-        t = _parse_t(args.t)
-        if name == "t1c1":
-            res = identities.check_t1_case1(t, ctx)
-            params = [f"t = {args.t}"]
-        elif name == "t1c2":
-            res = identities.check_t1_case2(args.k, t, ctx)
-            params = [f"k = {args.k}", f"t = {args.t}"]
-        elif name == "t1c3":
-            res = identities.check_t1_case3(args.k, t, ctx)
-            params = [f"k = {args.k}", f"t = {args.t}"]
-        elif name == "lemma-p4":
-            res = identities.check_lemma_p4(mpf(args.q), args.s, ctx)
-            params = [f"q = {args.q}", f"s = {args.s}"]
-        elif name == "lemma-sech":
-            res = identities.check_lemma_sech(mpf(args.q), args.s, ctx)
-            params = [f"q = {args.q}", f"s = {args.s}"]
-        elif name == "zeta-free":
-            a = Fraction(args.a)
-            res = identities.check_zeta_free(args.case, args.k, a, t, ctx)
-            params = [f"case = {args.case}", f"k = {args.k}",
-                      f"a = {args.a}", f"t = {args.t}"]
-        else:  # pragma: no cover - argparse choices guard this
-            raise DomainError(f"unknown identity {name!r}")
+        read = {"t": _parse_t(args.t), "q": mpf(args.q), "a": Fraction(args.a)}
+        res = getattr(identities, check)(*(read.get(f, getattr(args, f)) for f in flags), ctx)
         threshold = mpf(10) ** (-(args.digits - 5))
         print(f"identity = {name}")
-        for line in params:
-            print(line)
+        for f in flags:
+            print(f"{f} = {getattr(args, f)}")
         print(f"rel_residual = {mp.nstr(res.rel_residual, 3)}")
         print(f"threshold = 1e-{args.digits - 5}")
         ok = res.rel_residual < threshold

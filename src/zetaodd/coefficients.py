@@ -28,6 +28,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -112,6 +113,7 @@ class CoefficientTable:
     constant: str
     method: str
     entries: tuple  # of (BasisTerm, coefficient)
+    # exact intermediates (values, lists of them, or from_dict's text); to_dict writes them
     debug: dict = field(default_factory=dict, compare=False)
 
     def pi_coefficient(self):
@@ -128,7 +130,7 @@ class CoefficientTable:
                 {"basis": b.to_dict(), "coeff": format_coefficient(c)}
                 for b, c in self.entries
             ],
-            "debug": dict(self.debug),
+            "debug": {name: _debug_text(v) for name, v in self.debug.items()},
         }
 
     def to_json(self) -> str:
@@ -164,12 +166,20 @@ _TERM_RE = re.compile(
 )
 
 
+def _debug_text(value) -> str:
+    """A debug value as text: text as it is, a list joined by "; ", a number as its Surd."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return "; ".join(map(_debug_text, value))
+    return str(value if isinstance(value, Surd) else Surd(value))
+
+
 def format_coefficient(c) -> str:
     """Exact string form of a real coefficient: "-296/355",
     "(29/1980)*sqrt(7)", "(a)+(b)*sqrt(m)", or a longer sum such as
     "(a)+(d)*sqrt(105)"; parts in ascending radicand."""
-    if isinstance(c, (int, Fraction)):
-        return str(Fraction(c))
+    c = Surd(c) if isinstance(c, (int, Fraction)) else c
     if not isinstance(c, Surd):
         raise TypeError(f"cannot serialize coefficient of type {type(c).__name__}")
     if c.im != 0:
@@ -191,7 +201,8 @@ def parse_coefficient(text: str) -> Surd:
         m = _TERM_RE.match(s, pos)
         if not m or m.start() != pos:
             raise ValueError(f"bad coefficient string {text!r}")
-        val = Fraction(m.group("par") or m.group("bare"))
+        # through Decimal, as Surd.__str__ writes: not bound by sys.int_max_str_digits
+        val = Fraction(*(int(Decimal(v)) for v in (m.group("par") or m.group("bare")).split("/")))
         root = int(m.group("m")) if m.group("m") else 1
         parts[root] = parts.get(root, Fraction(0)) + val
         pos = m.end()
@@ -238,14 +249,6 @@ def _gauss_sum(width: int, m: int) -> Surd:
     return sum(((1 + n * I) ** m for n in range(-width, width + 1)), Surd())
 
 
-def _gaussian_str(z: Surd) -> str:
-    return f"({z.re})+({z.im})*i"
-
-
-def _joined(values, fmt=str) -> str:
-    return "; ".join(fmt(v) for v in values)
-
-
 # ---------------------------------------------------------------------------
 # zeta(4k-1) generators
 # ---------------------------------------------------------------------------
@@ -262,8 +265,7 @@ def _corollary_4km1(k: int) -> CoefficientTable:
         _pi_term(4 * k - 1): w * _f2(4 * k - 1),
         _lam(QSymbolic(1, 2), s): Fraction(-2),
     }
-    return _make_table(_zc(k, -1), "corollary", coeffs.items(),
-                       {"bernoulli_sum": str(w)})
+    return _make_table(_zc(k, -1), "corollary", coeffs.items(), {"bernoulli_sum": w})
 
 
 def _root3_4km1(k: int) -> CoefficientTable:
@@ -288,7 +290,7 @@ def _root3_4km1(k: int) -> CoefficientTable:
                                        + 8 * cos23) / a_k,
         _lam(QSymbolic(1, 4, 3), s): (_f2(-4 * k + 4) + 8) / a_k,
     }
-    debug = {"a_k": str(a_k), "b_jk": _joined(b)}
+    debug = {"a_k": a_k, "b_jk": b}
     return _make_table(_zc(k, -1), "root3", coeffs.items(), debug)
 
 
@@ -316,7 +318,7 @@ def _root7_4km1(k: int) -> CoefficientTable:
                                        - _f2(-2 * k + 2)) / a_k,
         _lam(QSymbolic(1, 4, 7), s): _f2(-4 * k + 2) * b_k / a_k,
     }
-    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
+    debug = {"a_k": a_k, "b_k": b_k, "c_jk": c}
     return _make_table(_zc(k, -1), "root7", coeffs.items(), debug)
 
 
@@ -339,7 +341,7 @@ def _root15_4km1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2, 15), s): -(_f2(-8 * k + 4) + 3 * _f2(-4 * k + 2) + 4) * b_k,
         _lam(QSymbolic(1, 4, 15), s): (_f2(-8 * k + 4) + _f2(-4 * k + 3)) * b_k,
     }
-    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
+    debug = {"a_k": a_k, "b_k": b_k, "c_jk": c}
     return _make_table(_zc(k, -1), "root15", coeffs.items(), debug)
 
 
@@ -437,8 +439,7 @@ def _corollary3_4kp1(k: int) -> CoefficientTable:
         _dlam(q, s): Fraction(-2, k),
         _lam(q, s): Fraction(-2),
     }
-    return _make_table(_zc(k, 1), "corollary3", coeffs.items(),
-                       {"bernoulli_sum": str(w)})
+    return _make_table(_zc(k, 1), "corollary3", coeffs.items(), {"bernoulli_sum": w})
 
 
 def _p2_4kp1(k: int) -> CoefficientTable:
@@ -450,7 +451,7 @@ def _p2_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2), s): Fraction(-(2 * a_k + 4), a_k),
         _lam(QSymbolic(1, 4), s): Fraction(4, a_k),
     }
-    debug = {"a_k": str(a_k), "b_jk": _joined(b, _gaussian_str)}
+    debug = {"a_k": a_k, "b_jk": b}
     return _make_table(_zc(k, 1), "p2", coeffs.items(), debug)
 
 
@@ -467,7 +468,7 @@ def _p3_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 4), s): -a_k / (_f2(4 * k - 1) * b_k),
         _lam(QSymbolic(1, 6), s): 2 / b_k,
     }
-    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c, _gaussian_str)}
+    debug = {"a_k": a_k, "b_k": b_k, "c_jk": c}
     return _make_table(_zc(k, 1), "p3", coeffs.items(), debug)
 
 
@@ -484,7 +485,7 @@ def _p5_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(-1, 5), s): sgn * _f2(2 * k + 1) * a_k / b_k,
         _lam(QSymbolic(1, 10), s): 2 * a_k / b_k,
     }
-    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c, _gaussian_str)}
+    debug = {"a_k": a_k, "b_k": b_k, "c_jk": c}
     return _make_table(_zc(k, 1), "p5", coeffs.items(), debug)
 
 
@@ -514,7 +515,7 @@ def _root3_4kp1(k: int) -> CoefficientTable:
         _pi_term(4 * k + 1): w * _f2(4 * k + 1),
         _lam(QSymbolic(-1, 1, 3), s): -a_k,
     }
-    debug = {"a_k": str(a_k), "b_jk": _joined(b)}
+    debug = {"a_k": a_k, "b_jk": b}
     return _make_table(_zc(k, 1), "root3_p", coeffs.items(), debug)
 
 
@@ -542,7 +543,7 @@ def _root7_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2, 7), s): b_k,
         _lam(QSymbolic(1, 4, 7), s): _f2(-4 * k) * a_k,
     }
-    debug = {"a_k": str(a_k), "b_k": str(b_k), "c_jk": _joined(c)}
+    debug = {"a_k": a_k, "b_k": b_k, "c_jk": c}
     return _make_table(_zc(k, 1), "root7_p", coeffs.items(), debug)
 
 
@@ -563,7 +564,7 @@ def _root15_4kp1(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2, 15), s): -(_f2(-8 * k) + 3 * _f2(-4 * k) + 4),
         _lam(QSymbolic(1, 4, 15), s): _f2(-8 * k) + _f2(-4 * k + 1),
     }
-    debug = {"cot_2k_theta": str(cot2k), "c_jk": _joined(c)}
+    debug = {"cot_2k_theta": cot2k, "c_jk": c}
     return _make_table(_zc(k, 1), "root15_p", coeffs.items(), debug)
 
 
@@ -623,7 +624,7 @@ def _example62_table(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2), s): ce2 / pp,
         _lam(QSymbolic(1, 4), s): ce4 / pp,
     }
-    return _make_table(f"pi^{n}", "example62", coeffs.items(), {"pi_column": str(pp)})
+    return _make_table(f"pi^{n}", "example62", coeffs.items(), {"pi_column": pp})
 
 
 def _example63_table(k: int) -> CoefficientTable:
@@ -641,8 +642,7 @@ def _example63_table(k: int) -> CoefficientTable:
         _lam(QSymbolic(1, 2), s): -2 * (_f2(1 - 2 * k) + _f2(2 * k - 1)) / den,
         _lam(QSymbolic(1, 4), s): _f2(2 - 2 * k) / den,
     }
-    return _make_table(f"pi^{4 * k - 1}", "example63", coeffs.items(),
-                       {"bernoulli_sum": str(w)})
+    return _make_table(f"pi^{4 * k - 1}", "example63", coeffs.items(), {"bernoulli_sum": w})
 
 
 def _eliminate_zeta(method_a: str, method_b: str, method: str,
@@ -659,8 +659,7 @@ def _eliminate_zeta(method_a: str, method_b: str, method: str,
     terms += [(b, c / den) for b, c in t_b.entries if b.kind != "pi_power"]
     pi_n = 4 * k - offset  # the n of zeta(n) at this k (see METHODS)
     assert {b.s for b, _ in terms} == {-pi_n}, "mismatched series order in elimination"
-    debug = {"pi_column": format_coefficient(den),
-             "sources": f"{t_a.method}; {t_b.method}"}
+    debug = {"pi_column": den, "sources": [t_a.method, t_b.method]}
     return _make_table(f"pi^{pi_n}", method, terms, debug)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -331,12 +332,22 @@ class Surd:
 
     def __str__(self):
         """A rational prints as its Fraction; otherwise each part prints in
-        parentheses, as "(c)", "(c)*sqrt(r)", "(c)*i" or "(c)*sqrt(r)*i"."""
+        parentheses, as "(c)", "(c)*sqrt(r)", "(c)*i" or "(c)*sqrt(r)*i".
+        The integers go through Decimal, which writes the same digits as
+        str(int) but is not bound by sys.int_max_str_digits."""
         if self.is_rational():
-            return str(self[1])
+            return _rational_str(self[1])
         return "+".join(
-            f"({c})" + (f"*sqrt({abs(r)})" if abs(r) != 1 else "") + ("*i" if r < 0 else "")
+            f"({_rational_str(c)})" + (f"*sqrt({abs(r)})" if abs(r) != 1 else "")
+            + ("*i" if r < 0 else "")
             for r, c in self.items())
+
+
+def _rational_str(c) -> str:
+    """str(Fraction(c)), for integers of any size."""
+    if c.denominator == 1:
+        return str(Decimal(c.numerator))
+    return f"{Decimal(c.numerator)}/{Decimal(c.denominator)}"
 
 
 def _as_surd(x):

@@ -390,7 +390,7 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
             kind = _KINDS[t.kind]
             if kind.real_nome and (isinstance(x, mp.mpc) or not 0 < x < 1 or t.sign < 0):
                 raise DomainError(f"{kind.name} requires real q in (0, 1)")
-            if abs(x) >= 1:
+            if not abs(x) < 1:  # a nan nome too
                 raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(abs(x) ** t.j, 8)}")
             if not isinstance(t.s, int) or t.s > kind.max_s:
                 raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {t.s!r}")
@@ -416,7 +416,7 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
                     f"{kind.name}: the power series at |q| = {mp.nstr(qa, 8)} "
                     f"would need more than {cap} powers of q")
             fixed.append((t, kind, n, order))
-        sums = _fixed_pass(x, fixed, prec)
+        sums, scale = _fixed_pass(x, fixed, prec), _scale(terms)
         for key, p in {(key, t.prefixes) for t in terms if t.prefixes for key, _ in t.weights}:
             for m in range(2, p + 1):  # prefix m: the running sum of the terms alone up to m
                 (u, eu), (v, ev) = sums[key, m - 1], sums.get((key, m), ((0, 0), 0))
@@ -426,14 +426,22 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
             err = math.ceil(ulps * (1 + 2.0 ** -20)) + 1  # slack for the float sums
             parts = [from_man_exp(c, -prec) for c in total]  # all the bits
             value = mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
-            out[key] = (value, mp.make_mpf(from_man_exp(err, -prec)))
+            out[key] = (value, mp.make_mpf(from_man_exp(err, scale - prec)))
         return info, out
 
 
+def _scale(terms) -> int:
+    """0 unless some weight of the terms passes 2^768, else the least scale
+    with every |w| < 2^(768 + scale): _fixed_pass counts its error in units
+    of 2^(scale - prec), so its float bookkeeping keeps 255 bits of headroom."""
+    return max(0, max(w.numerator.bit_length() - w.denominator.bit_length() + 1
+                      for t in terms for _, w in t.weights) - 768)
+
+
 def _fixed_pass(x, fixed: list, prec: int) -> dict:
-    """{key: (sum * 2^prec, |error| in units of 2^-prec)} over (term, kind,
-    N, order) with every term cut at its own order (_order); a sum has one
-    int per component of x (_fixed).
+    """{key: (sum * 2^prec, |error| in units of 2^(scale-prec)), scale =
+    _scale of the terms} over (term, kind, N, order) with every term cut at
+    its own order (_order); a sum has one int per component of x (_fixed).
 
     A term puts its numerators (_Kind), each times D w and the sign of its
     power of q, at their powers of x in one sequence per key and family,
@@ -456,6 +464,8 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
       for sech (real x), sqrt(x^j) rounded twice at prec bits and floored
       (ef + 2 units) against beta / (1 - ax), and a floor; the floor by D."""
     parts, lcds = [], {}
+    scale = _scale(t for t, *_ in fixed)  # weights count in units of 2^scale
+    one = math.ldexp(1.0, max(-scale, -1074))  # a unit floor, >= 2^-scale
     for t, kind, n, order in fixed:
         sech = t.kind == "sech_series"
         off = int(not sech)  # numerator m stands at q^(m + off)
@@ -487,8 +497,9 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
                 seq = seqs[key, family]
                 c = w.numerator * (lcds[key, family] // w.denominator) * t.j ** family[1]
                 seq[0][at] = map(add, seq[0][at], (c * v for v in nums))
-                seq[1] += abs(w) * kind.coef_bound(order)
-                seq[2] += abs(w)
+                aw = abs(w.numerator) / (w.denominator << scale)  # float(abs(w)) at scale 0
+                seq[1] += aw * kind.coef_bound(order)
+                seq[2] += aw
         del terms, nums
     xs, xi = _powers(x, prec, steps, r)
     y = xs.pop(r)
@@ -506,13 +517,13 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
             acc = [a + sum(e * xn // f for e, xn, f in zip(es, bx, fs) if e)
                    for a, bx in zip(_mul(acc, y, prec), baby)]
         divisions = size - num.count(0)
-        ulps = ((divisions * (beta * xi + 1) + size // r + 3) * unit
+        ulps = ((divisions * (beta * xi + one) + size // r * one + 3 * one) * unit
                 + xi * beta / ((1 - ax) * (1 - yhat) ** 2) + absw / 2)
         if family[0] == "sech":
             with mp.workprec(prec):
                 fq, ef = _fixed(mp.sqrt(x ** family[2]), prec)
             acc = _mul(acc, fq, prec)
-            ulps += (ef + 2) * beta / (1 - ax) + 1
+            ulps += (ef + 2) * beta / (1 - ax) + one
         total, err = sums.get(key, (zero, 0))
         sums[key] = ([v + a // lcds[key, family] for v, a in zip(total, acc)], err + ulps)
     return sums

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from zetaodd import cli, engine, series
 from zetaodd.coefficients import CoefficientTable
+from zetaodd.core import truncate_digits
 
 
 # the child imports the package this process imports, with or without PYTHONPATH
@@ -75,6 +76,24 @@ def test_compute_pi_and_log(capsys):
         capsys=capsys)
     assert code == 0
     assert json.loads(out)["value"].startswith("0.693147180559945309417232121458176568075")
+
+
+@pytest.mark.parametrize("what, n, method, digits", [
+    # tables whose debug values pass Python's 4300-digit int-to-str limit
+    ("zeta", 1555, "corollary", 600),
+    ("pi", 1559, "example63", 10),
+    # pi powers whose weights pass a float in the pass's error bookkeeping
+    ("pi", 613, "auto", 10),
+    ("pi", 1601, "auto", 10),
+])
+def test_compute_at_large_orders(what, n, method, digits, capsys):
+    flag = "--s" if what == "zeta" else "--power"
+    code, out, _ = run_inproc("compute", what, flag, str(n), "--method", method,
+                              "--digits", str(digits), "--format", "json", capsys=capsys)
+    assert code == 0
+    with mp.workdps(digits + 30):
+        expected = truncate_digits(mp.zeta(n) if what == "zeta" else mp.pi ** n, digits)
+    assert json.loads(out)["value"] == expected
 
 
 def test_compute_zeta3_first_order(capsys):
@@ -311,6 +330,11 @@ def test_exit_usage_on_nonpositive_digits(argv, capsys):
     (("bench", "--constant", "zeta(x)"), 65),
     (("bench", "--constant", "pi^x"), 65),
     (("verify", "--identity", "t1c3", "--t", "nan,0"), 65),
+    # a nan nome is no nome inside the unit disc
+    (("verify", "--identity", "t1c1", "--t", "inf,0"), 65),
+    (("verify", "--identity", "t1c1", "--t", "1,inf"), 65),
+    (("verify", "--identity", "t1c3", "--t", "1,nan"), 65),
+    (("verify", "--identity", "zeta-free", "--t", "inf,0"), 65),
     # sieves past the memory budget are refused before they start
     (("verify", "--identity", "multisection", "--p", "7", "--order", "1000",
       "--s", "-1000"), 65),

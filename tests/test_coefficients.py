@@ -9,6 +9,7 @@ means the generator's closed form changed, which must never happen silently.
 """
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -389,11 +390,42 @@ def test_one_plus_i_power_is_the_surd_power():
 
 
 def test_debug_payloads():
-    assert method_table("zeta", "p2", 5).debug["a_k"] == "35"
-    d3 = method_table("zeta", "p3", 5).debug
+    assert method_table("zeta", "p2", 5).to_dict()["debug"]["a_k"] == "35"
+    d3 = method_table("zeta", "p3", 5).to_dict()["debug"]
     assert d3["a_k"] == "3904/37" and d3["b_k"] == "355/37"
-    d5 = method_table("zeta", "p5", 5).debug
+    d5 = method_table("zeta", "p5", 5).to_dict()["debug"]
     assert d5["a_k"] == "37/50240" and d5["b_k"] == "3251/50240"
+
+
+def test_tables_are_built_without_text(monkeypatch):
+    # the generators keep exact values; to_dict is where a table becomes text
+    def refuse(self):
+        raise AssertionError("a table generator formatted a number")
+
+    monkeypatch.setattr(Fraction, "__str__", refuse)
+    monkeypatch.setattr(Surd, "__str__", refuse)
+    for methods in METHODS.values():
+        for _, _, generate in methods.values():
+            for k in range(1, 9):
+                try:
+                    generate(k)
+                except DomainError:
+                    pass
+
+
+@pytest.mark.parametrize("method, name", [("p2", "b_jk"), ("p3", "c_jk"), ("p5", "c_jk")])
+def test_multisection_c_jk_have_real_and_imaginary_parts(method, name):
+    # so str(Surd) writes each one in the Gaussian form "(re)+(im)*i"
+    for k in range(1, 41):
+        for z in method_table("zeta", method, 4 * k + 1).debug[name]:
+            assert z.re != 0 and z.im != 0, (k, z)
+
+
+def test_table_text_of_any_size():
+    # p5 at k = 400 holds integers past Python's 4300-digit int-to-str limit
+    text = method_table("zeta", "p5", 1601).to_json()
+    assert max(map(len, re.findall(r"\d+", text))) > 4300
+    assert CoefficientTable.from_dict(json.loads(text)).to_json() == text
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,13 @@ def test_basis_products_and_parts():
     assert str(Surd(F(5, 3))) == "5/3" and hash(Surd(F(5, 3))) == hash(F(5, 3))
 
 
+def test_surd_str_writes_integers_of_any_size():
+    # past the 4300 digits that str(int) takes by default
+    n = 7 * 10**5000 + 1
+    assert str(Surd(F(-n, 3))) == "-7" + "0" * 4999 + "1/3"
+    assert str(n * I) == "(7" + "0" * 4999 + "1)*i"
+
+
 def test_field_rejects_foreign_radicands():
     for bad in (11, 4, 0, -9):
         with pytest.raises(ValueError):

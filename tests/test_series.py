@@ -198,6 +198,18 @@ def test_nome_magnitude_guard():
         lambert_eval(mpf(1), -3, mpf("1e-10"), CTX)
 
 
+def test_weights_past_a_float_keep_a_true_bound():
+    # the pass counts weights past 2^768 in units of 2^scale, so its float
+    # error bookkeeping neither overflows nor loses the bound
+    x, w = mpf(1) / 7, F(2) ** 3000 / 3
+    term = series.Term("lambert", 1, 1, -5, mpf("1e-60"), ((None, w),))
+    [(n, _, _)], sums = series.base_sums(x, [term], CTX)
+    value, rounding = sums[None]
+    with mp.workdps(1000):
+        exact = w.numerator * series_sum("lambert", x, -5, n) / w.denominator
+        assert abs(value - exact) <= rounding < abs(exact) * mpf(10) ** -45
+
+
 def test_non_integer_s_rejected():
     from zetaodd.core import DomainError
 
