@@ -21,16 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from mpmath import mp, mpf
 
 from .core import DomainError, PrecisionContext, bernoulli_weights
 from .oracles import oracle_zeta
-from .series import _lambert_terms, lambert_eval, sech_series
+from .series import _lambert_sieve, lambert_eval, sech_series
 
 _MULTISECTION_PRIMES = (2, 3, 5, 7)
-SIEVE_BUDGET_BITS = 2**25  # the most a multisection check may sieve (4 MiB)
+SIEVE_BUDGET_BITS = 2**25  # the most a multisection check's sieve may hold (4 MiB)
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,14 @@ def check_t1_case3(k: int, t, ctx: PrecisionContext) -> Residual:
     return _check_t1(k, t, ctx, -1)
 
 
+def _sieve_bytes(a: int, top: int) -> int:
+    """An upper estimate of _lambert_sieve(a, top, top)'s peak bytes: per m,
+    32 of list slots and 9/4 ints of <= a log2(top) + 1 bits in 30-bit
+    digits after a 24-byte header, + 4 of slack (none for a = 0: d(m) < 257)."""
+    ints = 32 + 4 * ((a * top.bit_length() + 1) // 30) if a else 0
+    return top * (128 + 9 * ints) // 4
+
+
 def check_multisection(p: int, s: int, order: int) -> Fraction:
     """Exact q-expansion check of the prime multisection
 
@@ -153,24 +160,21 @@ def check_multisection(p: int, s: int, order: int) -> Fraction:
     The sigma_s(m) come from the series kernel's divisor sieve as integers
     e_m: sigma_s(m) = e_m, or e_m / m^|s| for s < 0.  With w = p^(1+|s|)
     the balance is p e_lp = (p + w) e_l - w e_(l/p), for s < 0 the one
-    above times (lp)^|s|.  A sieve estimated above SIEVE_BUDGET_BITS (about
-    2 order p (|s| log2(order p) + 256) bits, the ints and their headers)
-    raises DomainError before it starts.
+    above times (lp)^|s|.  One sieve (series._lambert_sieve) gives e_m for
+    every m <= order p; one whose peak (_sieve_bytes: list slots, ints and
+    their headers) would pass SIEVE_BUDGET_BITS raises DomainError before
+    it starts.
     """
     if p not in _MULTISECTION_PRIMES:
         raise DomainError(f"p must be one of {_MULTISECTION_PRIMES}, got {p}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     top, a = order * p, abs(s)
-    # the sieve holds m^a for every m <= top, and e_m, near m^a, for 2 order of them
-    if 2 * top * (a * top.bit_length() + 256) > SIEVE_BUDGET_BITS:
+    if 8 * _sieve_bytes(a, top) > SIEVE_BUDGET_BITS:
         raise DomainError(f"order {order} with p = {p} and s = {s} needs a divisor "
                           f"sieve over the {SIEVE_BUDGET_BITS // 2**23} MiB budget")
-    low, high = [0] * order, [0] * order  # e_l and e_lp, l = 1..order
-    for start, d, nums in _lambert_terms(a, top, top - 1):  # term d: k^a at m = dk (= lp)
-        g, h = (d // p, 1) if d % p == 0 else (d, p)  # l = gt, k = ht
-        low[start::d] = map(add, low[start::d], nums)
-        high[g - 1::g] = map(add, high[g - 1::g], nums[h - 1::h])
+    e = _lambert_sieve(a, top, top)
+    low, high = e[:order], e[p - 1::p]  # e_l and e_lp, l = 1..order
     w = p ** (1 + a)
     worst = Fraction(0)
     for el in range(1, order + 1):

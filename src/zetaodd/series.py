@@ -16,14 +16,15 @@ need more than ``TERM_CAP`` terms raises ConvergenceError.
 
 Every N-term sum, at a real or a complex nome, is taken by one kernel, the
 fixed-point pass ``base_sums`` over the powers of one base x, |x| < 1: each
-series is a power series in q = +-x^j with exact coefficients from one
-divisor sieve (``_lambert_terms``), summed by rectangular splitting in
-Python ints, one int per component of x (``_fixed_pass``), and returned
-with a certified rounding error.  A table takes one pass per base nome
-(``coefficients.assemble_detailed``); the convergence profile
-(``engine.convergence_profile``) takes one for all the prefixes of its
-slowest series (``Term.prefixes``).  ``lambert_eval`` and ``sech_series``
-are one-term passes, and ``lambert_q_expansion`` and the multisection check
+series is a power series in q = +-x^j with exact coefficients (a Lambert
+series's from one divisor sieve, ``_lambert_sieve``), summed by
+rectangular splitting in Python ints, one int per component of x
+(``_fixed_pass``), and returned with a certified rounding error.  A table
+takes one pass per base nome (``coefficients.assemble_detailed``); the
+convergence profile (``engine.convergence_profile``) takes one for all the
+prefixes of its slowest series (``Term.prefixes``, term by term).
+``lambert_eval`` and ``sech_series`` are one-term passes, and
+``lambert_q_expansion`` and the multisection check
 (``identities.check_multisection``) read sigma_s(m) from the sieve.
 
 q arguments are numbers (a table's nome values, and complex points in the
@@ -40,6 +41,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import add
 
 from mpmath import mp, mpf
@@ -173,10 +175,28 @@ def _lambert_terms(a: int, n_terms: int, order: int):
     """The n_terms-term Lambert sum over q in q^(m-1) coefficients c_m = e_m /
     m^a, m = 1..order+1, c_m the sum of d^-a over the divisors d <= n_terms
     of m: the (start d - 1, step d, numerators k^a at m = dk) of each term
-    d <= min(n_terms, order+1), lazily."""
+    d <= min(n_terms, order+1), lazily, for Term.prefixes (a sum: _lambert_sieve)."""
     top = order + 1
     powers = [k ** a for k in range(top + 1)]
     return ((d - 1, d, powers[1:top // d + 1]) for d in range(1, min(n_terms, top) + 1))
+
+
+def _lambert_sieve(a: int, n_terms: int, length: int) -> list:
+    """e[m-1] = the sum of (m/d)^a over the divisors d <= n_terms of m, m =
+    1..length, n_terms >= 1, as _sieve(_lambert_terms(...)), in about 2
+    sqrt(length) slices: each dk = m has d <= r = isqrt(length) or k <=
+    length // (r + 1) (Dirichlet's hyperbola method), so k^a is added over
+    r < d <= min(n_terms, length // k) per k, then at m = dk per d <= r.  The
+    powers share the ints of e's term d = 1; k = 1 is the peak (_sieve_bytes)."""
+    r = math.isqrt(length)
+    e = [k ** a for k in range(1, length + 1)]
+    powers = e[:length // 2]  # k^a at k - 1, the same int objects
+    for k in range(1, length // (r + 1) + 1):
+        at = slice((r + 1) * k - 1, min(n_terms, length // k) * k, k)
+        e[at] = map(add, e[at], repeat(powers[k - 1]))
+    for d in range(2, min(n_terms, r) + 1):
+        e[d - 1::d] = map(add, e[d - 1::d], powers[:length // d])
+    return e
 
 
 def _sech_terms(a: int, n_terms: int, order: int):
@@ -198,15 +218,15 @@ class _Kind:
     first(|q|) |q|^N weight(N) / den(|q|) whenever s <= max_s.
 
     The N-term series is also a power series in q whose coefficients, m
-    = 0..order, are exact numerators from expansion(-s, N, order), the
-    (start, step, numerators) of each term, summed by _sieve, over
-    denominators that its family sets, with numerators times j^a at the
-    nome q = +-x^j and |numerator / denominator| <= coef_bound(m) for s <=
-    max_s.  Lambert and the derivative are the family ("n", a), a = -s -
-    lift: numerator m stands at q^(m+1), the power n = j (m+1) of x, over
-    n^a.  Sech is the family ("sech", a, j), a = -s: numerator m stands at
-    q^m, the power n = j m, over (2n + j)^a, and first(q) = sqrt(q)
-    multiplies the sum."""
+    = 0..order, are exact numerators, summed by sieve(-s, N, order + 1) or
+    term by term by expansion(-s, N, order), the (start, step, numerators)
+    of each, over denominators that its family sets, with numerators times
+    j^a at the nome q = +-x^j and |numerator / denominator| <= coef_bound(m)
+    for s <= max_s.  Lambert and the derivative (sieve: _lambert_sieve) are
+    the family ("n", a), a = -s - lift: numerator m stands at q^(m+1), the
+    power n = j (m+1) of x, over n^a.  Sech (sieve: _sieve of its terms) is
+    the family ("sech", a, j), a = -s: numerator m stands at q^m, the power
+    n = j m, over (2n + j)^a, and first(q) = sqrt(q) multiplies the sum."""
 
     name: str  # for error messages
     max_s: int
@@ -215,6 +235,7 @@ class _Kind:
     weight: Callable
     den: Callable
     expansion: Callable
+    sieve: Callable
     coef_bound: Callable
     lift: int = 0
 
@@ -230,15 +251,16 @@ _KINDS = {
     "lambert": _Kind(
         "lambert_eval", 0, False, lambda q: q,
         lambda n: 1, lambda qa: (1 - qa) ** 2,
-        _lambert_terms, lambda m: 2 * math.sqrt(m + 1)),
+        _lambert_terms, _lambert_sieve, lambda m: 2 * math.sqrt(m + 1)),
     "lambert_derivative": _Kind(
         "lambert_derivative", -1, False, lambda q: mp.mpmathify(1),
         lambda n: 1 + n, lambda qa: (1 - qa) ** 3,
-        _lambert_terms, lambda m: 2 * (m + 1) ** 1.5, 1),
+        _lambert_terms, _lambert_sieve, lambda m: 2 * (m + 1) ** 1.5, 1),
     "sech_series": _Kind(
         "sech_series", 0, True, mp.sqrt,
         lambda n: 2, lambda qa: 1 - qa * qa,
-        _sech_terms, lambda m: 4 * math.sqrt(2 * m + 1)),
+        _sech_terms, lambda a, n, length: _sieve(_sech_terms(a, n, length - 1), length),
+        lambda m: 4 * math.sqrt(2 * m + 1)),
 }
 
 
@@ -347,13 +369,12 @@ class Term:
     prefixes: int = 0
 
 
-def _powers(x, prec: int, steps: set, r: int) -> tuple:
+def _powers(x, ax: float, prec: int, steps: set, r: int) -> tuple:
     """{n: x^n in fixed point} for the n <= r that a step divides, and the
-    largest |error| of any power built, in units of 2^-prec.  Each is the
-    previous one times x^gap, the x^gap by steps of x.  A floored product
-    of U ~ u and V ~ v is off by <= |u| e_V + |v| e_U + e_U e_V 2^-prec +
-    unit, the unit being 1, or sqrt(2) for a complex x (_mul)."""
-    ax = math.nextafter(float(abs(x)), 2.0)  # |x^n| <= ax^n
+    largest |error| of any power built, in units of 2^-prec, ax >= |x|.
+    Each is the previous one times x^gap, the x^gap by steps of x.  A
+    floored product of U ~ u and V ~ v is off by <= |u| e_V + |v| e_U + e_U
+    e_V 2^-prec + unit, the unit being 1, or sqrt(2) for a complex x (_mul)."""
     x1, ex = _fixed(x, prec)
     unit = math.sqrt(len(x1))
     pw = {0: ((1 << prec,) + (0,) * (len(x1) - 1), 0.0), 1: (x1, ex)}
@@ -385,16 +406,16 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
     + 64 (a nome near 1 with a target far looser than the precision) raises
     ConvergenceError: N <= TERM_CAP, so no pass holds more powers of x."""
     with ctx.workdps():
-        info, plans = [], []
+        info, plans, absx = [], [], abs(x)  # a square root for a complex x: once
         for t in terms:
             kind = _KINDS[t.kind]
             if kind.real_nome and (isinstance(x, mp.mpc) or not 0 < x < 1 or t.sign < 0):
                 raise DomainError(f"{kind.name} requires real q in (0, 1)")
-            if not abs(x) < 1:  # a nan nome too
-                raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(abs(x) ** t.j, 8)}")
+            if not absx < 1:  # a nan nome too
+                raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(absx ** t.j, 8)}")
             if not isinstance(t.s, int) or t.s > kind.max_s:
                 raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {t.s!r}")
-            qa = abs(x) ** t.j
+            qa = absx ** t.j
             if t.prefixes:
                 n, bound = t.prefixes, _bound(kind, qa, t.prefixes)
             elif (target := _num(t.target)) > 0:
@@ -416,7 +437,8 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
                     f"{kind.name}: the power series at |q| = {mp.nstr(qa, 8)} "
                     f"would need more than {cap} powers of q")
             fixed.append((t, kind, n, order))
-        sums, scale = _fixed_pass(x, fixed, prec), _scale(terms)
+        ax = math.nextafter(float(absx), 2.0)  # |x| <= ax
+        sums, scale = _fixed_pass(x, ax, fixed, prec), _scale(terms)
         for key, p in {(key, t.prefixes) for t in terms if t.prefixes for key, _ in t.weights}:
             for m in range(2, p + 1):  # prefix m: the running sum of the terms alone up to m
                 (u, eu), (v, ev) = sums[key, m - 1], sums.get((key, m), ((0, 0), 0))
@@ -438,10 +460,10 @@ def _scale(terms) -> int:
                       for t in terms for _, w in t.weights) - 768)
 
 
-def _fixed_pass(x, fixed: list, prec: int) -> dict:
+def _fixed_pass(x, ax: float, fixed: list, prec: int) -> dict:
     """{key: (sum * 2^prec, |error| in units of 2^(scale-prec)), scale =
-    _scale of the terms} over (term, kind, N, order) with every term cut at
-    its own order (_order); a sum has one int per component of x (_fixed).
+    _scale of the terms} over (term, kind, N, order), each cut at its own
+    order (_order), ax >= |x|; a sum has one int per component (_fixed).
 
     A term puts its numerators (_Kind), each times D w and the sign of its
     power of q, at their powers of x in one sequence per key and family,
@@ -486,8 +508,8 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
             for f in {p[-1] for p in parts}}
     seqs = {seq: [[0] * size, 0.0, 0.0] for seq in lcds}  # numerators, beta, sum |w|
     for t, kind, n, order, off, keyed, family in parts:
-        terms = kind.expansion(-t.s, n, order)
-        expansions = [(0, 1, _sieve(terms, order + 1))] if not t.prefixes else terms
+        expansions = (kind.expansion(-t.s, n, order) if t.prefixes
+                      else [(0, 1, kind.sieve(-t.s, n, order + 1))])
         for weights, (start, step, nums) in zip(keyed, expansions):
             at = slice(t.j * (start + off), t.j * (order + off) + 1, t.j * step)
             if t.sign < 0:
@@ -500,14 +522,13 @@ def _fixed_pass(x, fixed: list, prec: int) -> dict:
                 aw = abs(w.numerator) / (w.denominator << scale)  # float(abs(w)) at scale 0
                 seq[1] += aw * kind.coef_bound(order)
                 seq[2] += aw
-        del terms, nums
-    xs, xi = _powers(x, prec, steps, r)
+        del expansions, nums
+    xs, xi = _powers(x, ax, prec, steps, r)
     y = xs.pop(r)
     zero = (0,) * len(y)
     unit = math.sqrt(len(y))
     # lists here and below: each tuple(generator) would stay in CPython's tuple free lists
     baby = list(zip(*[xs.get(n, zero) for n in range(r)]))  # per component; 0 where no j divides n
-    ax = math.nextafter(float(abs(x)), 2.0)
     yhat = ax ** r + xi * 2.0 ** -prec  # >= |y| and |Y|
     sums = {}
     for (key, family), (num, beta, absw) in seqs.items():
@@ -556,5 +577,5 @@ def lambert_q_expansion(s: int, order: int) -> list[Fraction]:
     from the kernel's divisor sieve: sigma_s(m) = e_m, or e_m / m^|s| for s < 0."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    e = _sieve(_lambert_terms(abs(s), order, order - 1), order)
+    e = _lambert_sieve(abs(s), order, order)
     return [Fraction(v, m ** max(-s, 0)) for m, v in enumerate(e, 1)]

@@ -5,8 +5,8 @@ exponent were wrong, and ~10^-(working digits) when the identity holds, so a
 threshold halfway between is an unambiguous verdict.
 """
 
-import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +16,7 @@ from mpmath import mp
 
 from bernoulli_reference import bernoulli_weight
 from divisor_reference import divisor_sigma, multisection_mismatch
-from zetaodd import identities
+from zetaodd import cli, identities
 from zetaodd.core import DomainError, make_context
 from zetaodd.identities import (
     check_lemma_p4,
@@ -144,20 +144,45 @@ def test_multisection_matches_the_reference_at_order_1000(s):
     assert check_multisection(7, s, 1000) == multisection_mismatch(7, s, 1000)
 
 
+@pytest.mark.parametrize("p, s", [(2, -1), (3, 0), (5, 2), (7, -1), (7, -9)])
+def test_multisection_budget_bounds_the_traced_peak(p, s, capsys):
+    # the largest order the pre-check admits stays inside the budget, and
+    # the next one is refused before any sieve, exit 65 through the CLI
+    budget = identities.SIEVE_BUDGET_BITS // 8
+    lo, hi = 1, budget
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if identities._sieve_bytes(abs(s), mid * p) <= budget else (lo, mid - 1)
+    tracemalloc.start()
+    try:
+        assert check_multisection(p, s, lo) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+    with pytest.raises(DomainError, match="budget"):
+        check_multisection(p, s, lo + 1)
+    argv = ["verify", "--identity", "multisection", "--p", str(p), "--s", str(s),
+            "--order", str(lo + 1)]
+    assert cli.main(argv) == 65
+    assert "budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("s", [-3, 0, 2])
 def test_multisection_reports_a_wrong_coefficient(s, monkeypatch):
     # one sieve numerator off by one moves sigma_s(12) by 12^min(s, 0); the
     # mismatch is the reference's for that sigma, as an exact Fraction
-    bad, sieve = 12, identities._lambert_terms
+    bad, sieve = 12, identities._lambert_sieve
 
-    def off_by_one(a, n_terms, order):  # one more term putting 1 at m = bad
-        extra = (bad - 1, bad, [1] + [0] * ((order + 1) // bad - 1))
-        return itertools.chain(sieve(a, n_terms, order), [extra])
+    def off_by_one(a, n_terms, length):  # 1 more at m = bad
+        e = sieve(a, n_terms, length)
+        e[bad - 1] += 1
+        return e
 
     def sigma(s, n):
         return divisor_sigma(s, n) + (Fraction(bad) ** min(s, 0) if n == bad else 0)
 
-    monkeypatch.setattr(identities, "_lambert_terms", off_by_one)
+    monkeypatch.setattr(identities, "_lambert_sieve", off_by_one)
     got = check_multisection(3, s, 10)
     assert got == multisection_mismatch(3, s, 10, sigma) != 0
 

@@ -402,9 +402,9 @@ def _count_passes(monkeypatch) -> list:
     """Spy on the kernel's pass: one list of (term, N, order) per pass."""
     passes, run = [], series._fixed_pass
 
-    def spy(x, fixed, prec):
+    def spy(x, ax, fixed, prec):
         passes.append([(t, n, order) for t, _, n, order in fixed])
-        return run(x, fixed, prec)
+        return run(x, ax, fixed, prec)
     monkeypatch.setattr(series, "_fixed_pass", spy)
     return passes
 
@@ -507,8 +507,8 @@ def test_long_profile_builds_at_most_order_plus_one_sequences(monkeypatch):
         monkeypatch.setitem(series._KINDS, name, dataclasses.replace(k, expansion=counted))
     passes, run = _count_passes(monkeypatch), series._fixed_pass
 
-    def keys_of(x, fixed, prec):
-        sums = run(x, fixed, prec)
+    def keys_of(x, ax, fixed, prec):
+        sums = run(x, ax, fixed, prec)
         summed.append(list(sums))
         return sums
     monkeypatch.setattr(series, "_fixed_pass", keys_of)

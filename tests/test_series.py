@@ -1,5 +1,6 @@
 """Lambert / sech series evaluation: prefix sums, tail bounds, term caps."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,25 @@ def test_divisor_sigma_multiplicative():
 def test_q_expansion_is_the_trial_division_sigma(s, order):
     assert lambert_q_expansion(s, order) == [divisor_sigma(s, m)
                                              for m in range(1, order + 1)]
+
+
+def _per_term_sieve(a, n_terms, length):
+    return series._sieve(series._lambert_terms(a, n_terms, length - 1), length)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 15, 16, 17, 899, 900, 901])
+@pytest.mark.parametrize("a", [0, 1, 3, 9, 201])
+def test_hyperbola_sieve_is_the_per_term_sieve(length, a):
+    # n_terms below, at and above sqrt(length) and length
+    root = math.isqrt(length)
+    for n_terms in {1, max(1, root - 1), root, root + 1, max(1, length - 1), length, length + 1}:
+        assert series._lambert_sieve(a, n_terms, length) == _per_term_sieve(a, n_terms, length)
+
+
+@given(a=st.integers(0, 30), n_terms=st.integers(1, 3000), length=st.integers(1, 3000))
+@settings(max_examples=40, deadline=None)
+def test_hyperbola_sieve_property(a, n_terms, length):
+    assert series._lambert_sieve(a, n_terms, length) == _per_term_sieve(a, n_terms, length)
 
 
 def test_q_expansion_prefix():
