@@ -5,6 +5,8 @@ of what it returns, every bit of it:
   - one-term passes (``base_sums``) of each kind at real nomes +-q and,
     Lambert and derivative, at i sqrt(q): the value's ``_mpf_``/``_mpc_``,
     the rounding error's ``_mpf_`` and N, at 30, 200 and 1000 digits;
+  - the prefix passes of a profile (``Term.prefixes``) of each kind at real
+    nomes: the value and rounding error of every prefix N = 1..P;
   - every field of each identity check's ``Residual``;
   - ``lambert_q_expansion`` and ``check_multisection`` on a small grid.
 The CLI pins print a few digits of each residual, so they cannot show a
@@ -48,6 +50,20 @@ def _pass(kind: str, q: str, nome: str, s: int, digits: int):
     return _bits(value), _bits(rounding), n
 
 
+def _prefixes(kind: str, q: str, nome: str, s: int, p: int, digits: int):
+    """The P prefixes of one term of `kind` at the nome q or -q; a prefix past
+    the last one the pass keeps is that last one."""
+    ctx = make_context(digits)
+    with ctx.workdps():
+        term = Term(kind, 1, -1 if nome == "neg" else 1, s, None, prefixes=p)
+        _, sums = base_sums(mpf(q), [term], ctx)
+    out, last = [], None
+    for n in range(1, p + 1):
+        last = sums.get((None, n), last)
+        out.append((_bits(last[0]), _bits(last[1])))
+    return out
+
+
 def _residual(check: str, args: tuple, digits: int):
     r = getattr(identities, check)(*args, make_context(digits))
     return (r.abs_residual._mpf_, r.scale._mpf_, r.rel_residual._mpf_, r.terms_used,
@@ -60,6 +76,10 @@ CASES = {
     **{f"pass {kind} {nome} q={q} s={s} digits={d}": (_pass, kind, q, nome, s, d)
        for kind, nomes in NOMES.items() for nome in nomes for q in ("0.05", "0.3", "0.5")
        for s in (-1, -3, -9, -25) for d in (30, 200, 1000)},
+    **{f"prefixes {kind} {nome} q={q} s={s} P={p} digits={d}": (_prefixes, kind, q, nome, s, p, d)
+       for kind, nomes in NOMES.items() for nome in nomes if nome != "isqrt"
+       for q in ("0.05", "0.3", "0.6") for s in (-1, -9) for p in (12, 60, 300)
+       for d in (30, 200, 1000)},
     **{f"{check} {args} digits={d}": (_residual, check, args, d)
        for check, argses in {
            "check_t1_case1": [(mpf("1.5"),), (mp.mpc("0.8", "0.6"),)],
