@@ -33,7 +33,7 @@ from .core import (
     make_context,
     truncate_digits,
 )
-from .series import Term, base_sums
+from .series import Term, _ln, base_sums
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,20 +78,30 @@ def _shared(text: str) -> str:
     return text
 
 
-ZIV_ATTEMPTS = 5  # assemblies of one table, the guard digits doubling each time
+ZIV_ATTEMPTS = 5  # assemblies of one table, each retry with at least twice the guard digits
 
 
 def _result(table: CoefficientTable, digits: int, t0: float) -> ConstantResult:
     """Emit the digits shared by both ends of the certified interval
-    value -+ err, which are those of the constant (Ziv's test); while the
-    ends differ, reassemble the table with twice the guard digits."""
-    ctx = make_context(digits)
+    value -+ err, which are those of the constant (Ziv's test).  While they
+    differ, reassemble with at least twice the guard digits, and enough for
+    err, a digit smaller per two guard digits (assemble_detailed's budget),
+    to fall below |value - b|, b the digit boundary between the ends.  A
+    distance within 1000 units of value's last digit is its rounding: b is
+    then taken to match value for as many digits again, 10^-(2 working) |b|."""
+    ctx, ln10 = make_context(digits), math.log(10)
     for _ in range(ZIV_ATTEMPTS):
         value, err, terms = assemble_detailed(table, ctx)
         decimal = truncate_digits(mp.fsub(value, err, exact=True), digits)
-        if decimal == truncate_digits(mp.fadd(value, err, exact=True), digits):
+        upper = truncate_digits(mp.fadd(value, err, exact=True), digits)
+        if decimal == upper:
             break
-        ctx = replace(ctx, guard_digits=2 * ctx.guard_digits)
+        g, w = ctx.guard_digits, ctx.working_digits
+        with mp.workdps(w + 10):  # b lies in the interval: every constant is positive
+            b = mpf(upper)
+            dist = abs(value - b)
+        d = _ln(dist) if dist and _ln(dist) > _ln(b) - (w - 3) * ln10 else _ln(b) - 2 * w * ln10
+        ctx = replace(ctx, guard_digits=max(2 * g, g + 2 * math.ceil((_ln(err) - d) / ln10) + 2))
     else:
         raise ConvergenceError(f"{table.constant}: the first {digits} digits were "
                                f"not certified within {ZIV_ATTEMPTS} attempts")
@@ -202,7 +212,7 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
         cvals = [eval_exact(c, ctx) * (mp.pi if b.kind == "lambert_derivative" else 1)
                  for b, c in slow_entries]
         points = []
-        for n in range(1, max_terms + 1):
+        for n in range(1, max(m for _, m in sums) + 1):  # later prefixes equal the last
             approx = fixed
             for i, cval in enumerate(cvals):
                 approx += cval * sums[i, n][0]
@@ -212,6 +222,7 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
             else:  # in floats: mpmath's log10 keeps cache entries for every precision
                 digits = math.floor(-math.log10(delta.man) - delta.exp * math.log10(2))
             points.append((n, max(0, digits)))
+        points += [(n, points[-1][1]) for n in range(len(points) + 1, max_terms + 1)]
     # discard saturated points (oracle/assembly precision floor)
     usable = [(n, d) for n, d in points if d < ctx.target_digits - 1]
     while len(usable) > 3 and usable[-1][1] <= usable[-2][1]:
@@ -225,12 +236,7 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     # or sech term, n^(s+1) for the derivative series
     deg = max(b.s + (1 if b.kind == "lambert_derivative" else 0)
               for b, _ in slow_entries)
-    xs = [float(n) for n, _ in usable]
-    ys = [float(d) + deg * math.log10(n + 1) for n, d in usable]
-    n = len(xs)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    return ConvergenceProfile(table.constant, table.method, tuple(points),
-                              slope)
+    from statistics import linear_regression  # here: only bench pays its import
+    slope = linear_regression([float(n) for n, _ in usable],
+                              [float(d) + deg * math.log10(n + 1) for n, d in usable]).slope
+    return ConvergenceProfile(table.constant, table.method, tuple(points), slope)

@@ -9,15 +9,15 @@ algebraic term in q:
 
 where the sech term is sech((n-1/2)|log q|) written in powers of q, so no
 hyperbolic function is evaluated.  Each kind is defined once (``_KINDS``):
-its tail bound and its q-expansion.  s is an integer throughout.  The
-number of terms N is the smallest n whose closed-form tail bound
-(``_bound``) is below the target (``_terms_needed``); a series that would
-need more than ``TERM_CAP`` terms raises ConvergenceError.
+its tail bound and where its coefficients stand.  s is an integer
+throughout.  The number of terms N is the smallest n whose closed-form
+tail bound (``_bound``) is below the target (``_terms_needed``); a series
+that would need more than ``TERM_CAP`` terms raises ConvergenceError.
 
 Every N-term sum, at a real or a complex nome, is taken by one kernel, the
 fixed-point pass ``base_sums`` over the powers of one base x, |x| < 1: each
-series is a power series in q = +-x^j with exact coefficients (a Lambert
-series's from one divisor sieve, ``_lambert_sieve``), summed by
+series is a power series in q = +-x^j with exact coefficients from one
+divisor sieve (``_lambert_sieve``; sech: ``_odd_half``), summed by
 rectangular splitting in Python ints, one int per component of x
 (``_fixed_pass``), and returned with a certified rounding error.  A table
 takes one pass per base nome (``coefficients.assemble_detailed``); the
@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add
 
 from mpmath import mp, mpf
@@ -163,14 +163,6 @@ def _num(x):
     return mp.mpmathify(x)
 
 
-def _sieve(terms, length: int) -> list:
-    """The sum of an expansion's terms, (start, step, numerators) each, at 0..length-1."""
-    e = [0] * length
-    for start, step, nums in terms:
-        e[start::step] = map(add, e[start::step], nums)
-    return e
-
-
 def _lambert_terms(a: int, n_terms: int, order: int):
     """The n_terms-term Lambert sum over q in q^(m-1) coefficients c_m = e_m /
     m^a, m = 1..order+1, c_m the sum of d^-a over the divisors d <= n_terms
@@ -199,16 +191,18 @@ def _lambert_sieve(a: int, n_terms: int, length: int) -> list:
     return e
 
 
-def _sech_terms(a: int, n_terms: int, order: int):
-    """q^m coefficients 2 a_m of the sech sum over q^(1/2), m = 0..order, term
-    by term: a_m sums (-1)^(n+j) (2n-1)^-a over (2n-1)(2j+1) = 2m+1 with n <=
-    n_terms, as a numerator over (2m+1)^a; term n fills m = n-1 + (2n-1) j."""
-    powers = [(2 * j + 1) ** a for j in range(order + 1)]
-    even = [-2 * p if j & 1 else 2 * p for j, p in enumerate(powers)]
-    odd = [-v for v in even]
-    return ((n - 1, 2 * n - 1,
-             (odd if n & 1 else even)[:len(range(n - 1, order + 1, 2 * n - 1))])
-            for n in range(1, min(n_terms, order + 1) + 1))
+def _odd_half(a: int, n_terms: int, order: int, per_term) -> Iterator:
+    """The sech sum's q^m numerators (_Kind), m <= order, summed or per term n:
+    by the sech lemma S_q(s) = i [L_(i sqrt q)(s) - L_(-i sqrt q)(s)], the
+    2 n_terms - 1 term Lambert sum's at 2m + 1, doubled and signed (-1)^(m+1),
+    term n being the Lambert term d = 2n - 1."""
+    run = (_lambert_terms(a, 2 * n_terms - 1, 2 * order) if per_term
+           else [(0, 1, _lambert_sieve(a, 2 * n_terms - 1, 2 * order + 1))])
+    for start, step, nums in islice(run, 0, None, 2):  # start d - 1 even, step d odd
+        nums = [2 * v for v in nums[::2]]
+        neg = start // 2 & 1  # the index of the first even m = start // 2 + step i
+        nums[neg::2] = [-v for v in nums[neg::2]]
+        yield start // 2, step, nums
 
 
 @dataclass(frozen=True)
@@ -218,15 +212,15 @@ class _Kind:
     first(|q|) |q|^N weight(N) / den(|q|) whenever s <= max_s.
 
     The N-term series is also a power series in q whose coefficients, m
-    = 0..order, are exact numerators, summed by sieve(-s, N, order + 1) or
-    term by term by expansion(-s, N, order), the (start, step, numerators)
-    of each, over denominators that its family sets, with numerators times
-    j^a at the nome q = +-x^j and |numerator / denominator| <= coef_bound(m)
-    for s <= max_s.  Lambert and the derivative (sieve: _lambert_sieve) are
-    the family ("n", a), a = -s - lift: numerator m stands at q^(m+1), the
-    power n = j (m+1) of x, over n^a.  Sech (sieve: _sieve of its terms) is
-    the family ("sech", a, j), a = -s: numerator m stands at q^m, the power
-    n = j m, over (2n + j)^a, and first(q) = sqrt(q) multiplies the sum."""
+    = 0..order, are exact numerators from the one divisor sieve, summed
+    (_lambert_sieve) or term by term (_lambert_terms), over denominators
+    that its family sets, with numerators times j^a at the nome q = +-x^j
+    and |numerator / denominator| <= coef_bound(m) for s <= max_s.
+    Lambert and the derivative are the family ("n", a), a = -s - lift:
+    numerator m stands at q^(m+1), the power n = j (m+1) of x, over n^a.
+    Sech, the odd half of a Lambert sum (_odd_half), is the family
+    ("sech", a, j), a = -s: numerator m stands at q^m, the power n = j m,
+    over (2n + j)^a, and first(q) = sqrt(q) multiplies the sum."""
 
     name: str  # for error messages
     max_s: int
@@ -234,8 +228,6 @@ class _Kind:
     first: Callable
     weight: Callable
     den: Callable
-    expansion: Callable
-    sieve: Callable
     coef_bound: Callable
     lift: int = 0
 
@@ -250,17 +242,13 @@ class _Kind:
 _KINDS = {
     "lambert": _Kind(
         "lambert_eval", 0, False, lambda q: q,
-        lambda n: 1, lambda qa: (1 - qa) ** 2,
-        _lambert_terms, _lambert_sieve, lambda m: 2 * math.sqrt(m + 1)),
+        lambda n: 1, lambda qa: (1 - qa) ** 2, lambda m: 2 * math.sqrt(m + 1)),
     "lambert_derivative": _Kind(
         "lambert_derivative", -1, False, lambda q: mp.mpmathify(1),
-        lambda n: 1 + n, lambda qa: (1 - qa) ** 3,
-        _lambert_terms, _lambert_sieve, lambda m: 2 * (m + 1) ** 1.5, 1),
+        lambda n: 1 + n, lambda qa: (1 - qa) ** 3, lambda m: 2 * (m + 1) ** 1.5, 1),
     "sech_series": _Kind(
         "sech_series", 0, True, mp.sqrt,
-        lambda n: 2, lambda qa: 1 - qa * qa,
-        _sech_terms, lambda a, n, length: _sieve(_sech_terms(a, n, length - 1), length),
-        lambda m: 4 * math.sqrt(2 * m + 1)),
+        lambda n: 2, lambda qa: 1 - qa * qa, lambda m: 4 * math.sqrt(2 * m + 1)),
 }
 
 
@@ -358,7 +346,8 @@ class Term:
     target, added with each weight of (key, Fraction) `weights` into the
     sum of its key.  With prefixes = P > 0 the target is not read: the
     series is cut at each N = 1..P instead, prefix N added into the sum of
-    key (key, N); terms that share a key then share P."""
+    key (key, N) up to the pass's last term, its largest order + 1 (_order),
+    which later prefixes equal; terms that share a key then share P."""
 
     kind: str
     j: int
@@ -416,6 +405,8 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
             if not isinstance(t.s, int) or t.s > kind.max_s:
                 raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {t.s!r}")
             qa = absx ** t.j
+            if t.prefixes > TERM_CAP:
+                raise ConvergenceError(f"{kind.name}: more than {TERM_CAP} prefixes")
             if t.prefixes:
                 n, bound = t.prefixes, _bound(kind, qa, t.prefixes)
             elif (target := _num(t.target)) > 0:
@@ -439,8 +430,9 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
             fixed.append((t, kind, n, order))
         ax = math.nextafter(float(absx), 2.0)  # |x| <= ax
         sums, scale = _fixed_pass(x, ax, fixed, prec), _scale(terms)
-        for key, p in {(key, t.prefixes) for t in terms if t.prefixes for key, _ in t.weights}:
-            for m in range(2, p + 1):  # prefix m: the running sum of the terms alone up to m
+        last = max([min(n, order + 1) for t, _, n, order in fixed if t.prefixes], default=0)
+        for key in {key for t in terms if t.prefixes for key, _ in t.weights}:
+            for m in range(2, last + 1):  # prefix m: the running sum of the terms alone up to m
                 (u, eu), (v, ev) = sums[key, m - 1], sums.get((key, m), ((0, 0), 0))
                 sums[key, m] = [a + b for a, b in zip(u, v)], eu + ev
         out = {}
@@ -508,8 +500,9 @@ def _fixed_pass(x, ax: float, fixed: list, prec: int) -> dict:
             for f in {p[-1] for p in parts}}
     seqs = {seq: [[0] * size, 0.0, 0.0] for seq in lcds}  # numerators, beta, sum |w|
     for t, kind, n, order, off, keyed, family in parts:
-        expansions = (kind.expansion(-t.s, n, order) if t.prefixes
-                      else [(0, 1, kind.sieve(-t.s, n, order + 1))])
+        expansions = (_odd_half(-t.s, n, order, t.prefixes) if family[0] == "sech"
+                      else _lambert_terms(-t.s, n, order) if t.prefixes
+                      else [(0, 1, _lambert_sieve(-t.s, n, order + 1))])
         for weights, (start, step, nums) in zip(keyed, expansions):
             at = slice(t.j * (start + off), t.j * (order + off) + 1, t.j * step)
             if t.sign < 0:

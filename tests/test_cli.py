@@ -257,6 +257,14 @@ def test_exit_convergence_error(monkeypatch, capsys):
     assert out == "" and "error: lambert_eval" in err
 
 
+def test_exit_convergence_when_bench_asks_past_the_term_cap(capsys):
+    # refused before the pass builds a single prefix
+    code, out, err = run_inproc("bench", "--max-terms", str(series.TERM_CAP + 1),
+                                capsys=capsys)
+    assert code == 69
+    assert out == "" and f"more than {series.TERM_CAP} prefixes" in err
+
+
 def test_exit_convergence_when_digits_stay_uncertified(monkeypatch, capsys):
     # an interval that never narrows to one string of digits
     monkeypatch.setattr(engine, "assemble_detailed",

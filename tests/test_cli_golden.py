@@ -37,6 +37,8 @@ ARGVS = (
      for s in (3, 5, 7, 201) for m in ZETA_METHODS[s % 4] for d in (50, 500)]
     # zeta(201) sits 3e-61 above 1: its digits need more than the default guard
     + [f"compute zeta --s 201 --method {m} --digits 10" for m in ZETA_METHODS[1][1:]]
+    # 2^-601 and 2^-1601 above 1: past what doubling 20 guard digits reaches in 5 attempts
+    + ["compute zeta --s 601 --digits 10", "compute zeta --s 1601 --method corollary3 --digits 20"]
     + [f"compute pi --power {n} --digits 300" for n in (1, 3, 5)]
     + ["compute pi --power 3 --method prop_pi3_fast --digits 300"]
     + [f"compute log --p {p} --digits 300" for p in (2, 3, 5)]
@@ -104,6 +106,13 @@ def test_pinned_zeta201_digits_are_mpmaths(golden):
         want = +Decimal(text)
     for m in ZETA_METHODS[1][1:]:
         assert f"value = {want}\n" in golden[f"compute zeta --s 201 --method {m} --digits 10"]
+
+
+def test_pinned_digits_far_above_s_201_are_mpmaths(golden):
+    for s, method, digits in ((601, "", 10), (1601, " --method corollary3", 20)):
+        with mp.workdps(digits + 30):
+            want = mp.nstr(mp.zeta(s), digits + 20, strip_zeros=False)[:digits + 1]
+        assert f"value = {want}\n" in golden[f"compute zeta --s {s}{method} --digits {digits}"]
 
 
 def test_pinned_residuals_are_below_the_series_target(golden):

@@ -1,6 +1,7 @@
 """End-to-end evaluation: every method reproduces the oracles at the
 requested precision with a sound certified bound."""
 
+import tracemalloc
 from dataclasses import replace
 from decimal import ROUND_DOWN, Decimal, localcontext
 
@@ -223,6 +224,22 @@ def test_profile_handles_saturation():
     assert abs(p.slope - 5.2841) < 0.3
 
 
+def test_long_profile_holds_no_prefix_past_the_order():
+    # 20000 prefixes at 50 digits: each past the pass's order equals the last,
+    # so the pass keeps none of them and their digits are counted once
+    ctx = make_context(50)
+    short = convergence_profile("zeta(3)", "root15", 200, ctx)
+    tracemalloc.start()
+    try:
+        long = convergence_profile("zeta(3)", "root15", 20000, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert long.points[:200] == short.points and long.slope == short.slope
+    assert long.points[200:] == tuple((n, short.points[-1][1]) for n in range(201, 20001))
+
+
 def test_profile_needs_three_points():
     with pytest.raises(DomainError):
         convergence_profile("zeta(3)", "root15", 2, make_context(50))
@@ -320,7 +337,8 @@ def test_uncertain_digits_are_reassembled_with_more_guard_digits(monkeypatch):
     guards.clear()
     res = zeta_odd(201, "p2", 10)  # 1 + 3e-61: 20 guard digits leave it at 0.9999999999
     assert res.decimal_value == "1.000000000"
-    assert guards == [20, 40, 80, 160]
+    # value matched 1 in all its 30 digits, so the next assembly resolves 60
+    assert guards == [20, 100]
     assert res.error_bound < mpf(2) ** -201
 
 

@@ -15,7 +15,6 @@ check or a convergence profile, must come out of the kernel's pass, a
 profile taking one pass for all the prefixes of its slowest series.
 """
 
-import dataclasses
 import math
 from collections import Counter
 from functools import partial
@@ -497,14 +496,15 @@ def test_profile_takes_one_pass_for_its_slowest_base(monkeypatch):
 
 
 def test_long_profile_builds_at_most_order_plus_one_sequences(monkeypatch):
-    # 200 prefixes at 50 digits: one expansion per series, and one sequence
-    # per term alone up to the pass's order (base_sums takes running sums)
-    built, summed = Counter(), []
-    for name, k in series._KINDS.items():
-        def counted(a, n_terms, order, _name=name, _run=k.expansion):
-            built[_name] += 1
-            return _run(a, n_terms, order)
-        monkeypatch.setitem(series._KINDS, name, dataclasses.replace(k, expansion=counted))
+    # 200 prefixes at 50 digits: one Lambert expansion per series, 2N - 1
+    # terms for sech (the odd half), and one sequence per term alone up to
+    # the pass's order (base_sums takes running sums and keeps none past it)
+    built, summed = [], []
+
+    def counted(a, n_terms, order, _run=series._lambert_terms):
+        built.append(n_terms)
+        return _run(a, n_terms, order)
+    monkeypatch.setattr(series, "_lambert_terms", counted)
     passes, run = _count_passes(monkeypatch), series._fixed_pass
 
     def keys_of(x, ax, fixed, prec):
@@ -519,18 +519,20 @@ def test_long_profile_builds_at_most_order_plus_one_sequences(monkeypatch):
             return kernel(x, terms, ctx)
         built.clear()
         info, sums = kernel(x, terms, ctx)
-        assert len(passes[-1]) == sum(built.values())
+        assert sorted(built) == sorted(2 * n - 1 if t.kind == "sech_series" else n
+                                       for t, n, _ in passes[-1])
+        last = max(order for *_, order in passes[-1]) + 1
         for t, n, order in passes[-1]:
             [(key, _)] = t.weights
-            assert n == 200 and built[t.kind] == 1
+            assert n == 200
             assert len([k for k in summed[-1] if k[0] == key]) == order + 1 < 200
-            assert all((key, m) in sums for m in range(1, 201))
+            assert [m for k, m in sums if k == key] == list(range(1, last + 1))
         with mp.workdps(3 * ctx.working_digits):
             for t in (terms if use_reference else ()):
                 [(key, _)] = t.weights
                 q = t.sign * x ** t.j
-                for n, ref in enumerate(prefix_sums(t.kind, q, t.s, 200), 1):
-                    sums[key, n] = (+(ref * q ** series._KINDS[t.kind].lift), sums[key, n][1])
+                for n, ref in enumerate(prefix_sums(t.kind, q, t.s, 200), 1):  # all 200
+                    sums[key, n] = (+(ref * q ** series._KINDS[t.kind].lift), None)
         return info, sums
     monkeypatch.setattr(engine, "base_sums", slow_pass)
     profile = engine.convergence_profile("zeta(3)", "root15", 200, ctx)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from divisor_reference import divisor_sigma
+from divisor_reference import _sech_terms, _sieve, divisor_sigma
 from series_reference import prefix_sums, series_sum
 from zetaodd import series
 from zetaodd.core import ConvergenceError, make_context
@@ -247,7 +247,7 @@ def test_q_expansion_is_the_trial_division_sigma(s, order):
 
 
 def _per_term_sieve(a, n_terms, length):
-    return series._sieve(series._lambert_terms(a, n_terms, length - 1), length)
+    return _sieve(series._lambert_terms(a, n_terms, length - 1), length)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 15, 16, 17, 899, 900, 901])
@@ -263,6 +263,29 @@ def test_hyperbola_sieve_is_the_per_term_sieve(length, a):
 @settings(max_examples=40, deadline=None)
 def test_hyperbola_sieve_property(a, n_terms, length):
     assert series._lambert_sieve(a, n_terms, length) == _per_term_sieve(a, n_terms, length)
+
+
+def _sech_agrees(a, n_terms, order):
+    """The sech numerators, summed and term by term, read from the Lambert
+    sieve (the sech lemma) are the reference's own sech expansion's."""
+    reference = list(_sech_terms(a, n_terms, order))
+    assert list(series._odd_half(a, n_terms, order, False)) == [
+        (0, 1, _sieve(reference, order + 1))]
+    assert list(series._odd_half(a, n_terms, order, True)) == reference
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 15, 16, 40, 101])
+@pytest.mark.parametrize("a", [0, 1, 3, 5, 9, 25])
+def test_sech_numerators_are_the_odd_half_of_a_lambert_series(order, a):
+    # n_terms below, at and above order + 1, where the last term starts
+    for n_terms in {1, 2, max(1, order // 2), max(1, order), order + 1, order + 2, 200}:
+        _sech_agrees(a, n_terms, order)
+
+
+@given(a=st.integers(0, 30), n_terms=st.integers(1, 2000), order=st.integers(0, 2000))
+@settings(max_examples=40, deadline=None)
+def test_sech_numerators_property(a, n_terms, order):
+    _sech_agrees(a, n_terms, order)
 
 
 def test_q_expansion_prefix():
