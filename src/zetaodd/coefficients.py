@@ -244,9 +244,31 @@ def _f2(e: int) -> Fraction:
     return Fraction(2) ** e
 
 
-def _gauss_sum(width: int, m: int) -> Surd:
-    """sum_{n=-width..width} (1+i n)^m, exact (negative m via inversion)."""
-    return sum(((1 + n * I) ** m for n in range(-width, width + 1)), Surd())
+def _gauss_power(re: int, im: int, m: int) -> tuple:
+    """(re + i im)^m for m >= 0, as an (re, im) int pair, by binary powering."""
+    if m < 0:
+        raise ValueError(f"_gauss_power takes m >= 0, got {m}")
+    a, b = 1, 0
+    while m:
+        if m & 1:
+            a, b = a * re - b * im, a * im + b * re
+        m >>= 1
+        if m:
+            re, im = re * re - im * im, 2 * re * im
+    return a, b
+
+
+def _gauss_sum(width: int, m: int):
+    """sum_{n=-width..width} (1+i n)^m, exact: an int for m >= 0, else a Fraction.
+
+    The sum is real, since the terms at n and -n are conjugates: it is
+    1 + 2 sum_{n=1..width} Re (1+i n)^m, each power raised as an int pair.
+    For m < 0, (1+i n)^m = (1-i n)^|m| / (1+n^2)^|m|, whose real part is
+    Re (1+i n)^|m| / (1+n^2)^|m|."""
+    if m >= 0:
+        return 1 + 2 * sum(_gauss_power(1, n, m)[0] for n in range(1, width + 1))
+    return 1 + 2 * sum(Fraction(_gauss_power(1, n, -m)[0], (1 + n * n) ** -m)
+                       for n in range(1, width + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +372,29 @@ def _root15_4km1(k: int) -> CoefficientTable:
 # ---------------------------------------------------------------------------
 
 
-def _one_plus_i_power(m: int) -> Surd:
-    """(1+i)^m = (2i)^floor(m/2) (1+i)^(m mod 2), in closed form."""
-    n, odd = divmod(m, 2)
-    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[n % 4]  # i^n
-    if odd:
-        re, im = re - im, re + im  # times 1+i
-    return Surd({1: re, -1: im}) * _f2(n)
-
-
-def _h_diff(k: int, j: int):
+def _h_diff(k: int, j: int) -> Surd:
     """h(4k+1-2j) - h(2j-1), h(m) = (1 + (1+i)^m) / 2^m: the 2-section part
-    of the multisection c_jk."""
-    def h(m):
-        return (1 + _one_plus_i_power(m)) / _f2(m)
-    return h(4 * k + 1 - 2 * j) - h(2 * j - 1)
+    of the multisection c_jk.  (1+i)^m = 2^n (a + i b), n = floor(m/2), with
+    a + i b = i^n (1+i)^(m mod 2), so for m <= hi = 4k+1-2j, 2^hi h(m) has
+    the integer parts 2^(hi-m) + a 2^(hi-m+n) and b 2^(hi-m+n); m = 2j-1 is
+    -1 at j = 0."""
+    hi = 4 * k + 1 - 2 * j
+    re = im = 0
+    for m, sign in ((hi, 1), (2 * j - 1, -1)):
+        n, odd = divmod(m, 2)
+        a, b = ((1, 0), (0, 1), (-1, 0), (0, -1))[n % 4]  # i^n
+        if odd:
+            a, b = a - b, a + b  # times 1+i
+        re += sign * ((1 << (hi - m)) + (a << (hi - m + n)))
+        im += sign * (b << (hi - m + n))
+    return Surd({1: Fraction(re, 1 << hi), -1: Fraction(im, 1 << hi)})
 
 
-def _gauss_diff(p: int, k: int, j: int):
+def _gauss_diff(p: int, k: int, j: int) -> Fraction:
     """p^lo G(hi) - p^hi G(lo) at hi = 4k+1-2j, lo = 2j-1, G =
     _gauss_sum((p-1)/2, .): the p-section part of the multisection c_jk."""
     hi, lo, g = 4 * k + 1 - 2 * j, 2 * j - 1, (p - 1) // 2
-    return Fraction(p) ** lo * _gauss_sum(g, hi) - Fraction(p) ** hi * _gauss_sum(g, lo)
+    return Fraction(p) ** lo * _gauss_sum(g, hi) - p ** hi * _gauss_sum(g, lo)
 
 
 def _p2_raw(k: int):
@@ -395,13 +418,10 @@ def _p3_raw(k: int):
 
 def _p5_raw(k: int):
     sgn = (-1) ** k
-    cos_part = ((1 + 2 * I) ** (4 * k)).re.as_fraction()  # Re (1+2i)^{4k}
+    cos_part = _gauss_power(1, 2, 4 * k)[0]  # Re (1+2i)^{4k}
     denom = Fraction(5) ** (4 * k + 1) - 2 * cos_part + 1
     a_k = (_f2(4 * k + 1) - sgn * _f2(2 * k) + 1) / (_f2(4 * k) * denom)
-    s5_4k = _gauss_sum(2, 4 * k)
-    if s5_4k.im != 0:
-        raise AssertionError("5-section power sum must be real")
-    b_k = a_k / 2 * (Fraction(5) ** (4 * k + 1) - s5_4k.re.as_fraction()) - (
+    b_k = a_k / 2 * (Fraction(5) ** (4 * k + 1) - _gauss_sum(2, 4 * k)) - (
         _f2(4 * k + 1) - sgn * _f2(2 * k) - 1
     ) / _f2(4 * k + 1)
     c = [a_k * _gauss_diff(5, k, j) - _h_diff(k, j) for j in range(k + 1)]

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import gauss_reference
 from bernoulli_reference import bernoulli_sum
 from zetaodd.coefficients import (
     METHODS,
@@ -35,7 +36,13 @@ from zetaodd.coefficients import (
     parse_coefficient,
     resolve_method,
 )
-from zetaodd.coefficients import _bernoulli_sum, _one_plus_i_power
+from zetaodd.coefficients import (
+    _bernoulli_sum,
+    _gauss_diff,
+    _gauss_power,
+    _gauss_sum,
+    _h_diff,
+)
 from zetaodd.core import I, DomainError, Surd, make_context
 from zetaodd.oracles import oracle_log, oracle_pi, oracle_zeta
 from zetaodd.series import QSymbolic
@@ -353,7 +360,7 @@ def test_root3_m_sign_regression():
 
 @pytest.mark.parametrize("method", ["p2", "p3", "p5"])
 def test_gaussian_bernoulli_sum_is_real(method):
-    for k in range(1, 9):
+    for k in [*range(1, 9), 100, 200]:
         w = gaussian_bernoulli_sum(method, k)
         assert w.im == F(0)
         assert w.re != 0
@@ -385,8 +392,70 @@ def test_bernoulli_sum_matches_the_per_term_loop(total, data):
 
 
 def test_one_plus_i_power_is_the_surd_power():
+    # the reference's closed form, behind its _h_diff
     for m in range(-1, 402):
-        assert _one_plus_i_power(m) == (1 + I) ** m, m
+        assert gauss_reference._one_plus_i_power(m) == (1 + I) ** m, m
+
+
+# ---------------------------------------------------------------------------
+# the multisection sums from Gaussian integers equal the Surd powers
+# ---------------------------------------------------------------------------
+
+
+def test_gauss_power_is_the_surd_power():
+    for re_, im_ in [(1, 1), (1, 2), (1, -2), (0, 1), (3, 0)]:
+        for m in range(0, 70):
+            a, b = _gauss_power(re_, im_, m)
+            assert Surd({1: a, -1: b}) == (re_ + im_ * I) ** m, (re_, im_, m)
+
+
+def test_gauss_power_refuses_a_negative_exponent():
+    # halving -1 gives -1 again, so binary powering would never stop
+    with pytest.raises(ValueError):
+        _gauss_power(1, 1, -1)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_gauss_sum_is_the_surd_power_sum(width):
+    for m in range(-40, 1602):
+        assert _gauss_sum(width, m) == gauss_reference._gauss_sum(width, m), m
+
+
+def test_multisection_parts_at_m_minus_one():
+    # j = 0 reaches m = 2j - 1 = -1 in both parts
+    assert _gauss_sum(1, -1) == F(2)
+    assert _gauss_sum(2, -1) == F(12, 5)
+    for k in (1, 2, 7):
+        assert _h_diff(k, 0) == gauss_reference._h_diff(k, 0)
+        for p in (3, 5):
+            assert _gauss_diff(p, k, 0) == gauss_reference._gauss_diff(p, k, 0)
+
+
+@pytest.mark.parametrize("ks", [range(1, 31), range(31, 61), [400]])
+def test_multisection_parts_are_the_surd_powers(ks):
+    for k in ks:
+        for j in range(k + 1):
+            assert _h_diff(k, j) == gauss_reference._h_diff(k, j), (k, j)
+            for p in (3, 5):
+                got = _gauss_diff(p, k, j)
+                assert isinstance(got, Fraction)
+                assert got == gauss_reference._gauss_diff(p, k, j), (p, k, j)
+
+
+def test_multisection_tables_raise_no_surd_power(monkeypatch):
+    calls = []
+    power = Surd.__pow__
+
+    def spy(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(Surd, "__pow__", spy)
+    for method in ("p2", "p3", "p5"):
+        for k in range(1, 51):
+            METHODS["zeta"][method][2](k)
+    assert calls == []
+    assert (1 + I) ** 2 == 2 * I and calls == [2]  # the spy sees a Surd power
 
 
 def test_debug_payloads():
