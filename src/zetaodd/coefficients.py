@@ -41,6 +41,7 @@ from .core import (
     Surd,
     bernoulli_weights,
     eval_exact,
+    _gauss_power,
     surd_trig,
 )
 from .series import QSymbolic, Term, base_sums
@@ -231,7 +232,7 @@ def _bernoulli_sum(c: list, total: int):
             parts.setdefault(r, []).append((-w if j % 2 else w, v))
     sums = {}
     for r, terms in parts.items():
-        lcm = math.lcm(*(v.denominator for _, v in terms))
+        lcm = math.lcm(*[v.denominator for _, v in terms])
         num = sum(w * v.numerator * (lcm // v.denominator) for w, v in terms)
         if num:
             sums[r] = Fraction(num, lcm * den)
@@ -242,20 +243,6 @@ def _bernoulli_sum(c: list, total: int):
 
 def _f2(e: int) -> Fraction:
     return Fraction(2) ** e
-
-
-def _gauss_power(re: int, im: int, m: int) -> tuple:
-    """(re + i im)^m for m >= 0, as an (re, im) int pair, by binary powering."""
-    if m < 0:
-        raise ValueError(f"_gauss_power takes m >= 0, got {m}")
-    a, b = 1, 0
-    while m:
-        if m & 1:
-            a, b = a * re - b * im, a * im + b * re
-        m >>= 1
-        if m:
-            re, im = re * re - im * im, 2 * re * im
-    return a, b
 
 
 def _gauss_sum(width: int, m: int):
@@ -845,7 +832,7 @@ def _by_base(entries) -> dict:
     for basis, coeff in entries:
         if basis.q is not None:
             groups.setdefault(basis.q.root, []).append((basis, coeff))
-    return {QSymbolic(1, math.gcd(*(b.q.mult for b, _ in group)), root): group
+    return {QSymbolic(1, math.gcd(*[b.q.mult for b, _ in group]), root): group
             for root, group in groups.items()}
 
 
@@ -856,7 +843,9 @@ def _series_term(basis: BasisTerm, coeff, base: QSymbolic, target) -> Term:
     derivative = basis.kind == "lambert_derivative"
     parts = coeff.items() if isinstance(coeff, Surd) else [(1, coeff)]
     return Term(basis.kind, basis.q.mult // base.mult, basis.q.sign, basis.s, target,
-                tuple(((derivative, r), Fraction(w)) for r, w in parts))
+                # from a list: tuple(generator) resizes a tuple, which then stays in
+                # CPython's tuple free lists, as do *generator arguments
+                tuple([((derivative, r), Fraction(w)) for r, w in parts]))
 
 
 def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):

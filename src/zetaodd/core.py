@@ -114,7 +114,7 @@ def bernoulli_weights(total: int, count: int) -> tuple:
     B_2j B_(total-2j) D, with D the lcm of the denominators of the
     products, and den = D total!."""
     pairs = [(bernoulli(2 * j), bernoulli(total - 2 * j)) for j in range(count)]
-    d = math.lcm(*(a.denominator * b.denominator for a, b in pairs))
+    d = math.lcm(*[a.denominator * b.denominator for a, b in pairs])
     nums = [math.comb(total, 2 * j) * a.numerator * b.numerator
             * (d // (a.denominator * b.denominator)) for j, (a, b) in enumerate(pairs)]
     return nums, d * math.factorial(total)
@@ -137,6 +137,16 @@ def _in_field(r: int) -> bool:
             if a % p == 0:
                 return False
     return a == 1
+
+
+def _squarefree(n: int) -> tuple:
+    """(r, f) with n = f^2 r, r free of the squares of 2, 3, 5 and 7."""
+    r, f = n, 1
+    for p in _PRIMES:
+        while r % (p * p) == 0:
+            r //= p * p
+            f *= p
+    return r, f
 
 
 def _flips(r: int, g: int) -> bool:
@@ -176,7 +186,7 @@ class Surd:
             if not _in_field(r):
                 raise ValueError(f"sqrt({r}) is not in Q(i, sqrt2, sqrt3, sqrt5, sqrt7)")
             if v:
-                c[r] = v if isinstance(v, int) else Fraction(v)
+                c[r] = v if isinstance(v, (int, Fraction)) else Fraction(v)
         object.__setattr__(self, "_c", c)
 
     @classmethod
@@ -192,11 +202,7 @@ class Surd:
         field; negative n gives i * sqrt(-n)."""
         if n == 0:
             return Surd()
-        f, r = 1, n
-        for p in _PRIMES:
-            while r % (p * p) == 0:
-                r //= p * p
-                f *= p
+        r, f = _squarefree(n)
         return Surd({r: f})
 
     def __setattr__(self, name, value):
@@ -361,23 +367,43 @@ def _as_surd(x):
 I = Surd({-1: 1})
 
 
-@functools.lru_cache(maxsize=4096)  # tables at nearby k share most multiples
+def _gauss_power(re: int, im: int, n: int, d: int = 1) -> tuple:
+    """(re + im sqrt(-d))^n for n >= 0, as an (re, im) int pair, by binary
+    powering; d = 1 gives the Gaussian integer (re + i im)^n."""
+    a, b = 1, 0
+    while n:
+        if n & 1:
+            a, b = a * re - d * b * im, a * im + b * re
+        n >>= 1
+        if n:
+            re, im = re * re - d * im * im, 2 * re * im
+    return a, b
+
+
 def surd_trig(m: int, multiple: int, kind: str) -> Surd:
     """Exact cos or sin of multiple*theta where theta = acot(sqrt(m)): the
     real or imaginary part of ((sqrt(m) + i) / sqrt(m+1))**multiple.
 
     acot(sqrt(3)) = pi/6.  For m = 7, |sqrt(7) + i| = sqrt(8), so odd
-    multiples carry a sqrt(2).
+    multiples carry a sqrt(2).  (sqrt(m) + i)^2 = (m-1) + 2 i sqrt(m), so
+    for |multiple| = 2h + odd the power is (a + i b sqrt(m)) (sqrt(m) + i)^odd,
+    with (a, b) the h-th power of (m-1, 2) in Z[sqrt(-m)] raised as ints:
+    cos and sin are a and b sqrt(m) over (m+1)^h when odd is 0, else
+    (a - b) sqrt(m(m+1)) and (a + b m) sqrt(m+1) over (m+1)^(h+1).  sin is
+    odd in the multiple, cos even.
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    # 1/(sqrt(m) + i) = (sqrt(m) - i)/(m+1); the power has integer parts, and
-    # 1/sqrt(m+1)^n is rational, times sqrt(m+1)/(m+1) for odd n
-    n, i = abs(multiple), (I if multiple >= 0 else -I)
-    z = (Surd.sqrt(m) + i) ** n * Fraction(1, (m + 1) ** (n // 2))
-    if n % 2:
-        z = z * Surd.sqrt(m + 1) / (m + 1)
-    return z.re if kind == "cos" else z.im
+    h, odd = divmod(abs(multiple), 2)
+    a, b = _gauss_power(m - 1, 2, h, m)
+    if kind == "cos":
+        num, root = (a - b, m * (m + 1)) if odd else (a, 1)
+    else:
+        num, root = (a + b * m, m + 1) if odd else (b, m)
+        if multiple < 0:
+            num = -num
+    r, f = _squarefree(root)
+    return Surd({r: Fraction(f * num, (m + 1) ** (h + odd))})
 
 
 # ---------------------------------------------------------------------------

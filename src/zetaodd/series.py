@@ -520,8 +520,9 @@ def _fixed_pass(x, ax: float, fixed: list, prec: int) -> dict:
     y = xs.pop(r)
     zero = (0,) * len(y)
     unit = math.sqrt(len(y))
-    # lists here and below: each tuple(generator) would stay in CPython's tuple free lists
-    baby = list(zip(*[xs.get(n, zero) for n in range(r)]))  # per component; 0 where no j divides n
+    # lists here and below: tuples of r (from zip) or from tuple(generator)
+    # would stay in CPython's tuple free lists
+    baby = [[xs.get(n, zero)[c] for n in range(r)] for c in range(len(y))]  # per component; 0 where no j divides n
     yhat = ax ** r + xi * 2.0 ** -prec  # >= |y| and |Y|
     sums = {}
     for (key, family), (num, beta, absw) in seqs.items():

@@ -1,10 +1,13 @@
-"""Multisection sums as `Surd` powers, the reference for the int-pair kernel.
+"""Multisection sums and exact trig values as `Surd` powers, the reference
+for the int-pair kernel.
 
 ``_gauss_sum``, ``_one_plus_i_power``, ``_h_diff`` and ``_gauss_diff`` are
 the generators' former Surd arithmetic, kept verbatim: each (1 + i n)^m is
 a ``Surd`` power (negative m through ``Surd.inverse``), whereas
 ``coefficients._gauss_sum`` and ``coefficients._h_diff`` raise Gaussian
 integers as (re, im) int pairs and build one rational per part.
+``surd_trig`` is ``core.surd_trig``'s former ``Surd`` power, kept verbatim
+but for its cache; the package's raises (m-1) + 2 i sqrt(m) as an int pair.
 """
 
 from fractions import Fraction
@@ -43,3 +46,21 @@ def _gauss_diff(p: int, k: int, j: int):
     _gauss_sum((p-1)/2, .): the p-section part of the multisection c_jk."""
     hi, lo, g = 4 * k + 1 - 2 * j, 2 * j - 1, (p - 1) // 2
     return Fraction(p) ** lo * _gauss_sum(g, hi) - Fraction(p) ** hi * _gauss_sum(g, lo)
+
+
+def surd_trig(m: int, multiple: int, kind: str) -> Surd:
+    """Exact cos or sin of multiple*theta where theta = acot(sqrt(m)): the
+    real or imaginary part of ((sqrt(m) + i) / sqrt(m+1))**multiple.
+
+    acot(sqrt(3)) = pi/6.  For m = 7, |sqrt(7) + i| = sqrt(8), so odd
+    multiples carry a sqrt(2).
+    """
+    if kind not in ("cos", "sin"):
+        raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
+    # 1/(sqrt(m) + i) = (sqrt(m) - i)/(m+1); the power has integer parts, and
+    # 1/sqrt(m+1)^n is rational, times sqrt(m+1)/(m+1) for odd n
+    n, i = abs(multiple), (I if multiple >= 0 else -I)
+    z = (Surd.sqrt(m) + i) ** n * Fraction(1, (m + 1) ** (n // 2))
+    if n % 2:
+        z = z * Surd.sqrt(m + 1) / (m + 1)
+    return z.re if kind == "cos" else z.im

@@ -403,16 +403,13 @@ def test_one_plus_i_power_is_the_surd_power():
 
 
 def test_gauss_power_is_the_surd_power():
-    for re_, im_ in [(1, 1), (1, 2), (1, -2), (0, 1), (3, 0)]:
-        for m in range(0, 70):
-            a, b = _gauss_power(re_, im_, m)
-            assert Surd({1: a, -1: b}) == (re_ + im_ * I) ** m, (re_, im_, m)
-
-
-def test_gauss_power_refuses_a_negative_exponent():
-    # halving -1 gives -1 again, so binary powering would never stop
-    with pytest.raises(ValueError):
-        _gauss_power(1, 1, -1)
+    # (re + im sqrt(-d))^m; d = 1 is the Gaussian integers
+    for d in (1, 3, 7, 15):
+        root = Surd.sqrt(-d)
+        for re_, im_ in [(1, 1), (1, 2), (1, -2), (0, 1), (3, 0), (d - 1, 2)]:
+            for m in range(0, 70):
+                a, b = _gauss_power(re_, im_, m, d)
+                assert Surd({1: a, -d: b}) == (re_ + im_ * root) ** m, (d, re_, im_, m)
 
 
 @pytest.mark.parametrize("width", [1, 2])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import gauss_reference
 from bernoulli_reference import bernoulli_weight
 from zetaodd.core import (
     I,
@@ -248,6 +249,17 @@ def test_surd_trig_pythagorean(m, mult):
     c = surd_trig(m, mult, "cos")
     s = surd_trig(m, mult, "sin")
     assert c * c + s * s == quad(F(1), 0, m)
+
+
+@pytest.mark.parametrize("m", [3, 7, 15])
+def test_surd_trig_is_the_surd_power(m):
+    # every multiple the tables reach up to k = 100, a few far beyond, and
+    # negative ones; the same coefficients, radicands and types
+    for mult in [*range(-40, 410), 801, 1601, 1602]:
+        for kind in ("cos", "sin"):
+            got, want = surd_trig(m, mult, kind), gauss_reference.surd_trig(m, mult, kind)
+            assert got._c == want._c, (m, mult, kind)
+            assert [type(v) for v in got._c.values()] == [type(v) for v in want._c.values()]
 
 
 @pytest.mark.parametrize("m", [7, 15])
