@@ -415,21 +415,11 @@ def _p5_raw(k: int):
     return a_k, b_k, c
 
 
-def gaussian_bernoulli_sum(method: str, k: int) -> Surd:
-    """The exact Gaussian-rational Bernoulli-weighted sum over j for the
-    multisection methods (p2/p3/p5); its imaginary part must cancel to the
-    rational zero for the zeta formula to be real."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    raw = {"p2": _p2_raw, "p3": _p3_raw, "p5": _p5_raw}.get(method)
-    if raw is None:
-        raise DomainError(f"no Gaussian Bernoulli sum for method {method!r}")
-    return -_bernoulli_sum(raw(k)[-1], 4 * k + 2)  # (-1)^(j+1)
-
-
 def _real_bernoulli_sum(method: str, k: int, c: list) -> Surd:
-    """gaussian_bernoulli_sum of the coefficients c a table already has,
-    checked to be real."""
+    """The Gaussian-rational Bernoulli-weighted sum over j of the
+    multisection coefficients c (p2/p3/p5), checked to be real: its
+    imaginary part must cancel to the rational zero for the zeta formula
+    to be real."""
     w = -_bernoulli_sum(c, 4 * k + 2)  # (-1)^(j+1)
     if w.im != 0:
         raise AssertionError(f"{method} Bernoulli sum not real at k={k}: {w}")
@@ -462,38 +452,25 @@ def _p2_4kp1(k: int) -> CoefficientTable:
     return _make_table(_zc(k, 1), "p2", coeffs.items(), debug)
 
 
-def _p3_4kp1(k: int) -> CoefficientTable:
+def _pq_4kp1(p: int, raw, k: int) -> CoefficientTable:
+    """The p3 or p5 table (raw: _p3_raw or _p5_raw).  They differ only in
+    where a_k stands: for p = 3 it weighs the e^(-4 pi) term, for p = 5 the
+    -e^(-p pi) and e^(-2p pi) terms."""
     s = -4 * k - 1
-    a_k, b_k, c = _p3_raw(k)
+    a_k, b_k, c = raw(k)
     if b_k == 0:
         raise DomainError(f"degenerate b_k = 0 at k = {k}")
-    w = _real_bernoulli_sum("p3", k, c)
+    w = _real_bernoulli_sum(f"p{p}", k, c)
     sgn = (-1) ** k
+    near, far = (a_k, 1) if p == 3 else (1, a_k)
     coeffs = {
         _pi_term(4 * k + 1): w * _f2(4 * k + 1) / (2 * b_k),
-        _lam(QSymbolic(-1, 3), s): sgn * _f2(2 * k + 1) / b_k,
-        _lam(QSymbolic(1, 4), s): -a_k / (_f2(4 * k - 1) * b_k),
-        _lam(QSymbolic(1, 6), s): 2 / b_k,
+        _lam(QSymbolic(1, 4), s): -near / (_f2(4 * k - 1) * b_k),
+        _lam(QSymbolic(-1, p), s): sgn * _f2(2 * k + 1) * far / b_k,
+        _lam(QSymbolic(1, 2 * p), s): 2 * far / b_k,
     }
     debug = {"a_k": a_k, "b_k": b_k, "c_jk": c}
-    return _make_table(_zc(k, 1), "p3", coeffs.items(), debug)
-
-
-def _p5_4kp1(k: int) -> CoefficientTable:
-    s = -4 * k - 1
-    a_k, b_k, c = _p5_raw(k)
-    if b_k == 0:
-        raise DomainError(f"degenerate b_k = 0 at k = {k}")
-    w = _real_bernoulli_sum("p5", k, c)
-    sgn = (-1) ** k
-    coeffs = {
-        _pi_term(4 * k + 1): w * _f2(4 * k + 1) / (2 * b_k),
-        _lam(QSymbolic(1, 4), s): -1 / (_f2(4 * k - 1) * b_k),
-        _lam(QSymbolic(-1, 5), s): sgn * _f2(2 * k + 1) * a_k / b_k,
-        _lam(QSymbolic(1, 10), s): 2 * a_k / b_k,
-    }
-    debug = {"a_k": a_k, "b_k": b_k, "c_jk": c}
-    return _make_table(_zc(k, 1), "p5", coeffs.items(), debug)
+    return _make_table(_zc(k, 1), f"p{p}", coeffs.items(), debug)
 
 
 def _degenerates(method: str, k: int) -> bool:
@@ -685,8 +662,8 @@ METHODS = {
         "root15": (3, 1, _root15_4km1),
         "corollary3": (1, -1, _corollary3_4kp1),
         "p2": (1, -1, _p2_4kp1),
-        "p3": (1, -1, _p3_4kp1),
-        "p5": (1, -1, _p5_4kp1),
+        "p3": (1, -1, partial(_pq_4kp1, 3, _p3_raw)),
+        "p5": (1, -1, partial(_pq_4kp1, 5, _p5_raw)),
         "root3_p": (1, -1, _root3_4kp1),
         "root7_p": (1, -1, _root7_4kp1),
         "root15_p": (1, -1, _root15_4kp1),

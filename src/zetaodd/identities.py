@@ -1,10 +1,19 @@
 """Numerical verification of the transformation identities.
 
 Each check evaluates both sides of an identity at working precision with
-certified series tails and reports a :class:`Residual`.  The multisection
-check is different in kind: it compares exact q-expansion coefficients,
-read from the series kernel's divisor sieve, and returns a Fraction
-(expected: zero).
+certified series tails and reports a :class:`Residual`.  Each side is a
+weighted sum of series over a few base nomes x, entries (exact weight,
+kind, j, sign, s) at the nomes sign x^j, every series to 10^-(digits + 5);
+each base takes one pass of the series kernel with the weights inside it
+(``series._weighted_sum``, whose one-term case is ``lambert_eval`` and
+``sech_series``), as a table's bases do.  lemma-p4 and lemma-sech take two
+passes, over i sqrt(q) (signs +-1) and over q; t1c1..t1c3 and zeta-free
+take one per nome, at weight 1, with t^-+m and a^+-m applied outside.
+zeta-free's nomes at a = n/d stay apart: over one base their exponents
+d^2, nd, n^2 would make the pass's step their lcm (74 528 689 at a =
+97/89).  The multisection check is different in kind: it compares exact
+q-expansion coefficients, read from the series kernel's divisor sieve, and
+returns a Fraction (expected: zero).
 
 The reflection checks (``check_t1_case2``/``check_t1_case3`` and both
 cases of ``check_zeta_free``) share one right-hand side, the Bernoulli
@@ -26,7 +35,7 @@ from mpmath import mp, mpf
 
 from .core import DomainError, PrecisionContext, bernoulli_weights
 from .oracles import oracle_zeta
-from .series import _lambert_sieve, lambert_eval, sech_series
+from .series import SeriesResult, _lambert_sieve, _weighted_sum
 
 _MULTISECTION_PRIMES = (2, 3, 5, 7)
 SIEVE_BUDGET_BITS = 2**25  # the most a multisection check's sieve may hold (4 MiB)
@@ -41,31 +50,24 @@ class Residual:
     precision_used: int
 
 
-class _Evaluator:
-    """Tracks the largest series truncation across one identity check."""
+def _target(ctx: PrecisionContext):
+    """The target of every series of a check: 10^-(digits + 5)."""
+    with ctx.workdps():
+        return mpf(10) ** (-(ctx.target_digits + 5))
 
-    def __init__(self, ctx: PrecisionContext):
-        self.ctx = ctx
-        self.max_terms = 0
-        with ctx.workdps():
-            self.target = mpf(10) ** (-(ctx.target_digits + 5))
 
-    def lambert(self, q, s):
-        r = lambert_eval(q, s, self.target, self.ctx)
-        self.max_terms = max(self.max_terms, r.terms_used)
-        return r.value
+def _lambert(x, s, target, ctx: PrecisionContext) -> SeriesResult:
+    """L_x(s) alone in its own pass (a lone series keeps weight 1)."""
+    return _weighted_sum(x, [(1, "lambert", 1, 1, s)], target, ctx)
 
-    def sech(self, q, s):
-        r = sech_series(q, s, self.target, self.ctx)
-        self.max_terms = max(self.max_terms, r.terms_used)
-        return r.value
 
-    def residual(self, lhs, rhs) -> Residual:
-        with self.ctx.workdps():
-            ab = abs(lhs - rhs)
-            scale = max(abs(lhs), abs(rhs), mpf(1))
-            return Residual(ab, scale, ab / scale, self.max_terms,
-                            self.ctx.working_digits)
+def _residual(lhs, rhs, sums, ctx: PrecisionContext) -> Residual:
+    """|lhs - rhs| and its scale; terms_used is the largest N of the passes."""
+    with ctx.workdps():
+        ab = abs(lhs - rhs)
+        scale = max(abs(lhs), abs(rhs), mpf(1))
+        return Residual(ab, scale, ab / scale, max(r.terms_used for r in sums),
+                        ctx.working_digits)
 
 
 def _to_t(t):
@@ -80,15 +82,15 @@ def check_t1_case1(t, ctx: PrecisionContext) -> Residual:
 
     This is the eta-function transformation in Lambert-series clothing.
     """
-    ev = _Evaluator(ctx)
+    target = _target(ctx)
     with ctx.workdps():
         tv = _to_t(t)
-        q1 = mp.exp(-2 * mp.pi * tv)
-        q2 = mp.exp(-2 * mp.pi / tv)
-        lhs = ev.lambert(q1, -1) - ev.lambert(q2, -1)
+        sums = [_lambert(mp.exp(-2 * mp.pi * tv), -1, target, ctx),
+                _lambert(mp.exp(-2 * mp.pi / tv), -1, target, ctx)]
+        lhs = sums[0].value - sums[1].value
         lt = mp.log(tv)
         rhs = lt / 2 - mp.pi / 6 * mp.sinh(lt)
-    return ev.residual(lhs, rhs)
+    return _residual(lhs, rhs, sums, ctx)
 
 
 def _bernoulli_block(c: list, total: int, lt):
@@ -115,18 +117,20 @@ def _check_t1(k: int, t, ctx: PrecisionContext, plus: int) -> Residual:
     block with every c_j = -1, minus plus zeta(4k - plus) hyp(m log t)."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    ev = _Evaluator(ctx)
+    target = _target(ctx)
     total = 4 * k + 1 - plus  # 4k for s = -(4k-1), 4k+2 for s = -(4k+1)
     m = (total - 2) // 2
     with ctx.workdps():
         tv = _to_t(t)
         lt = mp.log(tv)
-        lhs = tv ** (-m) * ev.lambert(mp.exp(-2 * mp.pi * tv), 1 - total)
-        lhs += plus * (tv ** m * ev.lambert(mp.exp(-2 * mp.pi / tv), 1 - total))
+        sums = [_lambert(mp.exp(-2 * mp.pi * tv), 1 - total, target, ctx),
+                _lambert(mp.exp(-2 * mp.pi / tv), 1 - total, target, ctx)]
+        lhs = tv ** (-m) * sums[0].value
+        lhs += plus * (tv ** m * sums[1].value)
         rhs = _bernoulli_block([-1] * (k + 1), total, lt)
         hyp = mp.cosh if plus == 1 else mp.sinh
         rhs -= plus * (oracle_zeta(total - 1, ctx) * hyp(m * lt))
-    return ev.residual(lhs, rhs)
+    return _residual(lhs, rhs, sums, ctx)
 
 
 def check_t1_case2(k: int, t, ctx: PrecisionContext) -> Residual:
@@ -186,38 +190,39 @@ def check_multisection(p: int, s: int, order: int) -> Fraction:
     return worst
 
 
+def _real_q(q, check: str):
+    qv = mp.mpmathify(q)
+    if not 0 < qv < 1:
+        raise DomainError(f"{check} requires real q in (0, 1)")
+    return qv
+
+
 def check_lemma_p4(q, s, ctx: PrecisionContext) -> Residual:
-    """L_{i sqrt(q)} + L_{-i sqrt(q)} against its L_q, L_{q^2}, L_{q^4} form."""
-    ev = _Evaluator(ctx)
+    """L_{i sqrt(q)} + L_{-i sqrt(q)} against -(p2 + 2) L_q + (p2^2 + 3 p2 + 4)
+    L_{q^2} - (p2^2 + 2 p2) L_{q^4}, p2 = 2^(s+1): one pass per side."""
+    target = _target(ctx)
     with ctx.workdps():
-        qv = mp.mpmathify(q)
-        if not 0 < qv < 1:
-            raise DomainError("check_lemma_p4 requires real q in (0, 1)")
-        root = mp.sqrt(qv)
-        lhs = ev.lambert(mp.mpc(0, root), s) + ev.lambert(mp.mpc(0, -root), s)
-        p2 = mp.power(2, s + 1)
-        p4 = mp.power(2, 2 * s + 2)
-        rhs = (
-            -(p2 + 2) * ev.lambert(qv, s)
-            + (p4 + 3 * p2 + 4) * ev.lambert(qv * qv, s)
-            - (p4 + 2 * p2) * ev.lambert(qv**4, s)
-        )
-    return ev.residual(lhs, rhs)
+        qv = _real_q(q, "check_lemma_p4")
+        lhs = _weighted_sum(mp.mpc(0, mp.sqrt(qv)),
+                            [(1, "lambert", 1, 1, s), (1, "lambert", 1, -1, s)], target, ctx)
+        p2 = Fraction(2) ** (s + 1)  # s <= 0 is an integer: the pass above checked it
+        rhs = _weighted_sum(qv, [(-(p2 + 2), "lambert", 1, 1, s),
+                                 (p2 * p2 + 3 * p2 + 4, "lambert", 2, 1, s),
+                                 (-(p2 * p2 + 2 * p2), "lambert", 4, 1, s)], target, ctx)
+    return _residual(lhs.value, rhs.value, (lhs, rhs), ctx)
 
 
 def check_lemma_sech(q, s, ctx: PrecisionContext) -> Residual:
-    """i [L_{i sqrt(q)} - L_{-i sqrt(q)}] against the sech series S_q(s)."""
-    ev = _Evaluator(ctx)
+    """i [L_{i sqrt(q)} - L_{-i sqrt(q)}] against the sech series S_q(s):
+    one pass per side."""
+    target = _target(ctx)
     with ctx.workdps():
-        qv = mp.mpmathify(q)
-        if not 0 < qv < 1:
-            raise DomainError("check_lemma_sech requires real q in (0, 1)")
-        root = mp.sqrt(qv)
-        lhs = mp.mpc(0, 1) * (
-            ev.lambert(mp.mpc(0, root), s) - ev.lambert(mp.mpc(0, -root), s)
-        )
-        rhs = ev.sech(qv, s)
-    return ev.residual(lhs, rhs)
+        qv = _real_q(q, "check_lemma_sech")
+        odd = _weighted_sum(mp.mpc(0, mp.sqrt(qv)),
+                            [(1, "lambert", 1, 1, s), (-1, "lambert", 1, -1, s)], target, ctx)
+        sech = _weighted_sum(qv, [(1, "sech_series", 1, 1, s)], target, ctx)
+        lhs = mp.mpc(0, 1) * odd.value
+    return _residual(lhs, sech.value, (odd, sech), ctx)
 
 
 def check_zeta_free(case: int, k: int, a, t, ctx: PrecisionContext) -> Residual:
@@ -241,7 +246,8 @@ def check_zeta_free(case: int, k: int, a, t, ctx: PrecisionContext) -> Residual:
     af = Fraction(a)
     if af <= 0:
         raise DomainError(f"need rational a > 0, got {a}")
-    ev = _Evaluator(ctx)
+    target = _target(ctx)
+    sums = []
     with ctx.workdps():
         tv = _to_t(t)
         lt = mp.log(tv)
@@ -249,16 +255,16 @@ def check_zeta_free(case: int, k: int, a, t, ctx: PrecisionContext) -> Residual:
         m = 2 * k if case == 1 else 2 * k - 1
         am = av**m
         am_inv = 1 / am
+        s = -(4 * k + 1) if case == 1 else -(4 * k - 1)
 
         def block(u):
             # a^m L at e^(-2 pi u / a) - (a^m + a^-m) L at e^(-2 pi u)
-            #   + a^-m L at e^(-2 pi a u)
-            s = -(4 * k + 1) if case == 1 else -(4 * k - 1)
-            return (
-                am * ev.lambert(mp.exp(-2 * mp.pi * u / av), s)
-                - (am + am_inv) * ev.lambert(mp.exp(-2 * mp.pi * u), s)
-                + am_inv * ev.lambert(mp.exp(-2 * mp.pi * av * u), s)
-            )
+            #   + a^-m L at e^(-2 pi a u), each nome its own base
+            nomes = (mp.exp(-2 * mp.pi * u / av), mp.exp(-2 * mp.pi * u),
+                     mp.exp(-2 * mp.pi * av * u))
+            lo, mid, hi = [_lambert(x, s, target, ctx) for x in nomes]
+            sums.extend((lo, mid, hi))
+            return am * lo.value - (am + am_inv) * mid.value + am_inv * hi.value
 
         if case == 1:
             lhs = tv ** (-m) * block(tv) - tv**m * block(1 / tv)
@@ -270,4 +276,4 @@ def check_zeta_free(case: int, k: int, a, t, ctx: PrecisionContext) -> Residual:
         rhs = _bernoulli_block(
             [af**m + af**-m - af**(m + 1 - 2 * j) - af**(2 * j - m - 1)
              for j in range(k + 1)], total, lt)
-    return ev.residual(lhs, rhs)
+    return _residual(lhs, rhs, sums, ctx)

@@ -20,12 +20,13 @@ series is a power series in q = +-x^j with exact coefficients from one
 divisor sieve (``_lambert_sieve``; sech: ``_odd_half``), summed by
 rectangular splitting in Python ints, one int per component of x
 (``_fixed_pass``), and returned with a certified rounding error.  A table
-takes one pass per base nome (``coefficients.assemble_detailed``); the
-convergence profile (``engine.convergence_profile``) takes one for all the
-prefixes of its slowest series (``Term.prefixes``, term by term).
-``lambert_eval`` and ``sech_series`` are one-term passes, and
-``lambert_q_expansion`` and the multisection check
-(``identities.check_multisection``) read sigma_s(m) from the sieve.
+takes one pass per base nome (``coefficients.assemble_detailed``), and so
+does an identity check (``_weighted_sum``, whose one-term case
+``lambert_eval`` and ``sech_series`` are); the convergence profile
+(``engine.convergence_profile``) takes one for all the prefixes of its
+slowest series (``Term.prefixes``, term by term).  ``lambert_q_expansion``
+and the multisection check (``identities.check_multisection``) read
+sigma_s(m) from the sieve.
 
 q arguments are numbers (a table's nome values, and complex points in the
 identity checks) or :class:`QSymbolic` nomes sign * exp(-r*pi) with r from
@@ -544,15 +545,27 @@ def _fixed_pass(x, ax: float, fixed: list, prec: int) -> dict:
     return sums
 
 
+def _weighted_sum(x, entries, target, ctx: PrecisionContext) -> SeriesResult:
+    """sum w S at q = sign x^j over the entries (w exact, kind, j, sign, s) of
+    one base x in one base_sums pass, the weights in its Terms, each series
+    to the smallest N whose tail bound is below target: the largest N, sum
+    |w| times the tail bounds, and the certified rounding error."""
+    terms = [Term(kind, j, sign, s, target, ((None, Fraction(w)),))
+             for w, kind, j, sign, s in entries]
+    info, sums = base_sums(x, terms, ctx)
+    value, rounding = sums[None]
+    with ctx.workdps():
+        tail = sum(abs(w) * bound for (w, *_), (_, bound, _) in zip(entries, info))
+    return SeriesResult(value, max(n for n, *_ in info), tail, ctx.working_digits, rounding)
+
+
 def _evaluate(kind: str, q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:
-    """One basis series at q: a one-term base_sums over x = q, or over x =
-    |q| with the sign in the term for real q."""
+    """One basis series at q: the one-term _weighted_sum over x = q, or over
+    x = |q| with the sign in the term for real q."""
     with ctx.workdps():
         qv = q.value(ctx) if isinstance(q, QSymbolic) else _num(q)
         x, sign = (-qv, -1) if not isinstance(qv, mp.mpc) and qv < 0 else (qv, 1)
-        [(n, bound, _)], sums = base_sums(x, [Term(kind, 1, sign, s, target_abs_error)], ctx)
-        value, rounding = sums[None]
-        return SeriesResult(value, n, bound, ctx.working_digits, rounding)
+        return _weighted_sum(x, [(1, kind, 1, sign, s)], target_abs_error, ctx)
 
 
 def lambert_eval(q, s, target_abs_error, ctx: PrecisionContext) -> SeriesResult:

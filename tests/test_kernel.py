@@ -11,8 +11,10 @@ target, the N of the working-precision search at every base power of the
 tables, targets down to 10^-(10^5) and ulp ties included, and the N of the
 term-by-term search wherever the target is not at an ulp tie of the two
 roundings of the bound; and every series value, of a table, an identity
-check or a convergence profile, must come out of the kernel's pass, a
-profile taking one pass for all the prefixes of its slowest series.
+check or a convergence profile, must come out of the kernel's pass, an
+identity check taking one pass per base nome (a lemma side the weighted
+sum of its one-term passes) and a profile one pass for all the prefixes
+of its slowest series.
 """
 
 import math
@@ -454,14 +456,26 @@ def test_real_nomes_never_take_the_loop(target, monkeypatch):
             assert abs(r.value - ref) <= r.rounding_error, (kind, q, s)
 
 
+# each identity check and its passes: one per base nome
 IDENTITY_CHECKS = [
-    lambda ctx: identities.check_t1_case1(mp.mpc("1.5", "0.5"), ctx),
-    lambda ctx: identities.check_t1_case2(2, mp.mpc("1.2", "0.3"), ctx),
-    lambda ctx: identities.check_t1_case3(1, mp.mpc("0.8", "-0.4"), ctx),
-    lambda ctx: identities.check_zeta_free(1, 1, "1/2", mp.mpc("1.1", "0.2"), ctx),
-    lambda ctx: identities.check_lemma_p4(mpf("0.3"), -3, ctx),
-    lambda ctx: identities.check_lemma_sech(mpf("0.4"), -3, ctx),
+    (lambda ctx: identities.check_t1_case1(mp.mpc("1.5", "0.5"), ctx), 2),
+    (lambda ctx: identities.check_t1_case2(2, mp.mpc("1.2", "0.3"), ctx), 2),
+    (lambda ctx: identities.check_t1_case3(1, mp.mpc("0.8", "-0.4"), ctx), 2),
+    (lambda ctx: identities.check_zeta_free(1, 1, "1/2", mp.mpc("1.1", "0.2"), ctx), 6),
+    (lambda ctx: identities.check_lemma_p4(mpf("0.3"), -3, ctx), 2),
+    (lambda ctx: identities.check_lemma_sech(mpf("0.4"), -3, ctx), 2),
 ]
+
+
+def _spy_sides(monkeypatch) -> list:
+    """Spy on the identity checks' weighted sums: (x, entries, target, result) each."""
+    sides, run = [], identities._weighted_sum
+
+    def spy(x, entries, target, ctx):
+        sides.append((x, entries, target, run(x, entries, target, ctx)))
+        return sides[-1][-1]
+    monkeypatch.setattr(identities, "_weighted_sum", spy)
+    return sides
 
 
 def test_complex_nomes_and_identity_checks_take_the_pass(monkeypatch):
@@ -470,20 +484,51 @@ def test_complex_nomes_and_identity_checks_take_the_pass(monkeypatch):
     r = lambert_eval(mp.mpc("0.1", "0.2"), -3, mpf("1e-30"), ctx)
     assert len(passes) == 1 and 0 < r.rounding_error < mpf("1e-30")
     # every series value of every numeric identity check is one pass's,
-    # with a certified rounding error
-    results = []
-    for name in ("lambert_eval", "sech_series"):
-        def spy(*args, _run=getattr(identities, name)):
-            results.append(_run(*args))
-            return results[-1]
-        monkeypatch.setattr(identities, name, spy)
-    for check in IDENTITY_CHECKS:
+    # one pass per base, with a certified rounding error
+    sides = _spy_sides(monkeypatch)
+    for check, bases in IDENTITY_CHECKS:
         passes.clear()
-        results.clear()
+        sides.clear()
         check(ctx)
-        assert len(results) == len(passes) >= 2
-        assert any(isinstance(r.value, mp.mpc) for r in results)
-        assert all(0 < r.rounding_error < mpf(10) ** -35 for r in results)
+        assert len(passes) == len(sides) == bases
+        assert any(isinstance(r.value, mp.mpc) for *_, r in sides)
+        assert all(0 < r.rounding_error < mpf(10) ** -35 for *_, r in sides)
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+@pytest.mark.parametrize("s", [0, -1, -3, -7])
+@pytest.mark.parametrize("q", ["0.05", "0.3", "0.5"])
+@pytest.mark.parametrize("check", ["check_lemma_p4", "check_lemma_sech"])
+def test_merged_lemma_sides_are_their_one_term_sums(check, q, s, digits, monkeypatch):
+    # a lemma side is one pass over its base: the weighted sum of the
+    # one-term passes of its series, each at its nome sign x^j taken exactly,
+    # with the same N, within their certified rounding and tail bounds
+    sides = _spy_sides(monkeypatch)
+    ctx = make_context(digits)
+    getattr(identities, check)(mpf(q), s, ctx)
+    assert [len(entries) for _, entries, *_ in sides] == (
+        [2, 3] if check == "check_lemma_p4" else [2, 1])
+    for x, entries, target, side in sides:
+        with mp.workdps(5 * ctx.working_digits):  # exact nomes (x^4) and weighted sums
+            nomes = [sign * x ** j for _, _, j, sign, _ in entries]
+        alone = [EVALUATORS[kind](q, t_s, target, ctx)
+                 for (_, kind, _, _, t_s), q in zip(entries, nomes)]
+        assert side.terms_used == max(r.terms_used for r in alone)
+        with mp.workdps(5 * ctx.working_digits):
+            total = sum(w * r.value for (w, *_), r in zip(entries, alone))
+            slack = side.rounding_error + side.tail_bound + sum(
+                abs(w) * (r.rounding_error + r.tail_bound) for (w, *_), r in zip(entries, alone))
+            assert abs(side.value - total) <= slack
+
+
+def test_zeta_free_takes_one_pass_per_nome(monkeypatch):
+    # at a = 97/89 the nomes e^(-2 pi u / a), e^(-2 pi u), e^(-2 pi a u) are
+    # the powers 89^2, 89 * 97 and 97^2 of e^(-2 pi u / (89 * 97)); a pass
+    # over that base would step by their lcm, 74 528 689, so each is its own base
+    passes = _count_passes(monkeypatch)
+    identities.check_zeta_free(1, 1, "97/89", mpf("1.3"), make_context(30))
+    assert len(passes) == 6
+    assert all([t.j for t, *_ in p] == [1] for p in passes)
 
 
 def test_profile_takes_one_pass_for_its_slowest_base(monkeypatch):
