@@ -848,18 +848,19 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
         err = mpf(0)
         size = mpf(0)  # an upper bound of sum |c_i v_i|, the scale of the rounding error
         terms: dict[str, int] = {}
+        roots: dict = {}  # sqrt(r) at this precision, once per radicand (eval_exact)
         for basis, coeff in table.entries:
             terms[str(basis)] = 0
             if basis.kind == "pi_power":
-                val = eval_exact(coeff, ctx) * mp.pi ** basis.power
+                val = eval_exact(coeff, ctx, roots) * mp.pi ** basis.power
                 total += val
                 size += abs(val)
         for base, group in _by_base(table.entries).items():
-            cmags = [abs(eval_exact(coeff, ctx)) for _, coeff in group]
+            cmags = [abs(eval_exact(coeff, ctx, roots)) for _, coeff in group]
             run = [_series_term(basis, coeff, base, budget / (1 + cmag))
                    for (basis, coeff), cmag in zip(group, cmags)]
             info, sums = base_sums(base.value(ctx), run, ctx)
-            factors = {(d, r): eval_exact(Surd({r: 1}), ctx) * (mp.pi if d else 1)
+            factors = {(d, r): eval_exact(Surd({r: 1}), ctx, roots) * (mp.pi if d else 1)
                        for d, r in sums}
             for ((basis, _), cmag, t, (n, tail, bound)) in zip(group, cmags, run, info):
                 scale = mp.pi if basis.kind == "lambert_derivative" else 1

@@ -411,18 +411,20 @@ def surd_trig(m: int, multiple: int, kind: str) -> Surd:
 # ---------------------------------------------------------------------------
 
 
-def eval_exact(x, ctx: PrecisionContext):
+def eval_exact(x, ctx: PrecisionContext, roots: dict | None = None):
     """Evaluate an int, Fraction or Surd as mpf (mpc when it has an i part)
-    at the context's working precision."""
+    at the context's working precision, sqrt(r) from and into roots when it
+    is given: the caller's {r: sqrt(r)} at that precision, a root per r."""
     s = _as_surd(x)
     if s is NotImplemented:
         raise TypeError(f"cannot evaluate {type(x).__name__} exactly")
+    roots = {} if roots is None else roots
     with ctx.workdps():
         total = mpf(0)
         for r, c in s.items():
             v = mpf(c.numerator) / c.denominator
             if abs(r) != 1:
-                v *= mp.sqrt(abs(r))
+                v *= roots[abs(r)] if abs(r) in roots else roots.setdefault(abs(r), mp.sqrt(abs(r)))
             total += v if r > 0 else mp.mpc(0, v)
         return total
 

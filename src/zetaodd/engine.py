@@ -78,17 +78,18 @@ def _shared(text: str) -> str:
     return text
 
 
-ZIV_ATTEMPTS = 5  # assemblies of one table, each retry with at least twice the guard digits
+ZIV_ATTEMPTS = 5  # assemblies of one table, each retry with more guard digits
 
 
 def _result(table: CoefficientTable, digits: int, t0: float) -> ConstantResult:
     """Emit the digits shared by both ends of the certified interval
     value -+ err, which are those of the constant (Ziv's test).  While they
-    differ, reassemble with at least twice the guard digits, and enough for
-    err, a digit smaller per two guard digits (assemble_detailed's budget),
-    to fall below |value - b|, b the digit boundary between the ends.  A
-    distance within 1000 units of value's last digit is its rounding: b is
-    then taken to match value for as many digits again, 10^-(2 working) |b|."""
+    differ, reassemble with enough guard digits for err, a digit smaller per
+    two guard digits (assemble_detailed's budget), to fall below |value - b|,
+    b the digit boundary between the ends.  A distance within 1000 units of
+    value's last digit is its rounding: b is then taken to match value for
+    as many digits again, 10^-(2 working) |b|, and, as when err >= 10^-digits
+    |b| has missed its budget, the guard at least doubles."""
     ctx, ln10 = make_context(digits), math.log(10)
     for _ in range(ZIV_ATTEMPTS):
         value, err, terms = assemble_detailed(table, ctx)
@@ -100,8 +101,10 @@ def _result(table: CoefficientTable, digits: int, t0: float) -> ConstantResult:
         with mp.workdps(w + 10):  # b lies in the interval: every constant is positive
             b = mpf(upper)
             dist = abs(value - b)
-        d = _ln(dist) if dist and _ln(dist) > _ln(b) - (w - 3) * ln10 else _ln(b) - 2 * w * ln10
-        ctx = replace(ctx, guard_digits=max(2 * g, g + 2 * math.ceil((_ln(err) - d) / ln10) + 2))
+        measured = dist and _ln(dist) > _ln(b) - (w - 3) * ln10
+        d = _ln(dist) if measured else _ln(b) - 2 * w * ln10
+        floor = g if measured and _ln(err) < _ln(b) - digits * ln10 else 2 * g
+        ctx = replace(ctx, guard_digits=max(floor, g + 2 * math.ceil((_ln(err) - d) / ln10) + 2))
     else:
         raise ConvergenceError(f"{table.constant}: the first {digits} digits were "
                                f"not certified within {ZIV_ATTEMPTS} attempts")

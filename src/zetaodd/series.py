@@ -43,7 +43,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import add
+from operator import add, floordiv, mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
@@ -269,33 +269,36 @@ def _ln(x) -> float:
 def _terms_needed(kind: _Kind, qa, target) -> tuple:
     """Smallest N whose tail bound is below target, and that bound.
 
-    N is estimated from float logs and confirmed at working precision by
-    bound(N) < target <= bound(N-1).  The bound can only rise before it
-    falls (weight(n) = 1+n), so with bound(1) >= target the confirmed N is
-    the first crossing."""
-    cap = TERM_CAP
-    lead = kind.first(qa) / kind.den(qa)
-    n, bound = 1, _bound(kind, qa, 1, lead)
-    if bound >= target:
-        rate = max(-_ln(qa), 1e-300)
-        c = _ln(lead) - _ln(target)
-        est = 1.0
+    N is estimated from float logs and walked to bound(N) < target <=
+    bound(N-1) from bound(1) >= target: the bound only rises before it falls.
+    Each test is the sign of ln(bound(n) / target) in floats (_ln), off by
+    < 2^-50 per bit and unit of exponent of lead, qa^n and target, and taken
+    at working precision only within 2^-44 of that, a tie.  qa = 0: N = 1."""
+    n, cap, lead = 1, TERM_CAP, kind.first(qa) / kind.den(qa)
+    c, lq = (_ln(lead) - _ln(target), _ln(qa)) if qa else (0.0, 0.0)
+    tie = [2.0 ** -44 * (v.man.bit_length() + abs(v.exp) + 1) for v in (lead, qa, target)]
+
+    def below(m: int) -> bool:  # bound(m) < target
+        d = c + m * lq + math.log(kind.weight(m))
+        if abs(d) > tie[0] + m * tie[1] + tie[2]:
+            return d < 0
+        return _bound(kind, qa, m, lead) < target
+    if qa and not below(1):
+        est, rate = 1.0, max(-lq, 1e-300)
         for _ in range(8):  # the weight is 1, 2 or 1+n: a fixed point
             est = (c + math.log(kind.weight(min(max(est, 1.0), cap)))) / rate
         n = cap if est >= cap else max(2, math.floor(est) + 1)
-        bound = _bound(kind, qa, n, lead)
-        if bound < target:
-            while n > 2 and (prev := _bound(kind, qa, n - 1, lead)) < target:
-                n, bound = n - 1, prev
+        if below(n):
+            while n > 2 and below(n - 1):
+                n -= 1
         else:
-            while bound >= target:
+            while not below(n):
                 n += 1
                 if n > cap:
                     raise ConvergenceError(
                         f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
                         f"within {cap} terms")
-                bound = _bound(kind, qa, n, lead)
-    return n, bound
+    return n, _bound(kind, qa, n, lead)
 
 
 def _fixed(v, prec: int) -> tuple:
@@ -460,15 +463,15 @@ def _fixed_pass(x, ax: float, fixed: list, prec: int) -> dict:
 
     A term puts its numerators (_Kind), each times D w and the sign of its
     power of q, at their powers of x in one sequence per key and family,
-    over the denominators its family sets; D is the lcm of the denominators
-    of the weights, and the sum is floored by D at the end.  A term of P
-    prefixes puts each of its terms m <= order + 1 alone under (key, m),
-    for base_sums to take running sums.
+    over the denominators its family sets (("n", a): 1, not 0^a, at x^0); D
+    is the lcm of the weights' denominators, and the sum is floored by D at
+    the end.  A term of P prefixes puts each of its terms m <= order + 1
+    alone under (key, m), for base_sums to take running sums.
     r, a multiple of every j, is about sqrt(sequences * positions /
     density); baby steps X_n = x^n are needed only where some j divides n <
     r, and each sequence is sum_i Y^i B_i, Y = x^r, B_i = sum_n (E_{ir+n}
     X_n) // F_{ir+n}, by Horner in Y (Paterson & Stockmeyer; Smith), one
-    floored division per nonzero position and component.  Error of a sequence,
+    floor per position and component, exact at E = 0.  Error of a sequence,
     each bound taken through |x|, a floor being off by at most a unit, 1 or
     sqrt(2) for a complex x, its D-fold's floors being 1/D unit each, with
     ax >= |x|, beta = sum |w| coef_bound(order) >= |B_n|, xi >= the error
@@ -497,7 +500,8 @@ def _fixed_pass(x, ax: float, fixed: list, prec: int) -> dict:
     density = sum(any(n % j == 0 for j in steps) for n in range(lcm))
     r = lcm * max(1, math.isqrt(len(lcds) * (top + 1) * lcm // density) // lcm)
     size = -(-(top + 1) // r) * r
-    dens = {f: [(n if f[0] == "n" else 2 * n + f[2]) ** f[1] for n in range(size)]
+    # ("n", a) has no numerator at n = 0 (off = 1), so 1 there serves map(floordiv)
+    dens = {f: [((n or 1) if f[0] == "n" else 2 * n + f[2]) ** f[1] for n in range(size)]
             for f in {p[-1] for p in parts}}
     seqs = {seq: [[0] * size, 0.0, 0.0] for seq in lcds}  # numerators, beta, sum |w|
     for t, kind, n, order, off, keyed, family in parts:
@@ -530,7 +534,7 @@ def _fixed_pass(x, ax: float, fixed: list, prec: int) -> dict:
         den, acc = dens[family], zero
         for i in reversed(range(0, size, r)):
             es, fs = num[i:i + r], den[i:i + r]
-            acc = [a + sum(e * xn // f for e, xn, f in zip(es, bx, fs) if e)
+            acc = [a + sum(map(floordiv, map(mul, es, bx), fs))
                    for a, bx in zip(_mul(acc, y, prec), baby)]
         divisions = size - num.count(0)
         ulps = ((divisions * (beta * xi + one) + size // r * one + 3 * one) * unit

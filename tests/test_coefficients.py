@@ -10,6 +10,7 @@ means the generator's closed form changed, which must never happen silently.
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ from zetaodd.coefficients import (
     _p5_raw,
     _real_bernoulli_sum,
 )
-from zetaodd.core import I, DomainError, Surd, make_context
+from zetaodd.core import I, DomainError, Surd, eval_exact, make_context
 from zetaodd.oracles import oracle_log, oracle_pi, oracle_zeta
 from zetaodd.series import QSymbolic
 
@@ -844,3 +845,45 @@ def test_rounding_slop_scales_with_the_terms_not_the_total():
     val, err, _ = assemble_detailed(table, ctx)
     with mp.workdps(200):
         assert abs(val - mp.pi) <= err
+
+
+def _registry_tables() -> list:
+    """Every table of the registry at k = 1 and 2, and the log tables."""
+    return ([gen(k) for methods in METHODS.values() for _, _, gen in methods.values()
+             for k in (1, 2)] + [coeffs_log(p) for p in (2, 3, 5)])
+
+
+def _radicands(coeffs) -> set:
+    """The r != 1 whose sqrt(r) a coefficient holds, i sqrt(r) included."""
+    return {abs(r) for c in coeffs if isinstance(c, Surd) for r, _ in c.items()} - {1}
+
+
+def _bits(v):
+    return v._mpc_ if isinstance(v, mp.mpc) else v._mpf_
+
+
+def test_eval_exact_with_the_callers_roots_keeps_every_bit():
+    coeffs = sorted({c for t in _registry_tables() for _, c in t.entries}, key=str)
+    radicands = _radicands(coeffs)
+    assert {3, 7, 15, 105} <= radicands
+    for digits in (30, 1000):
+        ctx, roots = make_context(digits), {}
+        for c in coeffs + [Surd({r: 1}) for r in radicands] + [Surd({-r: 3}) for r in radicands]:
+            assert _bits(eval_exact(c, ctx, roots)) == _bits(eval_exact(c, ctx)), (c, digits)
+        assert roots.keys() == radicands
+
+
+def test_assembly_takes_one_square_root_per_radicand(monkeypatch):
+    taken, sqrt = [], mp.sqrt
+
+    def spy(x, **kwargs):
+        if sys._getframe(1).f_code.co_name == "eval_exact":
+            taken.append(x)
+        return sqrt(x, **kwargs)
+
+    monkeypatch.setattr(mp, "sqrt", spy)
+    ctx = make_context(40)
+    for table in _registry_tables():
+        taken.clear()
+        assemble_detailed(table, ctx)
+        assert sorted(taken) == sorted(_radicands(c for _, c in table.entries)), table.method

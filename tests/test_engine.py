@@ -342,6 +342,17 @@ def test_uncertain_digits_are_reassembled_with_more_guard_digits(monkeypatch):
     assert res.error_bound < mpf(2) ** -201
 
 
+def test_a_measured_distance_takes_the_sized_guard(monkeypatch):
+    # zeta(1001) = 1 + 2^-1001: once the working digits pass its 302 the
+    # distance to 1.000000000 is measured, and the guard is sized to it
+    guards = _guards(monkeypatch)
+    res = zeta_odd(1001, "auto", 10)
+    assert len(guards) >= 3 and guards[-1] < 2 * guards[-2]
+    with mp.workdps(340), localcontext() as c:
+        c.prec, c.rounding = 10, ROUND_DOWN
+        assert Decimal(res.decimal_value) == +Decimal(mp.nstr(mp.zeta(1001), 330))
+
+
 def test_interval_that_never_narrows_raises(monkeypatch):
     guards = _guards(monkeypatch, lambda table, ctx: (mpf(1), mpf("0.5"), {}))
     with pytest.raises(ConvergenceError, match=r"zeta\(3\).*5 attempts"):

@@ -10,11 +10,12 @@ closed-form N must be the smallest whose closed-form bound beats the
 target, the N of the working-precision search at every base power of the
 tables, targets down to 10^-(10^5) and ulp ties included, and the N of the
 term-by-term search wherever the target is not at an ulp tie of the two
-roundings of the bound; and every series value, of a table, an identity
-check or a convergence profile, must come out of the kernel's pass, an
-identity check taking one pass per base nome (a lemma side the weighted
-sum of its one-term passes) and a profile one pass for all the prefixes
-of its slowest series.
+roundings of the bound, with one working-precision bound away from ulp
+ties and the working-precision test at them; and every series value, of a
+table, an identity check or a convergence profile, must come out of the
+kernel's pass, an identity check taking one pass per base nome (a lemma
+side the weighted sum of its one-term passes) and a profile one pass for
+all the prefixes of its slowest series.
 """
 
 import math
@@ -379,6 +380,61 @@ def test_n_is_the_working_precision_search_down_to_extreme_targets(kind, nome, d
         ulp = mp.ldexp(1, mp.mag(b) - mp.prec)
         for tie in (b - ulp, b, b + ulp):
             assert series._terms_needed(k, qa, tie) == _search(k, qa, tie)
+
+
+def _count_bounds(monkeypatch) -> list:
+    """The n of every working-precision _bound from here on."""
+    calls, bound = [], series._bound
+
+    def spy(kind, qa, n, lead=None):
+        calls.append(n)
+        return bound(kind, qa, n, lead)
+
+    monkeypatch.setattr(series, "_bound", spy)
+    return calls
+
+
+def _positive_qas(kind: str, ctx) -> list:
+    """|q| of every table nome a series of `kind` may take."""
+    return [abs(q.value(ctx)) for q in NOMES if q.sign > 0 or kind != "sech_series"]
+
+
+@pytest.mark.parametrize("digits", [30, 300, 2000])
+@pytest.mark.parametrize("kind", list(EVALUATORS))
+def test_n_takes_one_working_precision_bound_away_from_ties(kind, digits, monkeypatch):
+    # every test bound(n) < target is decided in floats; the returned bound
+    # is the one working-precision bound
+    k, ctx = series._KINDS[kind], make_context(digits)
+    calls = _count_bounds(monkeypatch)
+    with ctx.workdps():
+        for qa in _positive_qas(kind, ctx):
+            for e in (3, 17, 40, 75, digits, 10 * digits):
+                calls.clear()
+                n, _ = series._terms_needed(k, qa, mpf(10) ** -e)
+                assert calls == [n], (kind, qa, e)
+
+
+@pytest.mark.parametrize("digits", [30, 300])
+@pytest.mark.parametrize("kind", list(EVALUATORS))
+def test_ulp_ties_take_the_working_precision_test(kind, digits, monkeypatch):
+    # at |q| <= e^-pi the bound falls at every term, so a target within
+    # ulps of bound(m) has N = m or m + 1, and the walk tests both N and
+    # N - 1: the float logs cannot tell such a tie, and it falls back
+    k, ctx = series._KINDS[kind], make_context(digits)
+    calls = _count_bounds(monkeypatch)
+    with ctx.workdps():
+        for qa in _positive_qas(kind, ctx):
+            for target in _targets(k, qa)[4:]:  # the bounds and an ulp either side
+                want = _search(k, qa, target)
+                calls.clear()
+                assert series._terms_needed(k, qa, target) == want
+                assert len(calls) > 1, (kind, qa, target)
+
+
+@pytest.mark.parametrize("kind", list(series._KINDS))
+def test_a_zero_nome_takes_one_term_and_no_log(kind):
+    with mp.workdps(30):
+        assert series._terms_needed(series._KINDS[kind], mpf(0), mpf("1e-30")) == (1, 0)
 
 
 @pytest.mark.parametrize("kind", list(EVALUATORS))
