@@ -830,10 +830,10 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
 
     Returns (value, error_bound, terms_used) where terms_used maps each
     basis term to the series length it needed.  Every series is pushed to
-    an absolute error budget of 10^-(target + guard/2) scaled down by its
-    coefficient magnitude, so the certified bound lands well below
-    10^-target.  The series of each base nome (_by_base) take one
-    exponential, QSymbolic.value, and one base_sums pass.
+    an absolute error budget of 10^-(target + guard/2), 10^-(target + 10)
+    at first, over 1 + its coefficient's magnitude, so the certified bound
+    lands well below 10^-target.  The series of each base nome (_by_base)
+    take one exponential, QSymbolic.value, and one base_sums pass.
 
     The slop size * 10^-(working - 2) >= 700 u, u = 2^-prec, covers the
     rounding of the assembly and of the nomes; size bounds sum |c v| by

@@ -57,11 +57,11 @@ class PrecisionContext:
 
 
 def make_context(target_digits: int) -> PrecisionContext:
-    """Create a context with guard = max(20, ceil(target/10))."""
+    """Create a context with 20 guard digits at every precision: the
+    rounding they cover does not grow with the digits (README, Notes)."""
     if target_digits < 1:
         raise ValueError(f"target_digits must be >= 1, got {target_digits}")
-    guard = max(20, math.ceil(target_digits / 10))
-    return PrecisionContext(target_digits=target_digits, guard_digits=guard)
+    return PrecisionContext(target_digits=target_digits, guard_digits=20)
 
 
 # ---------------------------------------------------------------------------

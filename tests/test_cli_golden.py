@@ -98,21 +98,22 @@ def test_auto_is_its_resolved_method_byte_for_byte(golden):
         assert golden[argv] == golden[argv.replace("auto", name)], argv
 
 
-def test_pinned_zeta201_digits_are_mpmaths(golden):
-    with mp.workdps(100):
-        text = mp.nstr(mp.zeta(201), 90)
-    with localcontext() as c:
-        c.prec, c.rounding = 10, ROUND_DOWN
-        want = +Decimal(text)
-    for m in ZETA_METHODS[1][1:]:
-        assert f"value = {want}\n" in golden[f"compute zeta --s 201 --method {m} --digits 10"]
-
-
-def test_pinned_digits_far_above_s_201_are_mpmaths(golden):
-    for s, method, digits in ((601, "", 10), (1601, " --method corollary3", 20)):
+def test_pinned_values_are_mpmaths(golden):
+    # each pinned value, the re-pinned ones too, against an oracle that
+    # shares nothing with the evaluation path
+    computes = [a for a in golden if a.startswith("compute")]
+    assert len(computes) == 72
+    oracle = {"zeta": mp.zeta, "pi": lambda n: mp.pi ** n, "log": mp.log}
+    for argv in computes:
+        what, n, digits = re.fullmatch(
+            r"compute (\w+) --(?:s|power|p) (\d+)(?: --method \w+)? --digits (\d+)", argv).groups()
+        digits = int(digits)
         with mp.workdps(digits + 30):
-            want = mp.nstr(mp.zeta(s), digits + 20, strip_zeros=False)[:digits + 1]
-        assert f"value = {want}\n" in golden[f"compute zeta --s {s}{method} --digits {digits}"]
+            text = mp.nstr(oracle[what](int(n)), digits + 25, strip_zeros=False)
+        with localcontext() as c:
+            c.prec, c.rounding = digits, ROUND_DOWN
+            want = +Decimal(text)
+        assert f"value = {want}\n" in golden[argv], argv
 
 
 def test_pinned_residuals_are_below_the_series_target(golden):

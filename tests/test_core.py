@@ -348,8 +348,10 @@ def test_make_context_guard():
     ctx = make_context(50)
     assert isinstance(ctx, PrecisionContext)
     assert ctx.target_digits == 50
-    assert ctx.guard_digits >= 20
-    assert make_context(400).guard_digits >= 40
+    # the guard covers the kernel's, the nomes' and the assembly's rounding,
+    # none of which grows with the digits; a shortfall is a sized Ziv retry
+    for digits in (1, 50, 400, 10**4, 10**5):
+        assert make_context(digits).guard_digits == 20
 
 
 def test_truncate_digits_basic():

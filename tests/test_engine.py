@@ -342,6 +342,22 @@ def test_uncertain_digits_are_reassembled_with_more_guard_digits(monkeypatch):
     assert res.error_bound < mpf(2) ** -201
 
 
+def test_twenty_guard_digits_certify_the_first_assembly(monkeypatch):
+    # the guard is 20 digits at every precision: a value away from a digit
+    # boundary must not pay for it with a Ziv retry
+    guards = _guards(monkeypatch)
+    calls = [(zeta_odd, (s, method, digits)) for s in (3, 5, 7, 9)
+             for method, (residue, _, _) in METHODS["zeta"].items() if residue == s % 4
+             for digits in (250, 1000)]
+    calls += ([(zeta_odd, (s, "auto", 3000)) for s in (3, 5)]
+              + [(pi_power, (n, "auto", 1000)) for n in (1, 3, 5)]
+              + [(log_prime, (p, 1000)) for p in (2, 3, 5)])
+    for run, args in calls:
+        run(*args)
+        assert guards == [20], (run.__name__, args)
+        guards.clear()
+
+
 def test_a_measured_distance_takes_the_sized_guard(monkeypatch):
     # zeta(1001) = 1 + 2^-1001: once the working digits pass its 302 the
     # distance to 1.000000000 is measured, and the guard is sized to it

@@ -20,6 +20,7 @@ moved, 0 otherwise.
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,10 +28,16 @@ import pytest
 from mpmath import mp, mpf
 
 from zetaodd import identities
-from zetaodd.core import make_context
+from zetaodd.core import PrecisionContext
 from zetaodd.series import Term, base_sums, lambert_q_expansion
 
 GOLDEN = Path(__file__).parent / "golden" / "series_digests.json"
+
+
+def _context(digits: int) -> PrecisionContext:
+    """The context the pins were taken at: they pin the kernel's bits at a
+    named working precision, not the guard make_context chooses."""
+    return PrecisionContext(digits, max(20, math.ceil(digits / 10)))
 
 
 def _bits(v):
@@ -39,7 +46,7 @@ def _bits(v):
 
 def _pass(kind: str, q: str, nome: str, s: int, digits: int):
     """One term of `kind` at the nome q, -q or i sqrt(q), to 10^-(digits+5)."""
-    ctx = make_context(digits)
+    ctx = _context(digits)
     with ctx.workdps():
         x = mpf(q)
         if nome == "isqrt":
@@ -53,7 +60,7 @@ def _pass(kind: str, q: str, nome: str, s: int, digits: int):
 def _prefixes(kind: str, q: str, nome: str, s: int, p: int, digits: int):
     """The P prefixes of one term of `kind` at the nome q or -q; a prefix past
     the last one the pass keeps is that last one."""
-    ctx = make_context(digits)
+    ctx = _context(digits)
     with ctx.workdps():
         term = Term(kind, 1, -1 if nome == "neg" else 1, s, None, prefixes=p)
         _, sums = base_sums(mpf(q), [term], ctx)
@@ -65,7 +72,7 @@ def _prefixes(kind: str, q: str, nome: str, s: int, p: int, digits: int):
 
 
 def _residual(check: str, args: tuple, digits: int):
-    r = getattr(identities, check)(*args, make_context(digits))
+    r = getattr(identities, check)(*args, _context(digits))
     return (r.abs_residual._mpf_, r.scale._mpf_, r.rel_residual._mpf_, r.terms_used,
             r.precision_used)
 
