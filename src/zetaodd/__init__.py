@@ -19,7 +19,6 @@ from .core import (
     Surd,
     bernoulli,
     make_context,
-    truncate_digits,
 )
 from .engine import (
     ConstantResult,
@@ -85,7 +84,6 @@ __all__ = [
     "parse_coefficient",
     "pi_power",
     "sech_series",
-    "truncate_digits",
     "zeta3_first_order",
     "zeta_odd",
     "__version__",

@@ -40,11 +40,10 @@ from .core import (
     PrecisionContext,
     Surd,
     bernoulli_weights,
-    eval_exact,
     _gauss_power,
     surd_trig,
 )
-from .series import QSymbolic, Term, base_sums
+from .series import QSymbolic, Term, _fixed, _times, base_sums
 
 _KIND_RANK = {"sech_series": 0, "lambert_derivative": 1, "lambert": 2}
 
@@ -818,61 +817,106 @@ def _series_term(basis: BasisTerm, coeff, base: QSymbolic, target) -> Term:
     coefficient at each radicand r is a weight under the key (derivative, r);
     the derivative's series is q dL/dq, which pi then scales."""
     derivative = basis.kind == "lambert_derivative"
-    parts = coeff.items() if isinstance(coeff, Surd) else [(1, coeff)]
     return Term(basis.kind, basis.q.mult // base.mult, basis.q.sign, basis.s, target,
                 # from a list: tuple(generator) resizes a tuple, which then stays in
                 # CPython's tuple free lists, as do *generator arguments
-                tuple([((derivative, r), Fraction(w)) for r, w in parts]))
+                tuple([((derivative, r), Fraction(w)) for r, w in _parts(coeff)]))
+
+
+def _parts(coeff) -> list:
+    """The (radicand, rational) parts of a coefficient, real in every table."""
+    return coeff.items() if isinstance(coeff, Surd) else [(1, Fraction(coeff))]
+
+
+def _magnitude(coeff, roots: dict):
+    """|coeff| at working precision, each part's quotient times sqrt(r) from
+    roots, summed: rounded as the series targets always were, so no N moves."""
+    return abs(sum((mpf(c.numerator) / c.denominator * roots.get(r, 1)
+                    for r, c in _parts(coeff)), mpf(0)))
+
+
+def _fixed_coefficient(coeff, prec: int) -> tuple:
+    """coeff 2^prec and its error in units (series._times): each part c sqrt(r),
+    c = a/b, floored once, (a 2^prec) // b, or truncated, isqrt(a^2 r 4^prec // b^2)."""
+    total, parts = 0, _parts(coeff)
+    for r, c in parts:
+        a, b = c.numerator, c.denominator
+        v = (a << prec) // b if r == 1 else math.isqrt((a * a * r << 2 * prec) // (b * b))
+        total += v if a > 0 or r == 1 else -v
+    return total, len(parts)
+
+
+def _pi_power(n: int, prec: int) -> tuple:
+    """pi^n 2^prec, n >= 1, and its error in units: mpmath's pi at q + 10 bits
+    floored to 2^-q (2 units), raised to n with counted floors (series._times)
+    at q = prec plus the bits of pi^n and of the count, then floored to prec."""
+    q = prec + math.ceil(n * math.log2(math.pi)) + (3 * n).bit_length() + 2
+    with mp.workprec(q + 10):
+        (pi,), _ = _fixed(mp.pi, q)
+    base, power = (pi, 2), None
+    while True:
+        if n & 1:
+            power = base if power is None else _times(power, base, q)
+        if not (n := n >> 1):
+            return power[0] >> q - prec, (power[1] >> q - prec) + 2
+        base = _times(base, base, q)
 
 
 def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
-    """Evaluate a table numerically.
+    """Evaluate a table in fixed point: (T, E, P, terms_used), the constant
+    within E 2^-P of T 2^-P, and each basis term's series length.
 
-    Returns (value, error_bound, terms_used) where terms_used maps each
-    basis term to the series length it needed.  Every series is pushed to
-    an absolute error budget of 10^-(target + guard/2), 10^-(target + 10)
-    at first, over 1 + its coefficient's magnitude, so the certified bound
-    lands well below 10^-target.  The series of each base nome (_by_base)
-    take one exponential, QSymbolic.value, and one base_sums pass.
-
-    The slop size * 10^-(working - 2) >= 700 u, u = 2^-prec, covers the
-    rounding of the assembly and of the nomes; size bounds sum |c v| by
-    closed-form bounds, each radicand part of c apart.  The base e^(-A), A =
-    g sqrt(r) pi, rounded from one good to (4A + 2) 2^-p at p >= prec + 20
-    bits (A's roundings, the exponential's), is good to (1 + (4A + 2) 2^-20)
-    u <= (4A + 2) u, so x^j to (4a + 2j) u, a <= 20 pi its decay rate.  That
-    moves a series in q, |q| < 0.05, by under 400 u times its bound."""
+    Each series is pushed to an absolute error budget of 10^-(target +
+    guard/2), 10^-(target + 10) at first, over 1 + |c|, c its coefficient.
+    The series of each base nome (_by_base) take one exponential,
+    QSymbolic.value, and one base_sums pass.  P is the working bits prec
+    plus those of the largest factor of any product (pi^n, the pi
+    coefficient, each pass's sums), so a floor of the other factor costs at
+    most a unit of u = 2^-prec, and at least each pass's prec.  At 2^-P each coefficient part, sqrt(r) and
+    pi^n (_pi_power) are floored once.  E counts, in units of 2^-P, each
+    floor and product (series._times), each pass's rounding, each tail
+    bound times |c| rounded up, and the nomes' rounding: e^(-A), A = g
+    sqrt(r) pi, rounded from one good to (4A + 2) 2^-p at p >= prec + 20
+    bits, is good to (1 + (4A + 2) 2^-20) u <= (4A + 2) u, so x^j to (4a +
+    2j) u, a <= 20 pi its decay rate, which moves a series in q, |q| < 0.05,
+    by under 400 u times its size bound."""
     with ctx.workdps():
+        prec = mp.prec
         budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
-        total = mpf(0)
-        err = mpf(0)
-        size = mpf(0)  # an upper bound of sum |c_i v_i|, the scale of the rounding error
-        terms: dict[str, int] = {}
-        roots: dict = {}  # sqrt(r) at this precision, once per radicand (eval_exact)
-        for basis, coeff in table.entries:
-            terms[str(basis)] = 0
-            if basis.kind == "pi_power":
-                val = eval_exact(coeff, ctx, roots) * mp.pi ** basis.power
-                total += val
-                size += abs(val)
+        terms = {str(basis): 0 for basis, _ in table.entries}
+        roots = {r: mp.sqrt(r) for r in {r for _, c in table.entries for r, _ in _parts(c)} - {1}}
+        passes = []
         for base, group in _by_base(table.entries).items():
-            cmags = [abs(eval_exact(coeff, ctx, roots)) for _, coeff in group]
+            cmags = [_magnitude(coeff, roots) for _, coeff in group]
             run = [_series_term(basis, coeff, base, budget / (1 + cmag))
                    for (basis, coeff), cmag in zip(group, cmags)]
-            info, sums = base_sums(base.value(ctx), run, ctx)
-            factors = {(d, r): eval_exact(Surd({r: 1}), ctx, roots) * (mp.pi if d else 1)
-                       for d, r in sums}
-            for ((basis, _), cmag, t, (n, tail, bound)) in zip(group, cmags, run, info):
-                scale = mp.pi if basis.kind == "lambert_derivative" else 1
+            passes.append((group, cmags, *base_sums(base.value(ctx), run, ctx)))
+        pis = [(b.power, c) for b, c in table.entries if b.kind == "pi_power"]
+        bits = [max(math.ceil(n * math.log2(math.pi)),
+                    abs(_fixed_coefficient(c, 0)[0]).bit_length() + 3) for n, c in pis]
+        bits += [abs(ints[0]).bit_length() - p
+                 for *_, sums, p in passes for ints, _ in sums.values()]
+        scale = max([prec + max(0, *bits)] + [p for *_, p in passes])
+        total, err = 0, 0
+        for n, coeff in pis:
+            t, e = _times(_fixed_coefficient(coeff, scale), _pi_power(n, scale), scale)
+            total, err = total + t, err + e
+        for group, cmags, info, sums, p in passes:
+            for (basis, _), cmag, (n, tail, size) in zip(group, cmags, info):
                 terms[str(basis)] = n
-                err += cmag * tail * scale
-                size += sum(abs(factors[key] * w.numerator / w.denominator)
-                            for key, w in t.weights) * bound
-            for key, (value, rounding) in sums.items():
-                total += factors[key] * value
-                err += abs(factors[key]) * rounding
-        # fold arithmetic rounding slop into the certificate; cancellation
-        # between terms leaves it proportional to the terms, not the total
-        err += size * mpf(10) ** (-(ctx.working_digits - 2))
-        return total, err, terms
+                # |c| (pi |c| for the derivative) times the tail and the nome's
+                # 400 u size, rounded up with 2^-20 to spare for its roundings
+                bound = cmag * (tail + mp.ldexp(400 * size, -prec))
+                if basis.kind == "lambert_derivative":
+                    bound *= mp.pi
+                units = int(mp.ldexp(bound, scale))
+                err += units + (units >> 20) + 2
+            for (derivative, r), (ints, e) in sums.items():
+                v = ints[0] << scale - p, e << scale - p
+                if r != 1:
+                    v = _times((math.isqrt(r << 2 * scale), 1), v, scale)
+                if derivative:
+                    v = _times(_pi_power(1, scale), v, scale)
+                total, err = total + v[0], err + v[1]
+        return total, err, scale, terms
 

@@ -12,8 +12,9 @@ generation) builds on three layers kept deliberately separate:
 * exact Bernoulli numbers and exact values of cos/sin at integer
   multiples of acot(sqrt(m)).
 
-Floating point never enters a coefficient computation; ``eval_exact``
-is the single bridge from the exact world into mpmath.
+Floating point never enters a coefficient computation: an assembly floors
+each coefficient part once at its fixed-point scale, and the digits of a
+result are read from that interval as ints (``interval_digits``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 
 class DomainError(ValueError):
@@ -407,70 +408,33 @@ def surd_trig(m: int, multiple: int, kind: str) -> Surd:
 
 
 # ---------------------------------------------------------------------------
-# bridge to mpmath
+# digit emission
 # ---------------------------------------------------------------------------
 
 
-def eval_exact(x, ctx: PrecisionContext, roots: dict | None = None):
-    """Evaluate an int, Fraction or Surd as mpf (mpc when it has an i part)
-    at the context's working precision, sqrt(r) from and into roots when it
-    is given: the caller's {r: sqrt(r)} at that precision, a root per r."""
-    s = _as_surd(x)
-    if s is NotImplemented:
-        raise TypeError(f"cannot evaluate {type(x).__name__} exactly")
-    roots = {} if roots is None else roots
-    with ctx.workdps():
-        total = mpf(0)
-        for r, c in s.items():
-            v = mpf(c.numerator) / c.denominator
-            if abs(r) != 1:
-                v *= roots[abs(r)] if abs(r) in roots else roots.setdefault(abs(r), mp.sqrt(abs(r)))
-            total += v if r > 0 else mp.mpc(0, v)
-        return total
+def interval_digits(t: int, err: int, prec: int, digits: int) -> tuple:
+    """(lo, hi, k), floor((t -+ err) 10^k 2^-prec) with hi of exactly `digits`
+    digits, for t + err > 0 and prec >= 0: both ends of an interval at one
+    scale.  k from a float estimate is at most two digits too large (a margin
+    covers its rounding); hi and lo drop them: floor(floor(x)/10) = floor(x/10)."""
+    k = digits - 1 - math.floor(((t + err).bit_length() - 1 - prec) * math.log10(2) - 1e-9)
+    if k >= 0:
+        tk, ek = t * 10**k, err * 10**k
+        lo, hi = tk - ek >> prec, tk + ek >> prec
+    else:
+        lo, hi = (t - err) // (den := 10**-k << prec), (t + err) // den
+    while hi >= 10**digits:
+        lo, hi, k = lo // 10, hi // 10, k - 1
+    return lo, hi, k
 
 
-def truncate_digits(value, digits: int) -> str:
-    """Decimal string with `digits` significant digits, truncated toward zero.
-
-    The caller is responsible for having computed `value` with enough guard
-    digits that truncation of the approximation equals truncation of the
-    true value.  The truncation itself is exact: the mpf is man * 2^exp,
-    and its leading digits are an integer floor.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    v = mpf(value) if not isinstance(value, mpf) else value
-    if v == 0:
-        return "0." + "0" * (digits - 1) if digits > 1 else "0"
-    if not mp.isfinite(v):
-        raise ValueError(f"cannot truncate {v}")
-    negative, man, exp, bc = v._mpf_
-    sign = "-" if negative else ""
-    # 2^(bc+exp-1) <= |v| < 2^(bc+exp) puts the decimal exponent e within
-    # one of this estimate; step it until mant has exactly `digits` digits
-    e = math.floor((bc + exp - 1) * math.log10(2))
-    while True:
-        num, den = man, 1
-        if digits - 1 - e >= 0:
-            num *= 10 ** (digits - 1 - e)
-        else:
-            den = 10 ** (e - digits + 1)
-        if exp >= 0:
-            num <<= exp
-        else:
-            den <<= -exp
-        mant = num // den  # floor(|v| * 10^(digits-1-e))
-        if mant >= 10**digits:
-            e += 1
-        elif mant < 10 ** (digits - 1):
-            e -= 1
-        else:
-            break
-    s = str(mant)
+def format_digits(mant: int, k: int, digits: int) -> str:
+    """The text of mant 10^-k, mant of exactly `digits` digits: fixed point
+    when its decimal exponent e = digits - 1 - k is in [0, digits), 0.000...
+    when -5 < e < 0, else scientific, e+N or e-N."""
+    s, e = str(mant), digits - 1 - k
     if 0 <= e < digits:
-        ipart, fpart = s[: e + 1], s[e + 1 :]
-        return sign + ipart + ("." + fpart if fpart else "")
+        return s[: e + 1] + ("." + s[e + 1 :] if e + 1 < digits else "")
     if -5 < e < 0:
-        return sign + "0." + "0" * (-e - 1) + s
-    exp = f"e{'+' if e >= 0 else '-'}{abs(e)}"
-    return sign + s[0] + ("." + s[1:] if digits > 1 else "") + exp
+        return "0." + "0" * (-e - 1) + s
+    return s[0] + ("." + s[1:] if digits > 1 else "") + f"e{'+' if e >= 0 else '-'}{abs(e)}"

@@ -14,11 +14,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_pos, round_up
+from mpmath.libmp import from_man_exp, round_up
 
 from . import oracles
 from .coefficients import (
     CoefficientTable,
+    _fixed_coefficient,
+    _pi_power,
     assemble_detailed,
     coeffs_log,
     coeffs_pi,
@@ -29,11 +31,11 @@ from .core import (
     ConvergenceError,
     DomainError,
     PrecisionContext,
-    eval_exact,
+    format_digits,
+    interval_digits,
     make_context,
-    truncate_digits,
 )
-from .series import Term, _ln, base_sums
+from .series import Term, _times, base_sums
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,36 +85,38 @@ ZIV_ATTEMPTS = 5  # assemblies of one table, each retry with more guard digits
 
 def _result(table: CoefficientTable, digits: int, t0: float) -> ConstantResult:
     """Emit the digits shared by both ends of the certified interval
-    value -+ err, which are those of the constant (Ziv's test).  While they
-    differ, reassemble with enough guard digits for err, a digit smaller per
-    two guard digits (assemble_detailed's budget), to fall below |value - b|,
-    b the digit boundary between the ends.  A distance within 1000 units of
-    value's last digit is its rounding: b is then taken to match value for
-    as many digits again, 10^-(2 working) |b|, and, as when err >= 10^-digits
-    |b| has missed its budget, the guard at least doubles."""
-    ctx, ln10 = make_context(digits), math.log(10)
+    (T -+ E) 2^-P, those of the constant (Ziv's test), compared as ints.
+    While they differ, reassemble with enough guard digits for err = E 2^-P,
+    a digit smaller per two guard digits (assemble_detailed's budget), to
+    fall below |value - b|, b the digit boundary between the ends.  A
+    distance within 1000 units of value's last digit is its rounding: b is
+    then taken to match value for as many digits again, 10^-(2 working) |b|,
+    and, as when err >= 10^-digits |b| has missed its budget, the guard at
+    least doubles."""
+    ctx, ln2, ln10 = make_context(digits), math.log(2), math.log(10)
     for _ in range(ZIV_ATTEMPTS):
-        value, err, terms = assemble_detailed(table, ctx)
-        decimal = truncate_digits(mp.fsub(value, err, exact=True), digits)
-        upper = truncate_digits(mp.fadd(value, err, exact=True), digits)
-        if decimal == upper:
+        t, err, prec, terms = assemble_detailed(table, ctx)
+        lo, hi, k = interval_digits(t, err, prec, digits)  # every constant is positive
+        if lo == hi:
             break
         g, w = ctx.guard_digits, ctx.working_digits
-        with mp.workdps(w + 10):  # b lies in the interval: every constant is positive
-            b = mpf(upper)
-            dist = abs(value - b)
-        measured = dist and _ln(dist) > _ln(b) - (w - 3) * ln10
-        d = _ln(dist) if measured else _ln(b) - 2 * w * ln10
-        floor = g if measured and _ln(err) < _ln(b) - digits * ln10 else 2 * g
-        ctx = replace(ctx, guard_digits=max(floor, g + 2 * math.ceil((_ln(err) - d) / ln10) + 2))
+        # ln b, b = hi 10^-k, and ln |value - b| from |t 10^k - hi 2^P| exactly
+        lb, dist = math.log(hi) - k * ln10, abs(t * 10**k - (hi << prec) if k >= 0
+                                                else t - (hi * 10**-k << prec))
+        ld = math.log(dist) - max(k, 0) * ln10 - prec * ln2 if dist else -math.inf
+        measured = ld > lb - (w - 3) * ln10
+        d = ld if measured else lb - 2 * w * ln10
+        le = math.log(err) - prec * ln2
+        floor = g if measured and le < lb - digits * ln10 else 2 * g
+        ctx = replace(ctx, guard_digits=max(floor, g + 2 * math.ceil((le - d) / ln10) + 2))
     else:
         raise ConvergenceError(f"{table.constant}: the first {digits} digits were "
                                f"not certified within {ZIV_ATTEMPTS} attempts")
     # a result keeps no working-precision mantissa and no fresh key strings
-    err = mp.make_mpf(mpf_pos(err._mpf_, 53, round_up))
+    bound = mp.make_mpf(from_man_exp(err, -prec, 53, round_up))
     terms = {_shared(basis): n for basis, n in terms.items()}
-    return ConstantResult(_shared(table.constant), table.method, decimal,
-                          err, terms, time.perf_counter() - t0)
+    return ConstantResult(_shared(table.constant), table.method, format_digits(hi, k, digits),
+                          bound, terms, time.perf_counter() - t0)
 
 
 def zeta_odd(s: int, method: str = "auto", target_digits: int = 50) -> ConstantResult:
@@ -206,20 +210,19 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     # derivative (summed as q dL/dq) scaled by pi as in the formula
     fast = replace(table, entries=tuple([e for e in table.entries
                                          if e not in slow_entries]))
-    fixed = assemble_detailed(fast, ctx)[0]
+    total, _, scale, _ = assemble_detailed(fast, ctx)
     run = [Term(b.kind, 1, b.q.sign, b.s, None, ((i, Fraction(1)),), prefixes=max_terms)
            for i, (b, _) in enumerate(slow_entries)]
-    _, sums = base_sums(slow_entries[0][0].q.magnitude().value(ctx), run, ctx)
+    _, sums, prec = base_sums(slow_entries[0][0].q.magnitude().value(ctx), run, ctx)
+    coeffs = [_times(_fixed_coefficient(c, scale), _pi_power(1, scale), scale)[0]
+              if b.kind == "lambert_derivative" else _fixed_coefficient(c, scale)[0]
+              for b, c in slow_entries]
     with ctx.workdps():
         oracle_val = oracle(ctx)
-        cvals = [eval_exact(c, ctx) * (mp.pi if b.kind == "lambert_derivative" else 1)
-                 for b, c in slow_entries]
         points = []
         for n in range(1, max(m for _, m in sums) + 1):  # later prefixes equal the last
-            approx = fixed
-            for i, cval in enumerate(cvals):
-                approx += cval * sums[i, n][0]
-            delta = abs(approx - oracle_val)
+            approx = (total << prec) + sum(c * sums[i, n][0][0] for i, c in enumerate(coeffs))
+            delta = abs(mp.make_mpf(from_man_exp(approx, -scale - prec)) - oracle_val)
             if delta == 0:
                 digits = ctx.working_digits
             else:  # in floats: mpmath's log10 keeps cache entries for every precision

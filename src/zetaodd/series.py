@@ -223,7 +223,6 @@ class _Kind:
     ("sech", a, j), a = -s: numerator m stands at q^m, the power n = j m,
     over (2n + j)^a, and first(q) = sqrt(q) multiplies the sum."""
 
-    name: str  # for error messages
     max_s: int
     real_nome: bool  # q must lie in (0, 1), not just inside the unit disc
     first: Callable
@@ -242,13 +241,13 @@ class _Kind:
 # sum of at most d(m) terms of size <= 1, and d(m) <= 2 sqrt(m).
 _KINDS = {
     "lambert": _Kind(
-        "lambert_eval", 0, False, lambda q: q,
+        0, False, lambda q: q,
         lambda n: 1, lambda qa: (1 - qa) ** 2, lambda m: 2 * math.sqrt(m + 1)),
     "lambert_derivative": _Kind(
-        "lambert_derivative", -1, False, lambda q: mp.mpmathify(1),
+        -1, False, lambda q: mp.mpmathify(1),
         lambda n: 1 + n, lambda qa: (1 - qa) ** 3, lambda m: 2 * (m + 1) ** 1.5, 1),
     "sech_series": _Kind(
-        "sech_series", 0, True, mp.sqrt,
+        0, True, mp.sqrt,
         lambda n: 2, lambda qa: 1 - qa * qa, lambda m: 4 * math.sqrt(2 * m + 1)),
 }
 
@@ -266,14 +265,16 @@ def _ln(x) -> float:
     return math.log(x.man) + x.exp * math.log(2)
 
 
-def _terms_needed(kind: _Kind, qa, target) -> tuple:
-    """Smallest N whose tail bound is below target, and that bound.
+def _terms_needed(name: str, qa, target) -> tuple:
+    """Smallest N whose tail bound is below target, and that bound, for the
+    series of _KINDS[name].
 
     N is estimated from float logs and walked to bound(N) < target <=
     bound(N-1) from bound(1) >= target: the bound only rises before it falls.
     Each test is the sign of ln(bound(n) / target) in floats (_ln), off by
     < 2^-50 per bit and unit of exponent of lead, qa^n and target, and taken
     at working precision only within 2^-44 of that, a tie.  qa = 0: N = 1."""
+    kind = _KINDS[name]
     n, cap, lead = 1, TERM_CAP, kind.first(qa) / kind.den(qa)
     c, lq = (_ln(lead) - _ln(target), _ln(qa)) if qa else (0.0, 0.0)
     tie = [2.0 ** -44 * (v.man.bit_length() + abs(v.exp) + 1) for v in (lead, qa, target)]
@@ -296,7 +297,7 @@ def _terms_needed(kind: _Kind, qa, target) -> tuple:
                 n += 1
                 if n > cap:
                     raise ConvergenceError(
-                        f"{kind.name}: tail bound did not reach {mp.nstr(target, 6)} "
+                        f"{name}: tail bound did not reach {mp.nstr(target, 6)} "
                         f"within {cap} terms")
     return n, _bound(kind, qa, n, lead)
 
@@ -323,6 +324,14 @@ def _mul(u: tuple, v: tuple, prec: int) -> tuple:
         return (u[0] * v[0] >> prec,)
     (a, b), (c, d) = u, v
     return ((a * c - b * d) >> prec, (a * d + b * c) >> prec)
+
+
+def _times(u: tuple, v: tuple, prec: int) -> tuple:
+    """The floored product of real fixed-point numbers with counted errors,
+    |U - u 2^prec| <= e_U and so for V: off by (|U| e_V + |V| e_U + e_U e_V)
+    2^-prec, a unit for the floor and one for flooring that count."""
+    (a, ea), (b, eb) = u, v
+    return a * b >> prec, (abs(a) * eb + abs(b) * ea + ea * eb >> prec) + 2
 
 
 def _order(kind: _Kind, ax: float, prec: int) -> int:
@@ -393,9 +402,10 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
     nomes raise DomainError.
 
     Returns the (N, tail bound, size bound) of each term's series times
-    |q|^lift, the size bound being the closed-form bound after no terms,
-    and the sums {key: (value, certified bound of |rounding error|)},
-    values with all their bits.  A term whose order would exceed 4 TERM_CAP
+    |q|^lift, the size bound being the closed-form bound after no terms;
+    the sums {key: (value, certified bound of |rounding error|)} in fixed
+    point at 2^-prec, the value one int per component of x (_fixed) and
+    the bound an int in units; and prec.  A term whose order would exceed 4 TERM_CAP
     + 64 (a nome near 1 with a target far looser than the precision) raises
     ConvergenceError: N <= TERM_CAP, so no pass holds more powers of x."""
     with ctx.workdps():
@@ -403,18 +413,18 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
         for t in terms:
             kind = _KINDS[t.kind]
             if kind.real_nome and (isinstance(x, mp.mpc) or not 0 < x < 1 or t.sign < 0):
-                raise DomainError(f"{kind.name} requires real q in (0, 1)")
+                raise DomainError(f"{t.kind} requires real q in (0, 1)")
             if not absx < 1:  # a nan nome too
                 raise DomainError(f"|q| must be < 1, got |q| = {mp.nstr(absx ** t.j, 8)}")
             if not isinstance(t.s, int) or t.s > kind.max_s:
-                raise DomainError(f"{kind.name} requires integer s <= {kind.max_s}, got {t.s!r}")
+                raise DomainError(f"{t.kind} requires integer s <= {kind.max_s}, got {t.s!r}")
             qa = absx ** t.j
             if t.prefixes > TERM_CAP:
-                raise ConvergenceError(f"{kind.name}: more than {TERM_CAP} prefixes")
+                raise ConvergenceError(f"{t.kind}: more than {TERM_CAP} prefixes")
             if t.prefixes:
                 n, bound = t.prefixes, _bound(kind, qa, t.prefixes)
             elif (target := _num(t.target)) > 0:
-                n, bound = _terms_needed(kind, qa, target)
+                n, bound = _terms_needed(t.kind, qa, target)
             else:
                 raise ValueError("target_abs_error must be positive")
             lifted = qa ** kind.lift
@@ -429,7 +439,7 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
             order = _order(kind, ax, prec) if ax < 1 else math.inf
             if order > cap:
                 raise ConvergenceError(
-                    f"{kind.name}: the power series at |q| = {mp.nstr(qa, 8)} "
+                    f"{t.kind}: the power series at |q| = {mp.nstr(qa, 8)} "
                     f"would need more than {cap} powers of q")
             fixed.append((t, kind, n, order))
         ax = math.nextafter(float(absx), 2.0)  # |x| <= ax
@@ -439,13 +449,9 @@ def base_sums(x, terms, ctx: PrecisionContext) -> tuple:
             for m in range(2, last + 1):  # prefix m: the running sum of the terms alone up to m
                 (u, eu), (v, ev) = sums[key, m - 1], sums.get((key, m), ((0, 0), 0))
                 sums[key, m] = [a + b for a, b in zip(u, v)], eu + ev
-        out = {}
-        for key, (total, ulps) in sums.items():
-            err = math.ceil(ulps * (1 + 2.0 ** -20)) + 1  # slack for the float sums
-            parts = [from_man_exp(c, -prec) for c in total]  # all the bits
-            value = mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
-            out[key] = (value, mp.make_mpf(from_man_exp(err, scale - prec)))
-        return info, out
+        for key, (total, ulps) in sums.items():  # slack for the float sums
+            sums[key] = total, math.ceil(ulps * (1 + 2.0 ** -20)) + 1 << scale
+        return info, sums, prec
 
 
 def _scale(terms) -> int:
@@ -556,8 +562,11 @@ def _weighted_sum(x, entries, target, ctx: PrecisionContext) -> SeriesResult:
     |w| times the tail bounds, and the certified rounding error."""
     terms = [Term(kind, j, sign, s, target, ((None, Fraction(w)),))
              for w, kind, j, sign, s in entries]
-    info, sums = base_sums(x, terms, ctx)
-    value, rounding = sums[None]
+    info, sums, prec = base_sums(x, terms, ctx)
+    total, err = sums[None]
+    parts = [from_man_exp(c, -prec) for c in total]  # all the bits
+    value = mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
+    rounding = mp.make_mpf(from_man_exp(err, -prec))
     with ctx.workdps():
         tail = sum(abs(w) * bound for (w, *_), (_, bound, _) in zip(entries, info))
     return SeriesResult(value, max(n for n, *_ in info), tail, ctx.working_digits, rounding)

@@ -10,7 +10,6 @@ means the generator's closed form changed, which must never happen silently.
 
 import json
 import re
-import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import gauss_reference
+from fixed_point import fixed_mpf
+from zetaodd import coefficients
 from bernoulli_reference import bernoulli_sum
 from zetaodd.coefficients import (
     METHODS,
@@ -47,7 +48,7 @@ from zetaodd.coefficients import (
     _p5_raw,
     _real_bernoulli_sum,
 )
-from zetaodd.core import I, DomainError, Surd, eval_exact, make_context
+from zetaodd.core import I, DomainError, Surd, make_context
 from zetaodd.oracles import oracle_log, oracle_pi, oracle_zeta
 from zetaodd.series import QSymbolic
 
@@ -352,7 +353,7 @@ def test_root3_m_sign_regression():
     # flipping it moves the assembled value by ~4 L(e^-sqrt3 pi) ~ 1.7e-2
     ctx = make_context(50)
     t = method_table("zeta", "root3", 3)
-    val, err, _ = assemble_detailed(t, ctx)
+    val, err = _assembled(t, ctx)
     with ctx.workdps():
         assert abs(val - oracle_zeta(3, ctx)) < mpf("1e-48")
 
@@ -569,7 +570,7 @@ def test_pi_tables_assemble_to_pi_power(which):
     t = coeffs_pi(which, 1)
     power = int(t.constant.split("^")[1])
     ctx = make_context(50)
-    val, err, _ = assemble_detailed(t, ctx)
+    val, err = _assembled(t, ctx)
     with ctx.workdps():
         want = oracle_pi(ctx) ** power
         assert abs(val - want) < mpf("1e-45")
@@ -639,8 +640,8 @@ def test_rewrite_preserves_value(make, args):
     rw = negative_q_rewrite(t)
     assert all(b.q is None or b.q.sign > 0 for b, _ in rw.entries)
     ctx = make_context(45)
-    v1, e1, _ = assemble_detailed(t, ctx)
-    v2, e2, _ = assemble_detailed(rw, ctx)
+    v1, e1 = _assembled(t, ctx)
+    v2, e2 = _assembled(rw, ctx)
     with ctx.workdps():
         assert abs(v1 - v2) <= (e1 + e2) * (1 + mpf("1e-20"))
         assert abs(v1 - v2) < mpf("1e-40")
@@ -738,7 +739,8 @@ def test_parse_rejects_garbage():
 def test_assemble_detailed_reports_terms():
     ctx = make_context(50)
     t = method_table("zeta", "corollary", 3)
-    val, err, terms = assemble_detailed(t, ctx)
+    val, err = _assembled(t, ctx)
+    terms = assemble_detailed(t, ctx)[3]
     assert set(terms) == {"pi^3", "lambert(exp(-2*pi), s=-3)"}
     assert terms["pi^3"] == 0  # closed form, no series truncation
     assert terms["lambert(exp(-2*pi), s=-3)"] >= 10
@@ -827,7 +829,7 @@ def test_assemble_does_not_use_the_pi_oracle(table, monkeypatch):
     monkeypatch.setattr("zetaodd.oracles.oracle_pi", refuse)
     monkeypatch.setattr("zetaodd.coefficients.oracle_pi", refuse, raising=False)
     ctx = make_context(60)
-    val, err, _ = assemble_detailed(table, ctx)
+    val, err = _assembled(table, ctx)
     assert any(b.kind == "pi_power" for b, _ in table.entries)
     with ctx.workdps():
         assert abs(val - mp.zeta(int(table.constant[5:-1]))) <= err
@@ -842,9 +844,16 @@ def test_rounding_slop_scales_with_the_terms_not_the_total():
         (BasisTerm("pi_power", power=1), 1 - big),
     ))
     ctx = make_context(30)
-    val, err, _ = assemble_detailed(table, ctx)
+    val, err = _assembled(table, ctx)
     with mp.workdps(200):
         assert abs(val - mp.pi) <= err
+
+
+def _assembled(table, ctx) -> tuple:
+    """The value and error bound of one assembly, exact mpfs of its fixed
+    point (T, E) 2^-P."""
+    total, err, scale, _ = assemble_detailed(table, ctx)
+    return fixed_mpf(total, scale), fixed_mpf(err, scale)
 
 
 def _registry_tables() -> list:
@@ -858,32 +867,43 @@ def _radicands(coeffs) -> set:
     return {abs(r) for c in coeffs if isinstance(c, Surd) for r, _ in c.items()} - {1}
 
 
-def _bits(v):
-    return v._mpc_ if isinstance(v, mp.mpc) else v._mpf_
+def test_series_targets_keep_their_bits(monkeypatch):
+    # each series target is budget / (1 + |c|), |c| at working precision
+    # part by part, quotient times sqrt(r), as before the assembly went to
+    # fixed point: so no N can move at a tie
+    targets = []
+    real = coefficients.base_sums
 
+    def spy(x, terms, ctx):
+        targets.extend(t.target for t in terms)
+        return real(x, terms, ctx)
 
-def test_eval_exact_with_the_callers_roots_keeps_every_bit():
-    coeffs = sorted({c for t in _registry_tables() for _, c in t.entries}, key=str)
-    radicands = _radicands(coeffs)
-    assert {3, 7, 15, 105} <= radicands
+    monkeypatch.setattr(coefficients, "base_sums", spy)
     for digits in (30, 1000):
-        ctx, roots = make_context(digits), {}
-        for c in coeffs + [Surd({r: 1}) for r in radicands] + [Surd({-r: 3}) for r in radicands]:
-            assert _bits(eval_exact(c, ctx, roots)) == _bits(eval_exact(c, ctx)), (c, digits)
-        assert roots.keys() == radicands
+        ctx = make_context(digits)
+        for table in _registry_tables():
+            targets.clear()
+            assemble_detailed(table, ctx)
+            with ctx.workdps():
+                budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
+                want = []
+                for _, group in coefficients._by_base(table.entries).items():
+                    for _, c in group:
+                        v = mpf(0)
+                        for r, w in (c.items() if isinstance(c, Surd) else [(1, c)]):
+                            v += mpf(w.numerator) / w.denominator * (mp.sqrt(r) if r != 1 else 1)
+                        want.append(budget / (1 + abs(v)))
+            assert [t._mpf_ for t in targets] == [t._mpf_ for t in want], table.method
 
 
-def test_assembly_takes_one_square_root_per_radicand(monkeypatch):
-    taken, sqrt = [], mp.sqrt
-
-    def spy(x, **kwargs):
-        if sys._getframe(1).f_code.co_name == "eval_exact":
-            taken.append(x)
-        return sqrt(x, **kwargs)
-
-    monkeypatch.setattr(mp, "sqrt", spy)
-    ctx = make_context(40)
-    for table in _registry_tables():
-        taken.clear()
-        assemble_detailed(table, ctx)
-        assert sorted(taken) == sorted(_radicands(c for _, c in table.entries)), table.method
+@given(parts=st.dictionaries(st.sampled_from((1, 2, 3, 5, 7, 15, 105)),
+                             st.fractions(max_denominator=10**6), max_size=4),
+       prec=st.integers(0, 400))
+@settings(max_examples=80)
+def test_fixed_coefficient_is_within_a_unit_per_part(parts, prec):
+    c = Surd(parts)
+    total, err = coefficients._fixed_coefficient(c, prec)
+    assert err == len(c.items())
+    with mp.workprec(prec + 200):
+        exact = sum((mpf(w.numerator) / w.denominator * mp.sqrt(r) for r, w in c.items()), mpf(0))
+        assert abs(mp.ldexp(exact, prec) - total) < err or err == 0 == total

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import gauss_reference
+from fixed_point import truncate_digits
 from bernoulli_reference import bernoulli_weight
 from zetaodd.core import (
     I,
@@ -18,13 +19,23 @@ from zetaodd.core import (
     Surd,
     bernoulli,
     bernoulli_weights,
-    eval_exact,
+    interval_digits,
     make_context,
     surd_trig,
-    truncate_digits,
 )
 
 F = Fraction
+
+
+def eval_exact(x, ctx):
+    """x at the context's working precision, part by part: the tests' own
+    reading of an int, Fraction or Surd, an mpc when it has an i part."""
+    with ctx.workdps():
+        total = mp.mpf(0)
+        for r, c in (x if isinstance(x, Surd) else Surd(x)).items():
+            v = mp.mpf(c.numerator) / c.denominator * mp.sqrt(abs(r))
+            total += v if r > 0 else mp.mpc(0, v)
+        return total
 
 
 def gauss(a, b):
@@ -205,7 +216,7 @@ def test_biquadratic_inverse_random():
     vals = [F(1, 3), F(-2), F(5, 7), F(1)]
     z = Surd({1: vals[0], 7: vals[1], 15: vals[2], 105: vals[3]})
     one = z * z.inverse()
-    assert eval_exact(one, make_context(30)) == 1
+    assert one == 1 and eval_exact(one, make_context(30)) == 1
 
 
 # ------------------------------------------------------------- exact trig
@@ -360,6 +371,10 @@ def test_truncate_digits_basic():
         assert truncate_digits(mp.mpf("-1.23456789"), 5) == "-1.2345"
         assert truncate_digits(mp.mpf("0.000123456"), 4) == "0.0001234"
         assert truncate_digits(mp.mpf(10) / 3, 6) == "3.33333"
+        # scientific past the digits and below 10^-4, as pi^41 at 10 digits
+        assert truncate_digits(mp.pi ** 41, 10) == "2.416266209e+20"
+        assert truncate_digits(mp.mpf("0.0000123456"), 3) == "1.23e-5"
+        assert truncate_digits(mp.mpf("-98765.4"), 1) == "-9e+4"
 
 
 def test_truncate_digits_never_rounds_up():
@@ -419,9 +434,9 @@ def _near_boundaries(draw):
 @settings(max_examples=80, deadline=None)
 def test_truncate_digits_is_the_exact_floor(case):
     x, digits = case
-    text = truncate_digits(x, digits)
     if x == 0:
         return
+    text = truncate_digits(x, digits)
     # text is ±P with exactly `digits` significant digits, and
     # P <= |x| < P + one unit in its last place
     body = text.lstrip("-")
@@ -431,6 +446,22 @@ def test_truncate_digits_is_the_exact_floor(case):
     p = Fraction(body)
     ulp = p / int(mant)
     assert p <= abs(_exact(x)) < p + ulp
+
+
+@given(case=_near_boundaries(), err=st.integers(0, 2**40))
+@settings(max_examples=80, deadline=None)
+def test_interval_digits_are_both_ends_at_one_scale(case, err):
+    # lo and hi are the floors of (t -+ err) 10^k 2^-prec, hi with exactly
+    # `digits` digits: equal exactly when both ends truncate alike
+    x, digits = case
+    _, man, exp, _ = x._mpf_
+    t, prec = (man << exp + 64, 64) if exp >= 0 else (man << 64, 64 - exp)
+    if t + err <= 0:
+        return
+    lo, hi, k = interval_digits(t, err, prec, digits)
+    scale = Fraction(10) ** k / 2 ** prec
+    assert 10 ** (digits - 1) <= hi < 10 ** digits
+    assert hi == math.floor((t + err) * scale) and lo == math.floor((t - err) * scale)
 
 
 def test_errors_are_distinct():

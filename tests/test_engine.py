@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from fixed_point import fixed_mpf
 import zetaodd
 from zetaodd import engine
 from zetaodd.coefficients import (
@@ -48,6 +49,13 @@ def _reparse(decimal_value: str) -> mpf:
     return mpf(decimal_value)
 
 
+def _assembled(table, ctx) -> tuple:
+    """The value and error bound of one assembly, exact mpfs of its fixed
+    point (T, E) 2^-P."""
+    total, err, scale, _ = assemble_detailed(table, ctx)
+    return fixed_mpf(total, scale), fixed_mpf(err, scale)
+
+
 @pytest.mark.parametrize("s,method", ZETA_COMBOS)
 def test_zeta_all_methods_50_digits(s, method):
     res = zeta_odd(s, method=method, target_digits=50)
@@ -69,7 +77,7 @@ def test_assembled_error_invariant(s, method, target):
     # |assembled - oracle| < 10^-(target-2), checked on the raw mpf value
     ctx = make_context(target)
     table = zeta_table(s, method)
-    val, err, _ = assemble_detailed(table, ctx)
+    val, err = _assembled(table, ctx)
     with ctx.workdps():
         want = _oz(s, ctx)
         assert abs(val - want) < mpf(10) ** (-(target - 2))
@@ -82,7 +90,7 @@ def test_monotone_refinement(s, method):
     errs = []
     for target in (30, 60, 90):
         ctx = make_context(target)
-        val, _, _ = assemble_detailed(zeta_table(s, method), ctx)
+        val, _ = _assembled(zeta_table(s, method), ctx)
         with mp.workdps(140):
             errs.append(abs(val - _oz(s, make_context(120))))
     assert errs[0] >= errs[1] >= errs[2]
@@ -263,7 +271,7 @@ def test_term_cap_propagates(monkeypatch):
 def test_error_bound_rounded_up_to_53_bits(s, method, digits):
     ctx = make_context(digits)
     res = zeta_odd(s, method, digits)
-    _, err, _ = assemble_detailed(zeta_table(s, method), ctx)
+    _, err = _assembled(zeta_table(s, method), ctx)
     assert res.error_bound >= err
     assert res.error_bound._mpf_[3] <= 53  # bit count of the mantissa
     assert err._mpf_[3] > 53 or res.error_bound == err
@@ -295,9 +303,16 @@ CASES = ([("zeta", s, m) for s in (3, 7, 199) for m in ZETA_4KM1_METHODS]
          + [("log", p, None) for p in (2, 3, 5)])
 
 
-@given(case=st.sampled_from(CASES), digits=st.integers(1, 600))
+@given(case=st.sampled_from(CASES), digits=st.integers(1, 3000))
 @example(case=("zeta", 401, "p3"), digits=60)  # printed 0.999... with 20 guard digits
 @example(case=("zeta", 201, "root7_p"), digits=10)
+@example(case=("pi", 41, "auto"), digits=10)  # scientific: 2.416266209e+20
+# the largest scales P an assembly takes below the int-string limit of 4300
+@example(case=("zeta", 3, "root15"), digits=3000)
+@example(case=("zeta", 5, "p5"), digits=2999)
+@example(case=("zeta", 401, "root3_p"), digits=2500)
+@example(case=("pi", 3, "example63"), digits=2000)
+@example(case=("log", 5, None), digits=2718)
 @settings(max_examples=25, deadline=None)
 def test_digits_are_the_constant_truncated(case, digits):
     what, n, method = case
@@ -370,7 +385,7 @@ def test_a_measured_distance_takes_the_sized_guard(monkeypatch):
 
 
 def test_interval_that_never_narrows_raises(monkeypatch):
-    guards = _guards(monkeypatch, lambda table, ctx: (mpf(1), mpf("0.5"), {}))
+    guards = _guards(monkeypatch, lambda table, ctx: (2, 1, 1, {}))  # 1 -+ 0.5
     with pytest.raises(ConvergenceError, match=r"zeta\(3\).*5 attempts"):
         zeta_odd(3, "root15", 20)
     assert guards == [20, 40, 80, 160, 320]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from divisor_reference import _sech_terms, _sieve, divisor_sigma
+from fixed_point import fixed_mpf
 from series_reference import prefix_sums, series_sum
 from zetaodd import series
 from zetaodd.core import ConvergenceError, make_context
@@ -32,8 +33,8 @@ def kernel_prefixes(q, s, n_terms, ctx=CTX) -> list:
     """The kernel's Lambert prefix sums N = 1..n_terms at a real q, in one
     pass (Term.prefixes)."""
     term = series.Term("lambert", 1, 1 if q > 0 else -1, s, None, prefixes=n_terms)
-    _, sums = series.base_sums(abs(q), [term], ctx)
-    return [sums[None, n][0] for n in range(1, n_terms + 1)]
+    _, sums, prec = series.base_sums(abs(q), [term], ctx)
+    return [fixed_mpf(sums[None, n][0], prec) for n in range(1, n_terms + 1)]
 
 
 def test_partial_sum_exact_small():
@@ -204,8 +205,8 @@ def test_weights_past_a_float_keep_a_true_bound():
     # error bookkeeping neither overflows nor loses the bound
     x, w = mpf(1) / 7, F(2) ** 3000 / 3
     term = series.Term("lambert", 1, 1, -5, mpf("1e-60"), ((None, w),))
-    [(n, _, _)], sums = series.base_sums(x, [term], CTX)
-    value, rounding = sums[None]
+    [(n, _, _)], sums, prec = series.base_sums(x, [term], CTX)
+    value, rounding = (fixed_mpf(v, prec) for v in sums[None])
     with mp.workdps(1000):
         exact = w.numerator * series_sum("lambert", x, -5, n) / w.denominator
         assert abs(value - exact) <= rounding < abs(exact) * mpf(10) ** -45

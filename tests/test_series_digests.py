@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from zetaodd import identities
 from zetaodd.core import PrecisionContext
@@ -44,6 +45,13 @@ def _bits(v):
     return v._mpc_ if isinstance(v, mp.mpc) else v._mpf_
 
 
+def _fixed_bits(ints, prec: int):
+    """The bits of the mpf (mpc for two ints) that is the fixed-point
+    value ints 2^-prec, as the kernel returned it before it returned ints."""
+    parts = tuple(from_man_exp(c, -prec) for c in ints)
+    return parts if len(parts) == 2 else parts[0]
+
+
 def _pass(kind: str, q: str, nome: str, s: int, digits: int):
     """One term of `kind` at the nome q, -q or i sqrt(q), to 10^-(digits+5)."""
     ctx = _context(digits)
@@ -52,9 +60,9 @@ def _pass(kind: str, q: str, nome: str, s: int, digits: int):
         if nome == "isqrt":
             x = mp.mpc(0, mp.sqrt(x))
         term = Term(kind, 1, -1 if nome == "neg" else 1, s, mpf(10) ** -(digits + 5))
-        [(n, _, _)], sums = base_sums(x, [term], ctx)
+        [(n, _, _)], sums, prec = base_sums(x, [term], ctx)
     value, rounding = sums[None]
-    return _bits(value), _bits(rounding), n
+    return _fixed_bits(value, prec), from_man_exp(rounding, -prec), n
 
 
 def _prefixes(kind: str, q: str, nome: str, s: int, p: int, digits: int):
@@ -63,11 +71,11 @@ def _prefixes(kind: str, q: str, nome: str, s: int, p: int, digits: int):
     ctx = _context(digits)
     with ctx.workdps():
         term = Term(kind, 1, -1 if nome == "neg" else 1, s, None, prefixes=p)
-        _, sums = base_sums(mpf(q), [term], ctx)
+        _, sums, prec = base_sums(mpf(q), [term], ctx)
     out, last = [], None
     for n in range(1, p + 1):
         last = sums.get((None, n), last)
-        out.append((_bits(last[0]), _bits(last[1])))
+        out.append((_fixed_bits(last[0], prec), from_man_exp(last[1], -prec)))
     return out
 
 
