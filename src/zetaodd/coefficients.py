@@ -62,8 +62,8 @@ class BasisTerm:
 
     def __post_init__(self):
         if self.kind == "pi_power":
-            if self.power is None or self.q is not None or self.s is not None:
-                raise ValueError("pi_power takes only a power")
+            if self.power is None or self.power < 0 or self.q is not None or self.s is not None:
+                raise ValueError("pi_power takes only a power >= 0")
         elif self.kind in ("lambert", "sech_series", "lambert_derivative"):
             if self.q is None or self.s is None or self.power is not None:
                 raise ValueError(f"{self.kind} needs q and s")
@@ -835,28 +835,30 @@ def _magnitude(coeff, roots: dict):
                     for r, c in _parts(coeff)), mpf(0)))
 
 
-def _fixed_coefficient(coeff, prec: int) -> tuple:
-    """coeff 2^prec and its error in units (series._times): each part c sqrt(r),
-    c = a/b, floored once, (a 2^prec) // b, or truncated, isqrt(a^2 r 4^prec // b^2)."""
+def _fixed_coefficient(coeff, prec: int, pi: tuple | None = None) -> tuple:
+    """coeff 2^prec, times pi (pi 2^prec) when given, and its error in units
+    (series._times): each part c sqrt(r), c = a/b, floored once, (a 2^prec) // b,
+    or truncated, isqrt(a^2 r 4^prec // b^2).  The factor of an entry on its
+    sums, pi for a derivative's (q dL/dq) or radicand's key."""
     total, parts = 0, _parts(coeff)
     for r, c in parts:
         a, b = c.numerator, c.denominator
         v = (a << prec) // b if r == 1 else math.isqrt((a * a * r << 2 * prec) // (b * b))
         total += v if a > 0 or r == 1 else -v
-    return total, len(parts)
+    return _times((total, len(parts)), pi, prec) if pi else (total, len(parts))
 
 
 def _pi_power(n: int, prec: int) -> tuple:
-    """pi^n 2^prec, n >= 1, and its error in units: mpmath's pi at q + 10 bits
+    """pi^n 2^prec, n >= 0, and its error in units: mpmath's pi at q + 10 bits
     floored to 2^-q (2 units), raised to n with counted floors (series._times)
     at q = prec plus the bits of pi^n and of the count, then floored to prec."""
     q = prec + math.ceil(n * math.log2(math.pi)) + (3 * n).bit_length() + 2
     with mp.workprec(q + 10):
         (pi,), _ = _fixed(mp.pi, q)
-    base, power = (pi, 2), None
+    base, power = (pi, 2), (1 << q, 0)  # an exact 1 until its first factor
     while True:
         if n & 1:
-            power = base if power is None else _times(power, base, q)
+            power = _times(power, base, q) if power[1] else base
         if not (n := n >> 1):
             return power[0] >> q - prec, (power[1] >> q - prec) + 2
         base = _times(base, base, q)
@@ -884,7 +886,8 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
         prec = mp.prec
         budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
         terms = {str(basis): 0 for basis, _ in table.entries}
-        roots = {r: mp.sqrt(r) for r in {r for _, c in table.entries for r, _ in _parts(c)} - {1}}
+        roots = {r: mp.sqrt(r) for r in {r for b, c in table.entries if b.q
+                                         for r, _ in _parts(c)} - {1}}
         passes = []
         for base, group in _by_base(table.entries).items():
             cmags = [_magnitude(coeff, roots) for _, coeff in group]
@@ -897,7 +900,7 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
         bits += [abs(ints[0]).bit_length() - p
                  for *_, sums, p in passes for ints, _ in sums.values()]
         scale = max([prec + max(0, *bits)] + [p for *_, p in passes])
-        total, err = 0, 0
+        total, err, pi = 0, 0, _pi_power(1, scale)
         for n, coeff in pis:
             t, e = _times(_fixed_coefficient(coeff, scale), _pi_power(n, scale), scale)
             total, err = total + t, err + e
@@ -913,10 +916,9 @@ def assemble_detailed(table: CoefficientTable, ctx: PrecisionContext):
                 err += units + (units >> 20) + 2
             for (derivative, r), (ints, e) in sums.items():
                 v = ints[0] << scale - p, e << scale - p
-                if r != 1:
-                    v = _times((math.isqrt(r << 2 * scale), 1), v, scale)
-                if derivative:
-                    v = _times(_pi_power(1, scale), v, scale)
+                if r != 1 or derivative:  # times sqrt(r), and pi for q dL/dq
+                    f = _fixed_coefficient(Surd.sqrt(r), scale, pi if derivative else None)
+                    v = _times(f, v, scale)
                 total, err = total + v[0], err + v[1]
         return total, err, scale, terms
 

@@ -413,19 +413,21 @@ def surd_trig(m: int, multiple: int, kind: str) -> Surd:
 
 
 def interval_digits(t: int, err: int, prec: int, digits: int) -> tuple:
-    """(lo, hi, k), floor((t -+ err) 10^k 2^-prec) with hi of exactly `digits`
-    digits, for t + err > 0 and prec >= 0: both ends of an interval at one
-    scale.  k from a float estimate is at most two digits too large (a margin
-    covers its rounding); hi and lo drop them: floor(floor(x)/10) = floor(x/10)."""
+    """(lo, hi, k, num, den): floor((t -+ err) 10^k 2^-prec), hi of exactly
+    `digits` digits, for t + err > 0 and prec >= 0, both ends of an interval
+    at one scale, and num / den = t 10^k 2^-prec.  k from a float estimate
+    is at most two digits too large (a margin covers its rounding); hi and lo
+    drop them: floor(floor(x)/10) = floor(x/10)."""
     k = digits - 1 - math.floor(((t + err).bit_length() - 1 - prec) * math.log10(2) - 1e-9)
     if k >= 0:
-        tk, ek = t * 10**k, err * 10**k
-        lo, hi = tk - ek >> prec, tk + ek >> prec
+        num, ek, den = t * 10**k, err * 10**k, 1 << prec
+        lo, hi = num - ek >> prec, num + ek >> prec
     else:
-        lo, hi = (t - err) // (den := 10**-k << prec), (t + err) // den
+        num, den = t, 10**-k << prec
+        lo, hi = (t - err) // den, (t + err) // den
     while hi >= 10**digits:
-        lo, hi, k = lo // 10, hi // 10, k - 1
-    return lo, hi, k
+        lo, hi, k, den = lo // 10, hi // 10, k - 1, den * 10
+    return lo, hi, k, num, den
 
 
 def format_digits(mant: int, k: int, digits: int) -> str:

@@ -35,7 +35,7 @@ from .core import (
     interval_digits,
     make_context,
 )
-from .series import Term, _times, base_sums
+from .series import Term, base_sums
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,14 +96,13 @@ def _result(table: CoefficientTable, digits: int, t0: float) -> ConstantResult:
     ctx, ln2, ln10 = make_context(digits), math.log(2), math.log(10)
     for _ in range(ZIV_ATTEMPTS):
         t, err, prec, terms = assemble_detailed(table, ctx)
-        lo, hi, k = interval_digits(t, err, prec, digits)  # every constant is positive
+        lo, hi, k, num, den = interval_digits(t, err, prec, digits)  # every constant is positive
         if lo == hi:
             break
         g, w = ctx.guard_digits, ctx.working_digits
-        # ln b, b = hi 10^-k, and ln |value - b| from |t 10^k - hi 2^P| exactly
-        lb, dist = math.log(hi) - k * ln10, abs(t * 10**k - (hi << prec) if k >= 0
-                                                else t - (hi * 10**-k << prec))
-        ld = math.log(dist) - max(k, 0) * ln10 - prec * ln2 if dist else -math.inf
+        # ln b, b = hi 10^-k, and ln |value - b|, value 10^k = num / den exactly
+        lb, dist = math.log(hi) - k * ln10, abs(num - hi * den)
+        ld = math.log(dist) - math.log(den) - k * ln10 if dist else -math.inf
         measured = ld > lb - (w - 3) * ln10
         d = ld if measured else lb - 2 * w * ln10
         le = math.log(err) - prec * ln2
@@ -214,8 +213,8 @@ def convergence_profile(constant_id: str, method: str, max_terms: int,
     run = [Term(b.kind, 1, b.q.sign, b.s, None, ((i, Fraction(1)),), prefixes=max_terms)
            for i, (b, _) in enumerate(slow_entries)]
     _, sums, prec = base_sums(slow_entries[0][0].q.magnitude().value(ctx), run, ctx)
-    coeffs = [_times(_fixed_coefficient(c, scale), _pi_power(1, scale), scale)[0]
-              if b.kind == "lambert_derivative" else _fixed_coefficient(c, scale)[0]
+    pi = _pi_power(1, scale)
+    coeffs = [_fixed_coefficient(c, scale, pi if b.kind == "lambert_derivative" else None)[0]
               for b, c in slow_entries]
     with ctx.workdps():
         oracle_val = oracle(ctx)

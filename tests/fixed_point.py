@@ -1,10 +1,12 @@
 """The tests' readings of the program's fixed-point numbers: an int (or a
-tuple of ints, one per component) v at 2^-prec is the mpf v 2^-prec, and
-an mpf is emitted as the engine emits a certified interval of width 0."""
+tuple of ints, one per component) v at 2^-prec is the mpf v 2^-prec, an
+assembly's (T, E) is a pair of them, and an mpf is emitted as the engine
+emits a certified interval of width 0."""
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
+from zetaodd.coefficients import assemble_detailed
 from zetaodd.core import format_digits, interval_digits
 
 
@@ -15,11 +17,18 @@ def fixed_mpf(v, prec: int):
     return mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
 
 
+def assembled(table, ctx) -> tuple:
+    """The value and error bound of one assembly, exact mpfs of its fixed
+    point (T, E) 2^-P."""
+    total, err, scale, _ = assemble_detailed(table, ctx)
+    return fixed_mpf(total, scale), fixed_mpf(err, scale)
+
+
 def truncate_digits(x, digits: int) -> str:
     """The first `digits` digits of an mpf x, truncated toward zero, as the
     engine prints them: x read as the interval [x, x] in fixed point."""
     sign, man, exp, _ = x._mpf_
     t, prec = (man << exp, 0) if exp >= 0 else (man, -exp)
-    lo, hi, k = interval_digits(t, 0, prec, digits)
+    lo, hi, k, _, _ = interval_digits(t, 0, prec, digits)
     assert lo == hi
     return "-" * sign + format_digits(hi, k, digits)

@@ -9,7 +9,9 @@ means the generator's closed form changed, which must never happen silently.
 """
 
 import json
+import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import gauss_reference
-from fixed_point import fixed_mpf
+from fixed_point import assembled
 from zetaodd import coefficients
 from bernoulli_reference import bernoulli_sum
 from zetaodd.coefficients import (
@@ -353,7 +355,7 @@ def test_root3_m_sign_regression():
     # flipping it moves the assembled value by ~4 L(e^-sqrt3 pi) ~ 1.7e-2
     ctx = make_context(50)
     t = method_table("zeta", "root3", 3)
-    val, err = _assembled(t, ctx)
+    val, err = assembled(t, ctx)
     with ctx.workdps():
         assert abs(val - oracle_zeta(3, ctx)) < mpf("1e-48")
 
@@ -570,7 +572,7 @@ def test_pi_tables_assemble_to_pi_power(which):
     t = coeffs_pi(which, 1)
     power = int(t.constant.split("^")[1])
     ctx = make_context(50)
-    val, err = _assembled(t, ctx)
+    val, err = assembled(t, ctx)
     with ctx.workdps():
         want = oracle_pi(ctx) ** power
         assert abs(val - want) < mpf("1e-45")
@@ -640,8 +642,8 @@ def test_rewrite_preserves_value(make, args):
     rw = negative_q_rewrite(t)
     assert all(b.q is None or b.q.sign > 0 for b, _ in rw.entries)
     ctx = make_context(45)
-    v1, e1 = _assembled(t, ctx)
-    v2, e2 = _assembled(rw, ctx)
+    v1, e1 = assembled(t, ctx)
+    v2, e2 = assembled(rw, ctx)
     with ctx.workdps():
         assert abs(v1 - v2) <= (e1 + e2) * (1 + mpf("1e-20"))
         assert abs(v1 - v2) < mpf("1e-40")
@@ -739,7 +741,7 @@ def test_parse_rejects_garbage():
 def test_assemble_detailed_reports_terms():
     ctx = make_context(50)
     t = method_table("zeta", "corollary", 3)
-    val, err = _assembled(t, ctx)
+    val, err = assembled(t, ctx)
     terms = assemble_detailed(t, ctx)[3]
     assert set(terms) == {"pi^3", "lambert(exp(-2*pi), s=-3)"}
     assert terms["pi^3"] == 0  # closed form, no series truncation
@@ -829,7 +831,7 @@ def test_assemble_does_not_use_the_pi_oracle(table, monkeypatch):
     monkeypatch.setattr("zetaodd.oracles.oracle_pi", refuse)
     monkeypatch.setattr("zetaodd.coefficients.oracle_pi", refuse, raising=False)
     ctx = make_context(60)
-    val, err = _assembled(table, ctx)
+    val, err = assembled(table, ctx)
     assert any(b.kind == "pi_power" for b, _ in table.entries)
     with ctx.workdps():
         assert abs(val - mp.zeta(int(table.constant[5:-1]))) <= err
@@ -844,16 +846,9 @@ def test_rounding_slop_scales_with_the_terms_not_the_total():
         (BasisTerm("pi_power", power=1), 1 - big),
     ))
     ctx = make_context(30)
-    val, err = _assembled(table, ctx)
+    val, err = assembled(table, ctx)
     with mp.workdps(200):
         assert abs(val - mp.pi) <= err
-
-
-def _assembled(table, ctx) -> tuple:
-    """The value and error bound of one assembly, exact mpfs of its fixed
-    point (T, E) 2^-P."""
-    total, err, scale, _ = assemble_detailed(table, ctx)
-    return fixed_mpf(total, scale), fixed_mpf(err, scale)
 
 
 def _registry_tables() -> list:
@@ -865,6 +860,26 @@ def _registry_tables() -> list:
 def _radicands(coeffs) -> set:
     """The r != 1 whose sqrt(r) a coefficient holds, i sqrt(r) included."""
     return {abs(r) for c in coeffs if isinstance(c, Surd) for r, _ in c.items()} - {1}
+
+
+def test_assembly_takes_one_square_root_per_radicand(monkeypatch):
+    # the series targets' |c| (_magnitude) take sqrt(r) from one mp.sqrt per
+    # radicand of the series' coefficients; the pi coefficient's and the
+    # values' roots are isqrt, and the sech series' roots are the kernel's
+    taken, sqrt = [], mp.sqrt
+
+    def spy(x, **kwargs):
+        if sys._getframe(1).f_code.co_filename == coefficients.__file__:
+            taken.append(x)
+        return sqrt(x, **kwargs)
+
+    monkeypatch.setattr(mp, "sqrt", spy)
+    ctx = make_context(40)
+    for table in _registry_tables():
+        taken.clear()
+        assemble_detailed(table, ctx)
+        series = [c for b, c in table.entries if b.q is not None]
+        assert sorted(taken) == sorted(_radicands(series)), table.method
 
 
 def test_series_targets_keep_their_bits(monkeypatch):
@@ -907,3 +922,27 @@ def test_fixed_coefficient_is_within_a_unit_per_part(parts, prec):
     with mp.workprec(prec + 200):
         exact = sum((mpf(w.numerator) / w.denominator * mp.sqrt(r) for r, w in c.items()), mpf(0))
         assert abs(mp.ldexp(exact, prec) - total) < err or err == 0 == total
+
+
+def test_pi_power_holds_pi_to_the_n_within_its_count():
+    # pi^n 2^prec from one floor of mpmath's pi and counted products, against
+    # mp.pi ** n with 64 bits to spare; the count's own bits stay under a unit
+    assert coefficients._pi_power(0, 100) == (1 << 100, 2)
+    for n in range(1, 42):
+        for prec in (0, 1, 2, 53, 333, 1000, 2500, 4000):
+            v, e = coefficients._pi_power(n, prec)
+            with mp.workprec(prec + math.ceil(n * math.log2(math.pi)) + 64):
+                assert abs(mp.ldexp(mp.pi ** n, prec) - v) <= e <= 3, (n, prec)
+
+
+def test_a_table_read_back_takes_a_power_of_pi_from_zero():
+    # pi^0, a rational term, assembles; a negative power is refused when read
+    d = {"constant": "pi^1", "method": "shifted", "entries": [
+        {"basis": {"kind": "pi_power", "power": 1}, "coeff": "1"},
+        {"basis": {"kind": "pi_power", "power": 0}, "coeff": "-3"}]}
+    val, err = assembled(CoefficientTable.from_dict(d), make_context(30))
+    with mp.workdps(60):
+        assert abs(val - (mp.pi - 3)) <= err < mpf("1e-30")
+    d["entries"][1]["basis"]["power"] = -1
+    with pytest.raises(ValueError, match="power >= 0"):
+        CoefficientTable.from_dict(d)

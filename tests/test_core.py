@@ -452,14 +452,16 @@ def test_truncate_digits_is_the_exact_floor(case):
 @settings(max_examples=80, deadline=None)
 def test_interval_digits_are_both_ends_at_one_scale(case, err):
     # lo and hi are the floors of (t -+ err) 10^k 2^-prec, hi with exactly
-    # `digits` digits: equal exactly when both ends truncate alike
+    # `digits` digits: equal exactly when both ends truncate alike; num / den
+    # is t 10^k 2^-prec, from which the engine sizes a retry
     x, digits = case
     _, man, exp, _ = x._mpf_
     t, prec = (man << exp + 64, 64) if exp >= 0 else (man << 64, 64 - exp)
     if t + err <= 0:
         return
-    lo, hi, k = interval_digits(t, err, prec, digits)
+    lo, hi, k, num, den = interval_digits(t, err, prec, digits)
     scale = Fraction(10) ** k / 2 ** prec
+    assert Fraction(num, den) == t * scale
     assert 10 ** (digits - 1) <= hi < 10 ** digits
     assert hi == math.floor((t + err) * scale) and lo == math.floor((t - err) * scale)
 

@@ -10,14 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from fixed_point import fixed_mpf
+from fixed_point import assembled
 import zetaodd
 from zetaodd import engine
 from zetaodd.coefficients import (
     METHODS,
     ZETA_4KM1_METHODS,
     ZETA_4KP1_METHODS,
-    assemble_detailed,
 )
 from zetaodd.core import ConvergenceError, DomainError, make_context
 from zetaodd.engine import (
@@ -49,13 +48,6 @@ def _reparse(decimal_value: str) -> mpf:
     return mpf(decimal_value)
 
 
-def _assembled(table, ctx) -> tuple:
-    """The value and error bound of one assembly, exact mpfs of its fixed
-    point (T, E) 2^-P."""
-    total, err, scale, _ = assemble_detailed(table, ctx)
-    return fixed_mpf(total, scale), fixed_mpf(err, scale)
-
-
 @pytest.mark.parametrize("s,method", ZETA_COMBOS)
 def test_zeta_all_methods_50_digits(s, method):
     res = zeta_odd(s, method=method, target_digits=50)
@@ -77,7 +69,7 @@ def test_assembled_error_invariant(s, method, target):
     # |assembled - oracle| < 10^-(target-2), checked on the raw mpf value
     ctx = make_context(target)
     table = zeta_table(s, method)
-    val, err = _assembled(table, ctx)
+    val, err = assembled(table, ctx)
     with ctx.workdps():
         want = _oz(s, ctx)
         assert abs(val - want) < mpf(10) ** (-(target - 2))
@@ -90,7 +82,7 @@ def test_monotone_refinement(s, method):
     errs = []
     for target in (30, 60, 90):
         ctx = make_context(target)
-        val, _ = _assembled(zeta_table(s, method), ctx)
+        val, _ = assembled(zeta_table(s, method), ctx)
         with mp.workdps(140):
             errs.append(abs(val - _oz(s, make_context(120))))
     assert errs[0] >= errs[1] >= errs[2]
@@ -271,7 +263,7 @@ def test_term_cap_propagates(monkeypatch):
 def test_error_bound_rounded_up_to_53_bits(s, method, digits):
     ctx = make_context(digits)
     res = zeta_odd(s, method, digits)
-    _, err = _assembled(zeta_table(s, method), ctx)
+    _, err = assembled(zeta_table(s, method), ctx)
     assert res.error_bound >= err
     assert res.error_bound._mpf_[3] <= 53  # bit count of the mantissa
     assert err._mpf_[3] > 53 or res.error_bound == err

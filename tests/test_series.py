@@ -336,3 +336,16 @@ def test_qsymbolic_squared():
     q = QSymbolic(-1, 3)
     assert q.squared() == QSymbolic(1, 6)
     assert q.magnitude() == QSymbolic(1, 3)
+
+
+@given(a=st.integers(-2**300, 2**300), b=st.integers(-2**300, 2**300),
+       ea=st.integers(0, 2**80), eb=st.integers(0, 2**80),
+       fa=st.fractions(-1, 1, max_denominator=10**9),
+       fb=st.fractions(-1, 1, max_denominator=10**9), prec=st.integers(0, 400))
+@settings(max_examples=200)
+def test_times_counts_its_error(a, b, ea, eb, fa, fb, prec):
+    # any true factors u, v within the counts of a and b (in units of
+    # 2^-prec): their product lies within the returned count of the floor
+    u, v = a + fa * ea, b + fb * eb
+    c, e = series._times((a, ea), (b, eb), prec)
+    assert abs(c - u * v / 2 ** prec) <= e
