@@ -838,8 +838,8 @@ def _magnitude(coeff, roots: dict):
 def _fixed_coefficient(coeff, prec: int, pi: tuple | None = None) -> tuple:
     """coeff 2^prec, times pi (pi 2^prec) when given, and its error in units
     (series._times): each part c sqrt(r), c = a/b, floored once, (a 2^prec) // b,
-    or truncated, isqrt(a^2 r 4^prec // b^2).  The factor of an entry on its
-    sums, pi for a derivative's (q dL/dq) or radicand's key."""
+    or truncated, isqrt(a^2 r 4^prec // b^2).  pi is given for the factor on
+    a derivative's sums, q dL/dq, which the formula scales by pi."""
     total, parts = 0, _parts(coeff)
     for r, c in parts:
         a, b = c.numerator, c.denominator

@@ -1,13 +1,13 @@
-"""The tests' readings of the program's fixed-point numbers: an int (or a
-tuple of ints, one per component) v at 2^-prec is the mpf v 2^-prec, an
-assembly's (T, E) is a pair of them, and an mpf is emitted as the engine
-emits a certified interval of width 0."""
+"""The tests' readings of the program's numbers: an int (or a tuple of
+ints, one per component) v at 2^-prec is the mpf v 2^-prec, an assembly's
+(T, E) is a pair of them, an mpf is emitted as the engine emits a certified
+interval of width 0, and an exact coefficient is summed part by part."""
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from zetaodd.coefficients import assemble_detailed
-from zetaodd.core import format_digits, interval_digits
+from zetaodd.core import Surd, format_digits, interval_digits
 
 
 def fixed_mpf(v, prec: int):
@@ -32,3 +32,13 @@ def truncate_digits(x, digits: int) -> str:
     lo, hi, k, _, _ = interval_digits(t, 0, prec, digits)
     assert lo == hi
     return "-" * sign + format_digits(hi, k, digits)
+
+
+def exact_value(x):
+    """An int, Fraction or Surd at the current precision, each part's
+    quotient times sqrt(|r|), summed: an mpc when it has an i part."""
+    total = mp.mpf(0)
+    for r, c in (x if isinstance(x, Surd) else Surd(x)).items():
+        v = mp.mpf(c.numerator) / c.denominator * mp.sqrt(abs(r))
+        total += v if r > 0 else mp.mpc(0, v)
+    return total

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import gauss_reference
-from fixed_point import assembled
+from fixed_point import assembled, exact_value
 from zetaodd import coefficients
 from bernoulli_reference import bernoulli_sum
 from zetaodd.coefficients import (
@@ -903,11 +903,7 @@ def test_series_targets_keep_their_bits(monkeypatch):
                 budget = mpf(10) ** (-(ctx.target_digits + ctx.guard_digits // 2))
                 want = []
                 for _, group in coefficients._by_base(table.entries).items():
-                    for _, c in group:
-                        v = mpf(0)
-                        for r, w in (c.items() if isinstance(c, Surd) else [(1, c)]):
-                            v += mpf(w.numerator) / w.denominator * (mp.sqrt(r) if r != 1 else 1)
-                        want.append(budget / (1 + abs(v)))
+                    want += [budget / (1 + abs(exact_value(c))) for _, c in group]
             assert [t._mpf_ for t in targets] == [t._mpf_ for t in want], table.method
 
 

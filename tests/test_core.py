@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import gauss_reference
-from fixed_point import truncate_digits
+from fixed_point import exact_value, truncate_digits
 from bernoulli_reference import bernoulli_weight
 from zetaodd.core import (
     I,
@@ -28,14 +28,9 @@ F = Fraction
 
 
 def eval_exact(x, ctx):
-    """x at the context's working precision, part by part: the tests' own
-    reading of an int, Fraction or Surd, an mpc when it has an i part."""
+    """x at the context's working precision (fixed_point.exact_value)."""
     with ctx.workdps():
-        total = mp.mpf(0)
-        for r, c in (x if isinstance(x, Surd) else Surd(x)).items():
-            v = mp.mpf(c.numerator) / c.denominator * mp.sqrt(abs(r))
-            total += v if r > 0 else mp.mpc(0, v)
-        return total
+        return exact_value(x)
 
 
 def gauss(a, b):
